@@ -12,8 +12,6 @@ its relative quality.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +29,6 @@ from .quality import (
 from .sampler import SamplerConfig, TqdSampler, bin_masses, compute_mu, make_law
 from .synth import DegradationSpec, ToyVideo, degrade
 from .trainer import TrainerConfig, VelocityModel, final_loss, grad_at_timestep, train
-
-
-def thread_count() -> int:
-    """Worker cap from the TQD_THREADS env var; 0 or unset means auto."""
-    raw = os.environ.get("TQD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DataError(f"TQD_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise DataError(f"TQD_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
 
 
 def _derived_seed(*parts: int) -> int:
@@ -92,9 +76,6 @@ def gradient_probe(
     resampling. Per-sample degradation randomness is derived from the
     spec seed and the sample index, so two samples never share a noise
     field or shuffle order.
-
-    Work is spread over (sample, t) pairs across TQD_THREADS workers;
-    results are reduced in fixed order so the output is deterministic.
     """
     if not samples:
         raise DataError("gradient probe needs at least one sample")
@@ -113,28 +94,14 @@ def gradient_probe(
         for i, video in enumerate(samples)
     ]
 
-    def distances_for(task):
-        i, j = task
-        seed_ij = _derived_seed(noise_seed, i, j)
-        g_orig = grad_at_timestep(model, samples[i], t_grid[j], seed_ij, n_noise)
-        out = np.empty(len(degradations))
-        for k in range(len(degradations)):
-            g_deg = grad_at_timestep(model, degraded[i][k], t_grid[j], seed_ij, n_noise)
-            out[k] = np.linalg.norm(g_orig - g_deg)
-        return out
-
-    tasks = [(i, j) for i in range(len(samples)) for j in range(len(t_grid))]
-    workers = thread_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(distances_for, tasks))
-    else:
-        results = [distances_for(task) for task in tasks]
-
-    # fixed-order reduction: results arrive indexed by task order
     sums = np.zeros((len(degradations), len(t_grid)))
-    for (i, j), dist in zip(tasks, results):
-        sums[:, j] += dist
+    for i, video in enumerate(samples):
+        for j, t in enumerate(t_grid):
+            seed_ij = _derived_seed(noise_seed, i, j)
+            g_orig = grad_at_timestep(model, video, t, seed_ij, n_noise)
+            for k, copy in enumerate(degraded[i]):
+                g_deg = grad_at_timestep(model, copy, t, seed_ij, n_noise)
+                sums[k, j] += np.linalg.norm(g_orig - g_deg)
     means = sums / len(samples)
     return [
         GradientProbeCurve(

@@ -15,6 +15,8 @@ import argparse
 import hashlib
 import json
 import sys
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from .quality import (
     QUADRANTS,
     inject_score_noise,
     normalize_scores,
+    quadrant_of,
     read_manifest,
     write_sidecar,
 )
@@ -146,32 +149,64 @@ def _require(value, flag: str):
     return value
 
 
-def _float_key(params: dict, key: str, default: float) -> float:
-    val = params.get(key, default)
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise DataError(f"config key {key} must be a number, got {val!r}")
+_KIND_NAMES = {bool: "a JSON bool", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(key: str, value, kind: type):
+    """Check one config value against its declared type.
+
+    The JSON type must match exactly: 1 is not a bool and 2.5 not an
+    int. Only an integer may stand for a float, and becomes one. A
+    mismatch is bad data (exit 3).
+    """
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise DataError(f"config key {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _param(params: dict, key: str, kind: type, default=None):
+    """A command key that is not a config field, checked like one. A
+    None default makes the key optional (null or absent gives None)."""
+    value = params.get(key, default)
+    return None if value is None and default is None else _typed(key, value, kind)
+
+
+def _config(cls, params: dict):
+    """Build config dataclass cls from the params keys that name its
+    fields, each checked against the field's declared type; other keys
+    are ignored."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in params:
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            value = params[f.name]
+            optional = value is None and type(None) in kinds
+            values[f.name] = None if optional else _typed(f.name, value, kinds[0])
+    return cls(**values)
 
 
 # --- curate -------------------------------------------------------------------
 
 def cmd_curate(args) -> int:
     params = _load_params(args.config, "curate")
-    manifest = _require(args.manifest or params.pop("manifest", None), "--manifest")
+    manifest = _require(args.manifest or _param(params, "manifest", str), "--manifest")
     if args.mq_threshold is not None:
         params["mq_threshold"] = args.mq_threshold
     if args.vq_threshold is not None:
         params["vq_threshold"] = args.vq_threshold
 
+    mq_thr = _param(params, "mq_threshold", float)
+    vq_thr = _param(params, "vq_threshold", float)
     records = read_manifest(manifest)
-    mq_thr = params.get("mq_threshold")
-    vq_thr = params.get("vq_threshold")
     if mq_thr is None:
         mq_thr = float(np.median([r.mq_raw for r in records]))
     if vq_thr is None:
         vq_thr = float(np.median([r.vq_raw for r in records]))
-    params = {"mq_threshold": float(mq_thr), "vq_threshold": float(vq_thr)}
+    params = {"mq_threshold": mq_thr, "vq_threshold": vq_thr}
 
     _, consts = normalize_scores(records)
     report = quadrant_report(records, params["mq_threshold"], params["vq_threshold"])
@@ -192,7 +227,7 @@ def cmd_curate(args) -> int:
 
 def cmd_sample_stats(args) -> int:
     params = _load_params(args.config, "sample-stats")
-    manifest = _require(args.manifest or params.pop("manifest", None), "--manifest")
+    manifest = _require(args.manifest or _param(params, "manifest", str), "--manifest")
     if args.n_draws is not None:
         if args.n_draws < 1:
             raise UsageError("--n-draws must be >= 1")
@@ -200,12 +235,12 @@ def cmd_sample_stats(args) -> int:
     if args.seed is not None:
         params["seed"] = args.seed
 
-    n_draws = int(params.get("n_draws", 10000))
+    n_draws = _param(params, "n_draws", int, 10000)
     if n_draws < 1:
         raise UsageError("n_draws must be >= 1")
-    n_bins = int(params.get("n_bins", 50))
-    config = SamplerConfig.from_dict(params)
-    params = {**config.to_dict(), "n_draws": n_draws, "n_bins": n_bins}
+    n_bins = _param(params, "n_bins", int, 50)
+    config = _config(SamplerConfig, params)
+    params = {**asdict(config), "n_draws": n_draws, "n_bins": n_bins}
 
     records = read_manifest(manifest)
     normalized, _ = normalize_scores(records)
@@ -276,7 +311,7 @@ def _parse_filter(spec: str) -> list[str]:
 
 def cmd_train(args) -> int:
     params = _load_params(args.config, "train")
-    manifest = _require(args.manifest or params.pop("manifest", None), "--manifest")
+    manifest = _require(args.manifest or _param(params, "manifest", str), "--manifest")
     if args.seed is not None:
         params["seed"] = args.seed
     if args.steps is not None:
@@ -292,14 +327,17 @@ def cmd_train(args) -> int:
             raise UsageError("--noise-level must be >= 0")
         params["noise_level"] = args.noise_level
 
-    sampler_cfg = SamplerConfig.from_dict(params)
-    trainer_cfg = TrainerConfig.from_dict(params)
-    noise_level = _float_key(params, "noise_level", 0.0)
-    quads = params.get("filter_quadrants")
-    mq_thr = _float_key(params, "mq_threshold", DEFAULT_MQ_THRESHOLD)
-    vq_thr = _float_key(params, "vq_threshold", DEFAULT_VQ_THRESHOLD)
+    sampler_cfg = _config(SamplerConfig, params)
+    trainer_cfg = _config(TrainerConfig, params)
+    noise_level = _param(params, "noise_level", float, 0.0)
+    quads = _param(params, "filter_quadrants", list)
+    if quads is not None and any(q not in QUADRANTS for q in quads):
+        raise DataError(f"config key filter_quadrants must name quadrants of "
+                        f"{', '.join(QUADRANTS)}, got {quads!r}")
+    mq_thr = _param(params, "mq_threshold", float, DEFAULT_MQ_THRESHOLD)
+    vq_thr = _param(params, "vq_threshold", float, DEFAULT_VQ_THRESHOLD)
     params = {
-        **sampler_cfg.to_dict(), **trainer_cfg.to_dict(),
+        **asdict(sampler_cfg), **asdict(trainer_cfg),
         "noise_level": noise_level,
         "filter_quadrants": quads,
         "mq_threshold": mq_thr, "vq_threshold": vq_thr,
@@ -307,12 +345,7 @@ def cmd_train(args) -> int:
 
     records = read_manifest(manifest)
     if quads is not None:
-        kept = []
-        for rec in records:
-            key = (("H" if rec.mq_raw > mq_thr else "L") + "M"
-                   + ("H" if rec.vq_raw > vq_thr else "L") + "V")
-            if key in quads:
-                kept.append(rec)
+        kept = [rec for rec in records if quadrant_of(rec, mq_thr, vq_thr) in quads]
         if not kept:
             raise DataError(f"no records left after filter quadrant={','.join(quads)}")
         records = kept
@@ -347,8 +380,11 @@ def cmd_train(args) -> int:
 
 def _probe_samples(params: dict, seed: int):
     spec = dict(_PROBE_DEFAULT_SAMPLES)
-    spec.update(params.get("samples", {}))
+    spec.update(_param(params, "samples", dict, {}))
+    for key, default in _PROBE_DEFAULT_SAMPLES.items():
+        spec[key] = _typed(f"samples.{key}", spec[key], type(default))
     if "manifest" in spec:
+        _typed("samples.manifest", spec["manifest"], str)
         records = read_manifest(spec["manifest"])
         base = Path(spec["manifest"]).parent
         videos = []
@@ -357,20 +393,20 @@ def _probe_samples(params: dict, seed: int):
                 raise DataError(f"record {rec.id!r} has no payload reference")
             videos.append(resolve_payload(rec.payload_ref, base_dir=base))
         return videos, spec
-    n = int(spec["n"])
+    n = spec["n"]
     if n < 1:
         raise DataError(f"probe needs at least one sample, got n={n}")
     rng = np.random.default_rng([seed, 101])
-    speeds = rng.uniform(float(spec["speed_min"]), float(spec["speed_max"]), n)
-    starts = rng.uniform(0.0, float(spec["width"]), n)
+    speeds = rng.uniform(spec["speed_min"], spec["speed_max"], n)
+    starts = rng.uniform(0.0, spec["width"], n)
     videos = [
         generate_moving_shape(
             motion_speed=float(speeds[i]),
-            texture_noise=float(spec["texture_noise"]),
+            texture_noise=spec["texture_noise"],
             seed=int(rng.integers(0, 2**31)),
-            frames=int(spec["frames"]),
-            height=int(spec["height"]),
-            width=int(spec["width"]),
+            frames=spec["frames"],
+            height=spec["height"],
+            width=spec["width"],
             start_x=float(starts[i]),
         )
         for i in range(n)
@@ -380,20 +416,21 @@ def _probe_samples(params: dict, seed: int):
 
 def cmd_probe(args) -> int:
     params = _load_params(args.config, "probe")
-    model_path = _require(args.model or params.pop("model", None), "--model")
+    model_path = _require(args.model or _param(params, "model", str), "--model")
     if args.seed is not None:
         params["seed"] = args.seed
 
-    seed = int(params.get("seed", 0))
-    t_grid = [float(t) for t in params.get(
-        "t_grid", [round(0.1 * k, 1) for k in range(1, 10)])]
-    n_noise = int(params.get("n_noise", 16))
-    deg_dicts = params.get("degradations", _PROBE_DEFAULT_DEGRADATIONS)
-    degradations = [
-        DegradationSpec(kind=d["kind"], strength=float(d["strength"]),
-                        seed=int(d.get("seed", 0)))
-        for d in deg_dicts
-    ]
+    seed = _param(params, "seed", int, 0)
+    t_grid = [_typed("t_grid", t, float) for t in _param(
+        params, "t_grid", list, [round(0.1 * k, 1) for k in range(1, 10)])]
+    n_noise = _param(params, "n_noise", int, 16)
+    degradations = []
+    for d in _param(params, "degradations", list, _PROBE_DEFAULT_DEGRADATIONS):
+        d = _typed("degradations", d, dict)
+        degradations.append(DegradationSpec(
+            kind=_typed("degradations.kind", d.get("kind"), str),
+            strength=_typed("degradations.strength", d.get("strength"), float),
+            seed=_typed("degradations.seed", d.get("seed", 0), int)))
 
     model, header = load_checkpoint(model_path)
     videos, sample_spec = _probe_samples(params, seed)

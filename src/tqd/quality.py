@@ -139,24 +139,28 @@ def normalize_scores(
     return consts.apply(records), consts
 
 
+def quadrant_of(record: QualityRecord, mq_threshold: float, vq_threshold: float) -> str:
+    """The record's quality quadrant, one of QUADRANTS.
+
+    Thresholds are in raw-score units. A score strictly greater than its
+    threshold counts as "high"; an exact tie goes to "low".
+    """
+    return (("H" if record.mq_raw > mq_threshold else "L") + "M"
+            + ("H" if record.vq_raw > vq_threshold else "L") + "V")
+
+
 def partition_quadrants(
     records: list[QualityRecord],
     mq_threshold: float,
     vq_threshold: float,
 ) -> QuadrantPartition:
-    """Assign every record to exactly one of the four quality quadrants.
-
-    Thresholds are in raw-score units. A score strictly greater than its
-    threshold counts as "high"; an exact tie goes to "low".
-    """
+    """Assign every record to exactly one of the four quality quadrants
+    (see quadrant_of)."""
     if not records:
         raise DataError("empty dataset")
     counts = dict.fromkeys(QUADRANTS, 0)
     for rec in records:
-        hm = rec.mq_raw > mq_threshold
-        hv = rec.vq_raw > vq_threshold
-        key = ("H" if hm else "L") + "M" + ("H" if hv else "L") + "V"
-        counts[key] += 1
+        counts[quadrant_of(rec, mq_threshold, vq_threshold)] += 1
     n = len(records)
     fractions = {k: counts[k] / n for k in QUADRANTS}
     return QuadrantPartition(mq_threshold, vq_threshold, counts, fractions)
@@ -250,9 +254,10 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
     (number) and optional `payload` (string).
 
     Raises DataError naming the line number on malformed lines and the
-    record id on non-finite scores.
+    record id on non-finite scores or on an id seen before.
     """
     records = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -270,6 +275,9 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
                 raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
             if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
                 raise DataError(f"non-finite score on record {rec.id!r} (line {lineno})")
+            if rec.id in seen:
+                raise DataError(f"duplicate record id {rec.id!r} (line {lineno})")
+            seen.add(rec.id)
             records.append(rec)
     if not records:
         raise DataError(f"empty manifest: {path}")

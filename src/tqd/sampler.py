@@ -22,9 +22,7 @@ from the seed alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -56,7 +54,7 @@ class SamplerConfig:
     def __post_init__(self):
         if not self.kappa_base > 0:
             raise DataError(f"kappa_base must be > 0, got {self.kappa_base}")
-        if self.kappa_max < self.kappa_base:
+        if not self.kappa_max >= self.kappa_base:
             raise DataError(
                 f"kappa_max ({self.kappa_max}) must be >= kappa_base ({self.kappa_base})")
         if not self.min_shape > 0:
@@ -71,35 +69,6 @@ class SamplerConfig:
         if self.max_rejection_attempts is not None:
             return self.max_rejection_attempts
         return 1000 * self.batch_size
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa_base": self.kappa_base,
-            "kappa_max": self.kappa_max,
-            "min_shape": self.min_shape,
-            "batch_size": self.batch_size,
-            "max_rejection_attempts": self.max_rejection_attempts,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplerConfig":
-        known = {k: d[k] for k in (
-            "kappa_base", "kappa_max", "min_shape", "batch_size",
-            "max_rejection_attempts", "seed") if k in d}
-        return cls(**known)
-
-
-def load_config(path: str | Path) -> SamplerConfig:
-    """Read a SamplerConfig from a flat JSON object; unknown keys are ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    return SamplerConfig.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -217,16 +186,6 @@ def beta_variates(alpha, beta, rng: np.random.Generator, size: int) -> np.ndarra
     return np.clip(t, _OPEN_EPS, 1.0 - _OPEN_EPS)
 
 
-def sample_timestep(law: TimestepLaw, rng: np.random.Generator) -> float:
-    """One timestep draw from the law, strictly inside (0, 1)."""
-    return float(beta_variates(law.alpha, law.beta, rng, 1)[0])
-
-
-def sample_timesteps(law: TimestepLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n timestep draws from one law."""
-    return beta_variates(law.alpha, law.beta, rng, n)
-
-
 def density_curve(law: TimestepLaw, grid_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Beta pdf of the law on the midpoint grid t_i = (i + 0.5)/G over (0, 1).
 
@@ -255,25 +214,28 @@ def bin_masses(law: TimestepLaw, edges: np.ndarray) -> np.ndarray:
 
 # --- batch preparation -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """A prepared batch: retained records with their drawn timesteps."""
+    """A prepared batch: the retained records, as indices into the
+    sampler's record list, with one drawn timestep each."""
 
-    members: list[tuple[QualityRecord, float]]
+    records: list[QualityRecord]
+    indices: np.ndarray
+    timesteps: np.ndarray
     attempts: int
     accepted: int
 
     @property
+    def members(self) -> list[tuple[QualityRecord, float]]:
+        return [(self.records[i], float(t)) for i, t in zip(self.indices, self.timesteps)]
+
+    @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.indices)
 
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.attempts if self.attempts else float("nan")
-
-    @property
-    def timesteps(self) -> np.ndarray:
-        return np.array([t for _, t in self.members])
 
 
 class TqdSampler:
@@ -322,8 +284,7 @@ class TqdSampler:
             idx = rng.integers(0, n, batch_size)
             ts = beta_variates(
                 self._baseline_law.alpha, self._baseline_law.beta, rng, batch_size)
-            members = [(self.records[i], float(t)) for i, t in zip(idx, ts)]
-            return Batch(members=members, attempts=batch_size, accepted=batch_size)
+            return Batch(self.records, idx, ts, attempts=batch_size, accepted=batch_size)
 
         if not np.any(self.retention > 0.0):
             raise SamplingError("no retainable samples (all retention probabilities are 0)")
@@ -344,18 +305,6 @@ class TqdSampler:
             raise SamplingError(
                 f"rejection-attempt cap exhausted: {accepted_total} accepted in "
                 f"{attempts} attempts (acceptance rate {accepted_total / attempts:.4f})")
-        chosen = chosen[:batch_size]
-        ts = beta_variates(self._alpha[chosen], self._beta[chosen], rng, batch_size)
-        members = [(self.records[i], float(t)) for i, t in zip(chosen, ts)]
-        return Batch(members=members, attempts=attempts, accepted=accepted_total)
-
-
-def prepare_batch(
-    dataset: list[QualityRecord],
-    batch_size: int,
-    config: SamplerConfig,
-    rng: np.random.Generator,
-    baseline: bool = False,
-) -> Batch:
-    """One-shot batch preparation; see TqdSampler.prepare_batch."""
-    return TqdSampler(dataset, config).prepare_batch(batch_size, rng, baseline=baseline)
+        idx = np.array(chosen[:batch_size])
+        ts = beta_variates(self._alpha[idx], self._beta[idx], rng, batch_size)
+        return Batch(self.records, idx, ts, attempts=attempts, accepted=accepted_total)

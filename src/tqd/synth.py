@@ -59,6 +59,8 @@ class DegradationSpec:
     def __post_init__(self):
         if self.kind not in DEGRADATION_KINDS:
             raise DataError(f"unknown degradation kind {self.kind!r}")
+        if not np.isfinite(self.strength):
+            raise DataError(f"{self.kind} strength must be finite, got {self.strength}")
 
 
 def generate_moving_shape(
@@ -185,22 +187,6 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
     meta["degradations"] = meta["degradations"] + [
         {"kind": spec.kind, "strength": spec.strength, "seed": spec.seed}]
     return ToyVideo(frames=out, meta=meta)
-
-
-def flow_interpolate(x0, x1, t: float) -> np.ndarray:
-    """Linear noise-data interpolation t*x1 + (1-t)*x0, elementwise.
-
-    t=1 is pure noise, t=0 pure data. No clamping: this is the latent
-    interpolation the velocity target (x1 - x0) lives on. x0 may be a
-    ToyVideo or an array; shapes must match exactly.
-    """
-    a0 = x0.frames if isinstance(x0, ToyVideo) else np.asarray(x0, dtype=np.float64)
-    a1 = x1.frames if isinstance(x1, ToyVideo) else np.asarray(x1, dtype=np.float64)
-    if a0.shape != a1.shape:
-        raise DataError(f"shape mismatch: x0 {a0.shape} vs x1 {a1.shape}")
-    if not 0.0 <= t <= 1.0:
-        raise DataError(f"t must be in [0, 1], got {t}")
-    return t * a1 + (1.0 - t) * a0
 
 
 # --- serialization -----------------------------------------------------------

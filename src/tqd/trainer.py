@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -164,18 +164,6 @@ def _forward_batch(model: VelocityModel, xt_flat: np.ndarray, t: np.ndarray):
     return out, (x, a1, a2, views)
 
 
-def forward(model: VelocityModel, x_t, t: float) -> np.ndarray:
-    """Predicted velocity for one interpolant; output shape matches x_t."""
-    if not 0.0 <= float(t) <= 1.0:
-        raise DataError(f"t must be in [0, 1], got {t}")
-    arr = x_t.frames if isinstance(x_t, ToyVideo) else np.asarray(x_t, dtype=np.float64)
-    flat = _as_flat_batch(model, arr, "x_t")
-    if flat.shape[0] != 1:
-        raise DataError("forward takes a single interpolant; use loss_and_grad for batches")
-    out, _ = _forward_batch(model, flat, np.array([float(t)]))
-    return out.reshape(arr.shape)
-
-
 def loss_and_grad(model: VelocityModel, x0, x1, t):
     """Flow-matching loss and its exact gradient w.r.t. the flat parameters.
 
@@ -273,14 +261,6 @@ class TrainerConfig:
         if self.hidden_width < 1 or self.n_freqs < 1:
             raise DataError("hidden_width and n_freqs must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainerConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
 
 @dataclass
 class TrainState:
@@ -328,18 +308,16 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     if not dataset:
         raise DataError("dataset is empty")
     records = []
-    videos = {}
-    data_shape = None
+    data_shape = dataset[0][1].frames.shape
     for rec, video in dataset:
         if not isinstance(rec, QualityRecord):
             raise DataError(f"dataset entries must pair QualityRecord with ToyVideo, got {type(rec)}")
         shape = video.frames.shape
-        if data_shape is None:
-            data_shape = shape
-        elif shape != data_shape:
+        if shape != data_shape:
             raise DataError(f"video shape mismatch: {rec.id} has {shape}, expected {data_shape}")
         records.append(rec)
-        videos[rec.id] = video
+    # row i is records[i]'s video; batches gather rows by index
+    x_all = np.stack([video.flat() for _, video in dataset])
 
     sampler = TqdSampler(records, sampler_config)
     seed_seq = np.random.SeedSequence(trainer_config.seed)
@@ -359,7 +337,7 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     for i in range(1, trainer_config.steps + 1):
         batch = sampler.prepare_batch(sampler_config.batch_size, rng,
                                       baseline=trainer_config.baseline)
-        x0 = np.stack([videos[rec.id].flat() for rec, _ in batch.members])
+        x0 = x_all[batch.indices]
         t_arr = batch.timesteps
         x1 = rng.standard_normal(x0.shape)
         loss, grad = loss_and_grad(model, x0, x1, t_arr)

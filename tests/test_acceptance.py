@@ -23,8 +23,8 @@ from tqd.analysis import gradient_probe, robustness_sweep
 from tqd.cli import main as cli_main
 from tqd.quality import QualityRecord, normalize_scores, partition_quadrants, \
     pearson_correlation, synth_population
-from tqd.sampler import SamplerConfig, TimestepLaw, TqdSampler, bin_masses, \
-    make_law, sample_timesteps
+from tqd.sampler import SamplerConfig, TimestepLaw, TqdSampler, beta_variates, \
+    bin_masses, make_law
 from tqd.synth import DegradationSpec, generate_moving_shape
 from tqd.trainer import TrainerConfig, VelocityModel, adam_update, final_loss, \
     loss_and_grad, save_checkpoint, train
@@ -77,7 +77,7 @@ def test_beta_moment_fidelity():
             law = TimestepLaw(mu=mu, kappa=kappa, alpha=mu * kappa,
                               beta=(1.0 - mu) * kappa)
             rng = np.random.default_rng(100 + 10 * i + j)
-            t = sample_timesteps(law, rng, n)
+            t = beta_variates(law.alpha, law.beta, rng, n)
             var = mu * (1.0 - mu) / (kappa + 1.0)
             mean_err = abs(float(np.mean(t)) - mu)
             mean_tol = 4.0 * np.sqrt(var / n)

@@ -18,7 +18,6 @@ from tqd.analysis import (
     quadrant_report,
     robustness_sweep,
     sweep_csv,
-    thread_count,
     timestep_histogram,
 )
 from tqd.errors import DataError
@@ -36,30 +35,6 @@ def _video(seed=0, speed=1.0, tex=0.05, frames=2, height=5, width=5):
 def _probe_model(seed=3):
     return VelocityModel.init((2, 5, 5), seed=seed, hidden_width=8, n_freqs=2,
                               zero_final=False)
-
-
-# --- thread control --------------------------------------------------------
-
-
-def test_thread_count_reads_env(monkeypatch):
-    monkeypatch.setenv("TQD_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.delenv("TQD_THREADS")
-    assert thread_count() >= 1
-
-
-def test_thread_count_zero_means_auto(monkeypatch):
-    monkeypatch.setenv("TQD_THREADS", "0")
-    assert 1 <= thread_count() <= 8
-
-
-def test_thread_count_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("TQD_THREADS", "-2")
-    with pytest.raises(DataError, match=">= 0"):
-        thread_count()
-    monkeypatch.setenv("TQD_THREADS", "many")
-    with pytest.raises(DataError, match="integer"):
-        thread_count()
 
 
 # --- gradient probe ----------------------------------------------------------
@@ -109,7 +84,7 @@ def test_probe_default_grid_and_metadata():
     assert [t for t, _ in curve.points] == [round(0.1 * k, 1) for k in range(1, 10)]
 
 
-def test_probe_is_deterministic_across_thread_counts(monkeypatch):
+def test_probe_is_deterministic():
     model = _probe_model()
     samples = [_video(seed=s, speed=1.5) for s in range(3)]
     specs = [DegradationSpec("noise", 0.3, seed=7), DegradationSpec("blur", 2.0, seed=8)]
@@ -118,11 +93,7 @@ def test_probe_is_deterministic_across_thread_counts(monkeypatch):
         return gradient_probe(model, samples, specs, t_grid=[0.2, 0.6], n_noise=4,
                               noise_seed=9)
 
-    monkeypatch.setenv("TQD_THREADS", "1")
-    serial = run()
-    monkeypatch.setenv("TQD_THREADS", "4")
-    threaded = run()
-    for a, b in zip(serial, threaded):
+    for a, b in zip(run(), run()):
         assert a.points == b.points
 
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from tqd.cli import main
+from tqd.errors import DataError
+from tqd.quality import read_manifest
 from tqd.synth import generate_moving_shape, write_video
 from tqd.trainer import VelocityModel, load_checkpoint, save_checkpoint
 
@@ -221,7 +223,7 @@ def test_train_is_reproducible_from_echoed_config(tmp_path, capsys):
 def test_train_flag_overrides_config_value(tmp_path, capsys):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"steps": 5}))
+    config.write_text(json.dumps({"steps": 5, "mystery": 1}))
     code = main(["train", "--manifest", str(manifest), "--config", str(config),
                  "--out", str(tmp_path / "out"), "--steps", "7", "--seed", "0"])
     assert code == 0
@@ -390,6 +392,42 @@ def test_probe_requires_model(tmp_path, capsys):
     code = main(["probe", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "--model" in capsys.readouterr().err
+
+
+# --- config values -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, config, manifest_ids", [
+    ("train", {}, ["a", "a"]),
+    ("train", {"steps": 2.5}, None),
+    ("train", {"baseline": "no"}, None),
+    ("sample-stats", {"kappa_base": "abc"}, None),
+    ("sample-stats", {"n_draws": "many"}, None),
+    ("probe", {"n_noise": 2.7}, None),
+    ("probe", {"degradations": [{"kind": "blur", "strength": float("nan")}]}, None),
+    ("train", "{not json", None),
+    ("train", "[1, 2]", None),
+], ids=["duplicate-ids", "float-steps", "string-baseline", "string-kappa",
+        "string-draws", "float-n-noise", "nan-strength", "malformed-json",
+        "non-object"])
+def test_bad_config_or_manifest_is_one_line_data_error(
+        tmp_path, capsys, command, config, manifest_ids):
+    manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
+    if manifest_ids is not None:
+        _write_lines(manifest, [{"id": rid, "mq": 2.0 + i, "vq": 2.0,
+                                 "payload": _synth_ref(1.0, i)}
+                                for i, rid in enumerate(manifest_ids)])
+        with pytest.raises(DataError, match="duplicate"):
+            read_manifest(manifest)
+    ckpt, _ = _tiny_probe_setup(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    inputs = ["--model", str(ckpt)] if command == "probe" else ["--manifest", str(manifest)]
+    code = main([command, *inputs, "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--seed", "0"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 # --- entry point -------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,12 +18,8 @@ from tqd.sampler import (
     compute_mu,
     density_curve,
     gamma_variates,
-    load_config,
     make_law,
-    prepare_batch,
     retention_probability,
-    sample_timestep,
-    sample_timesteps,
 )
 from tqd.errors import DataError, SamplingError
 
@@ -36,14 +30,6 @@ def _rec(mq_norm, vq_norm, rid="r0"):
 
 
 class TestSamplerConfig:
-    def test_defaults_round_trip_through_dict(self):
-        config = SamplerConfig()
-        assert SamplerConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_ignores_unknown_keys(self):
-        config = SamplerConfig.from_dict({"kappa_max": 30.0, "mystery": 1})
-        assert config.kappa_max == 30.0
-
     def test_attempt_cap_defaults_to_thousand_per_slot(self):
         assert SamplerConfig(batch_size=16).attempt_cap == 16_000
         assert SamplerConfig(max_rejection_attempts=77).attempt_cap == 77
@@ -54,29 +40,11 @@ class TestSamplerConfig:
         {"min_shape": 0.0},
         {"batch_size": 0},
         {"max_rejection_attempts": 0},
+        {"kappa_max": float("nan")},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(DataError):
             SamplerConfig(**kwargs)
-
-    def test_load_config_reads_flat_json(self, tmp_path):
-        path = tmp_path / "sampler.json"
-        path.write_text(json.dumps({"kappa_base": 4.0, "seed": 3, "extra": "x"}))
-        config = load_config(path)
-        assert config.kappa_base == 4.0
-        assert config.seed == 3
-
-    def test_load_config_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "sampler.json"
-        path.write_text("{not json")
-        with pytest.raises(DataError):
-            load_config(path)
-
-    def test_load_config_rejects_non_object(self, tmp_path):
-        path = tmp_path / "sampler.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(DataError):
-            load_config(path)
 
 
 class TestComputeMu:
@@ -199,15 +167,6 @@ class TestBetaVariates:
         draws = beta_variates(0.05, 0.05, np.random.default_rng(44), 100_000)
         assert (draws > 0.0).all() and (draws < 1.0).all()
 
-    def test_single_and_bulk_draw_helpers(self):
-        law = TimestepLaw(mu=0.75, kappa=20.0, alpha=15.0, beta=5.0)
-        one = sample_timestep(law, np.random.default_rng(45))
-        assert isinstance(one, float) and 0.0 < one < 1.0
-        assert one == sample_timestep(law, np.random.default_rng(45))
-        bulk = sample_timesteps(law, np.random.default_rng(45), 3)
-        assert bulk.shape == (3,)
-
-
 class TestDensityCurve:
     def test_uniform_law_is_flat(self):
         law = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
@@ -251,8 +210,8 @@ class TestBinMasses:
 
 class TestPrepareBatch:
     def test_single_fully_retained_record_fills_batch(self):
-        batch = prepare_batch([_rec(1.0, 1.0, "only")], 8, SamplerConfig(),
-                              np.random.default_rng(51))
+        sampler = TqdSampler([_rec(1.0, 1.0, "only")], SamplerConfig())
+        batch = sampler.prepare_batch(8, np.random.default_rng(51))
         assert batch.size == 8
         assert batch.acceptance_rate == 1.0
         assert all(rec.id == "only" for rec, _ in batch.members)
@@ -310,8 +269,8 @@ class TestPrepareBatch:
 
     def test_deterministic_for_generator_state(self):
         records = [_rec(0.8, 0.3, f"r{i}") for i in range(5)]
-        a = prepare_batch(records, 32, SamplerConfig(), np.random.default_rng(59))
-        b = prepare_batch(records, 32, SamplerConfig(), np.random.default_rng(59))
+        a = TqdSampler(records, SamplerConfig()).prepare_batch(32, np.random.default_rng(59))
+        b = TqdSampler(records, SamplerConfig()).prepare_batch(32, np.random.default_rng(59))
         assert [(rec.id, t) for rec, t in a.members] == [
             (rec.id, t) for rec, t in b.members]
 
@@ -325,5 +284,5 @@ class TestPrepareBatch:
             sampler.prepare_batch(0, np.random.default_rng(60))
 
     def test_acceptance_rate_nan_on_empty_batch_object(self):
-        batch = Batch(members=[], attempts=0, accepted=0)
+        batch = Batch([], np.array([], dtype=int), np.array([]), attempts=0, accepted=0)
         assert np.isnan(batch.acceptance_rate)

@@ -1,4 +1,4 @@
-"""Toy video generation, degradations, interpolation, and serialization."""
+"""Toy video generation, degradations, and serialization."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from tqd.synth import (
     DegradationSpec,
     ToyVideo,
     degrade,
-    flow_interpolate,
     generate_moving_shape,
     read_video,
     resolve_payload,
@@ -96,6 +95,9 @@ class TestDegrade:
     def test_unknown_kind_rejected_at_spec_construction(self):
         with pytest.raises(DataError):
             DegradationSpec("sepia", 1.0)
+        # so is a strength no degradation can apply
+        with pytest.raises(DataError, match="finite"):
+            DegradationSpec("blur", float("nan"))
 
     def test_zero_strength_is_identity_for_every_kind(self):
         video = generate_moving_shape(2.0, 0.1, seed=9)
@@ -168,37 +170,6 @@ class TestDegrade:
         twice = degrade(once, DegradationSpec("noise", 0.1, seed=4))
         assert "degradations" not in video.meta
         assert [d["kind"] for d in twice.meta["degradations"]] == ["blur", "noise"]
-
-
-class TestFlowInterpolate:
-    def test_endpoints(self):
-        x0 = np.zeros((2, 3, 3))
-        x1 = np.ones((2, 3, 3))
-        assert np.array_equal(flow_interpolate(x0, x1, 0.0), x0)
-        assert np.array_equal(flow_interpolate(x0, x1, 1.0), x1)
-
-    def test_midpoint_of_zeros_and_ones(self):
-        x0 = np.zeros((2, 3, 3))
-        x1 = np.ones((2, 3, 3))
-        assert (flow_interpolate(x0, x1, 0.5) == 0.5).all()
-
-    def test_accepts_toy_videos(self):
-        v0 = generate_moving_shape(2.0, 0.0, seed=21)
-        x1 = np.zeros(v0.shape)
-        assert np.array_equal(flow_interpolate(v0, x1, 0.0), v0.frames)
-
-    def test_no_clamping_outside_unit_range(self):
-        x0 = np.full((1, 2, 2), -3.0)
-        x1 = np.full((1, 2, 2), 5.0)
-        assert (flow_interpolate(x0, x1, 0.5) == 1.0).all()
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(DataError):
-            flow_interpolate(np.zeros((1, 2, 2)), np.zeros((2, 2, 2)), 0.5)
-
-    def test_out_of_range_t_raises(self):
-        with pytest.raises(DataError):
-            flow_interpolate(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), 1.5)
 
 
 class TestVideoIO:

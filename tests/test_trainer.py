@@ -12,7 +12,6 @@ from tqd.trainer import (
     VelocityModel,
     adam_update,
     final_loss,
-    forward,
     grad_at_timestep,
     load_checkpoint,
     loss_and_grad,
@@ -61,11 +60,11 @@ def test_param_count_matches_layer_arithmetic():
 
 
 def test_init_zero_final_gives_zero_velocity_field():
+    # a zero prediction leaves the whole target x1 - x0 as the residual
     model = VelocityModel.init((2, 3, 3), seed=0, hidden_width=8)
-    x = np.random.default_rng(1).normal(size=(2, 3, 3))
-    out = forward(model, x, 0.4)
-    assert out.shape == (2, 3, 3)
-    np.testing.assert_array_equal(out, np.zeros_like(out))
+    x0, x1 = np.random.default_rng(1).normal(size=(2, 2, 3, 3))
+    loss, _ = loss_and_grad(model, x0, x1, 0.4)
+    np.testing.assert_allclose(loss, np.mean((x1 - x0) ** 2), rtol=1e-14)
 
 
 def test_init_is_deterministic():
@@ -107,41 +106,11 @@ def test_copy_detaches_parameters():
     assert model.theta[0] != clone.theta[0]
 
 
-# --- forward ----------------------------------------------------------------
-
-
-def test_forward_is_deterministic_and_t_sensitive():
-    model = VelocityModel.init((1, 3, 3), seed=2, hidden_width=8, zero_final=False)
-    x = np.random.default_rng(0).normal(size=(1, 3, 3))
-    a = forward(model, x, 0.3)
-    b = forward(model, x, 0.3)
-    np.testing.assert_array_equal(a, b)
-    assert not np.allclose(a, forward(model, x, 0.8))
-
-
-def test_forward_accepts_toy_video():
-    model = VelocityModel.init((2, 5, 5), seed=2, hidden_width=8, zero_final=False)
-    video = _video()
-    out = forward(model, video, 0.5)
-    np.testing.assert_array_equal(out, forward(model, video.frames, 0.5))
-
-
-def test_forward_rejects_out_of_range_t_and_batches():
-    model = VelocityModel.init((1, 2, 2), seed=0, hidden_width=4)
-    x = np.zeros((1, 2, 2))
-    with pytest.raises(DataError, match="t must be"):
-        forward(model, x, 1.5)
-    with pytest.raises(DataError, match="single interpolant"):
-        forward(model, np.zeros((3, 1, 2, 2)), 0.5)
-    with pytest.raises(DataError, match="does not match"):
-        forward(model, np.zeros((1, 3, 3)), 0.5)
-
-
 def test_non_finite_parameters_raise_numeric_error():
     model = VelocityModel.init((1, 2, 2), seed=0, hidden_width=4, zero_final=False)
     model.theta[0] = np.nan
     with pytest.raises(NumericError, match="layer 1"):
-        forward(model, np.zeros((1, 2, 2)), 0.5)
+        loss_and_grad(model, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), 0.5)
 
 
 # --- loss and gradient -------------------------------------------------------
@@ -237,6 +206,8 @@ def test_loss_and_grad_validates_inputs():
         loss_and_grad(model, x, x, np.full(3, 0.5))
     with pytest.raises(DataError, match="lie in"):
         loss_and_grad(model, x, x, np.array([0.5, 1.5]))
+    with pytest.raises(DataError, match="does not match"):
+        loss_and_grad(model, np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), 0.5)
 
 
 # --- gradients at fixed timesteps ---------------------------------------------
@@ -400,16 +371,6 @@ def test_final_loss_trailing_window():
 
 
 # --- trainer config -------------------------------------------------------------
-
-
-def test_trainer_config_round_trips_and_filters_unknown_keys():
-    cfg = TrainerConfig(steps=7, learning_rate=0.02, hidden_width=64, seed=5,
-                        baseline=True)
-    again = TrainerConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-    merged = TrainerConfig.from_dict({**cfg.to_dict(), "batch_size": 16,
-                                      "kappa_max": 20.0})
-    assert merged == cfg
 
 
 def test_trainer_config_validation():
