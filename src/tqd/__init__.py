@@ -32,7 +32,6 @@ from .quality import (
     pearson_correlation,
     quadrant_of,
     read_manifest,
-    read_sidecar,
     sidecar_path,
     synth_population,
     write_manifest,
@@ -137,7 +136,6 @@ __all__ = [
     "quadrant_of",
     "quadrant_report",
     "read_manifest",
-    "read_sidecar",
     "read_video",
     "resolve_payload",
     "retention_probability",

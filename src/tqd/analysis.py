@@ -11,7 +11,6 @@ its relative quality.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,13 @@ from .quality import (
     partition_quadrants,
     pearson_correlation,
 )
-from .sampler import SamplerConfig, TqdSampler, bin_masses, compute_mu, make_law
+from .sampler import SamplerConfig, TqdSampler, bin_masses, compute_mu
 from .synth import DegradationSpec, ToyVideo, degrade
 from .trainer import TrainerConfig, VelocityModel, final_loss, grad_at_timestep, train
+
+# gradient_probe's default timestep grid and noise draws per gradient
+PROBE_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
+PROBE_N_NOISE = 16
 
 
 def _derived_seed(*parts: int) -> int:
@@ -63,8 +66,8 @@ def gradient_probe(
     model: VelocityModel,
     samples: list[ToyVideo],
     degradations: list[DegradationSpec],
-    t_grid=None,
-    n_noise: int = 16,
+    t_grid=PROBE_T_GRID,
+    n_noise: int = PROBE_N_NOISE,
     noise_seed: int = 0,
 ) -> list[GradientProbeCurve]:
     """Gradient-distance curves, one per degradation.
@@ -79,8 +82,10 @@ def gradient_probe(
     """
     if not samples:
         raise DataError("gradient probe needs at least one sample")
-    if t_grid is None:
-        t_grid = [round(0.1 * k, 1) for k in range(1, 10)]
+    if not degradations:
+        raise DataError("gradient probe needs at least one degradation")
+    if not t_grid:
+        raise DataError("t_grid must hold at least one timestep")
     t_grid = [float(t) for t in t_grid]
     if any(not 0.0 < t < 1.0 for t in t_grid):
         raise DataError("t_grid values must lie in the open interval (0, 1)")
@@ -171,8 +176,7 @@ def timestep_histogram(
     weights = sampler.retention / sampler.retention.sum()
     masses = np.zeros(n_bins)
     cdf_parts = []
-    for rec, w in zip(dataset, weights):
-        law = make_law(rec, sampler_config)
+    for law, w in zip(sampler.laws, weights):
         masses += w * bin_masses(law, edges)
         cdf_parts.append((w, law))
     # per-record Beta mass over (0,1) integrates to 1, so no renormalization
@@ -201,10 +205,10 @@ def _finish_histogram(t, edges, observed, expected, cdf_parts, n_draws) -> Histo
 
     # One-sample KS statistic against the mixture law. Draws are clipped
     # into the open unit interval at float eps, and strongly one-sided
-    # laws (min_shape-clamped Beta) carry real mass beyond that
+    # laws (MIN_SHAPE-clamped Beta) carry real mass beyond that
     # resolution, so the reference must be the censored law with atoms at
     # the clip boundaries; comparing against the raw continuous CDF would
-    # report a spurious gap of up to eps^min_shape per component.
+    # report a spurious gap of up to eps^MIN_SHAPE per component.
     eps = float(np.finfo(np.float64).eps)
     vals, counts = np.unique(np.sort(t), return_counts=True)
     cum = np.cumsum(counts)
@@ -344,17 +348,6 @@ def histogram_csv(report: HistogramReport) -> str:
     for lo, hi, obs, exp in report.bins:
         lines.append(f"{float(lo)!r},{float(hi)!r},{obs},{float(exp)!r}")
     return "\n".join(lines) + "\n"
-
-
-def histogram_stats_json(report: HistogramReport) -> str:
-    payload = {
-        "n_draws": report.n_draws,
-        "chi_square": report.chi_square,
-        "dof": report.dof,
-        "chi_square_pvalue": report.chi_square_pvalue,
-        "ks_stat": report.ks_stat,
-    }
-    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:

@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    PROBE_N_NOISE,
+    PROBE_T_GRID,
     gradient_probe,
     histogram_csv,
-    histogram_stats_json,
     probe_curves_csv,
     quadrant_report,
     timestep_histogram,
@@ -90,6 +91,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for --seed and --steps: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _canonical(obj) -> str:
@@ -238,16 +246,15 @@ def cmd_sample_stats(args) -> int:
     n_draws = _param(params, "n_draws", int, 10000)
     if n_draws < 1:
         raise UsageError("n_draws must be >= 1")
-    n_bins = _param(params, "n_bins", int, 50)
     config = _config(SamplerConfig, params)
-    params = {**asdict(config), "n_draws": n_draws, "n_bins": n_bins}
+    params = {**asdict(config), "n_draws": n_draws}
 
     records = read_manifest(manifest)
     normalized, _ = normalize_scores(records)
 
     run_dir, run_id = _start_run("sample-stats", args.out, params,
                                  {"manifest": str(manifest)})
-    report = timestep_histogram(normalized, config, n_draws, n_bins=n_bins)
+    report = timestep_histogram(normalized, config, n_draws)
 
     # density curve per distinct quality profile, first-appearance order
     profiles = []
@@ -273,12 +280,16 @@ def cmd_sample_stats(args) -> int:
     ks_critical = float(1.6276 / np.sqrt(n_draws))
     chi_ok = report.chi_square_pvalue > 0.01
     ks_ok = report.ks_stat < ks_critical
-    stats_payload = json.loads(histogram_stats_json(report))
-    stats_payload.update({
+    stats_payload = {
+        "n_draws": report.n_draws,
+        "chi_square": report.chi_square,
+        "dof": report.dof,
+        "chi_square_pvalue": report.chi_square_pvalue,
+        "ks_stat": report.ks_stat,
         "ks_critical_1pct": float(ks_critical),
         "chi_square_pass": chi_ok,
         "ks_pass": ks_ok,
-    })
+    }
     (run_dir / "stats.json").write_text(
         json.dumps(stats_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -315,8 +326,6 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         params["seed"] = args.seed
     if args.steps is not None:
-        if args.steps < 0:
-            raise UsageError("--steps must be >= 0")
         params["steps"] = args.steps
     if args.baseline:
         params["baseline"] = True
@@ -379,23 +388,15 @@ def cmd_train(args) -> int:
 # --- probe --------------------------------------------------------------------
 
 def _probe_samples(params: dict, seed: int):
-    spec = dict(_PROBE_DEFAULT_SAMPLES)
-    spec.update(_param(params, "samples", dict, {}))
-    for key, default in _PROBE_DEFAULT_SAMPLES.items():
-        spec[key] = _typed(f"samples.{key}", spec[key], type(default))
-    if "manifest" in spec:
-        _typed("samples.manifest", spec["manifest"], str)
-        records = read_manifest(spec["manifest"])
-        base = Path(spec["manifest"]).parent
-        videos = []
-        for rec in records:
-            if rec.payload_ref is None:
-                raise DataError(f"record {rec.id!r} has no payload reference")
-            videos.append(resolve_payload(rec.payload_ref, base_dir=base))
-        return videos, spec
+    given = _param(params, "samples", dict, {})
+    spec = {key: _typed(f"samples.{key}", given.get(key, default), type(default))
+            for key, default in _PROBE_DEFAULT_SAMPLES.items()}
     n = spec["n"]
     if n < 1:
         raise DataError(f"probe needs at least one sample, got n={n}")
+    if spec["speed_min"] > spec["speed_max"]:
+        raise DataError(f"samples.speed_min ({spec['speed_min']}) must not exceed "
+                        f"samples.speed_max ({spec['speed_max']})")
     rng = np.random.default_rng([seed, 101])
     speeds = rng.uniform(spec["speed_min"], spec["speed_max"], n)
     starts = rng.uniform(0.0, spec["width"], n)
@@ -421,9 +422,11 @@ def cmd_probe(args) -> int:
         params["seed"] = args.seed
 
     seed = _param(params, "seed", int, 0)
-    t_grid = [_typed("t_grid", t, float) for t in _param(
-        params, "t_grid", list, [round(0.1 * k, 1) for k in range(1, 10)])]
-    n_noise = _param(params, "n_noise", int, 16)
+    if seed < 0:
+        raise DataError(f"config key seed must be >= 0, got {seed}")
+    t_grid = [_typed("t_grid", t, float)
+              for t in _param(params, "t_grid", list, list(PROBE_T_GRID))]
+    n_noise = _param(params, "n_noise", int, PROBE_N_NOISE)
     degradations = []
     for d in _param(params, "degradations", list, _PROBE_DEFAULT_DEGRADATIONS):
         d = _typed("degradations", d, dict)
@@ -485,15 +488,15 @@ def _build_parser() -> _Parser:
     ss.add_argument("--config", help="JSON sampler config")
     ss.add_argument("--out", required=True)
     ss.add_argument("--n-draws", type=int, help="number of timestep draws")
-    ss.add_argument("--seed", type=int)
+    ss.add_argument("--seed", type=_non_negative_int)
     ss.set_defaults(func=cmd_sample_stats)
 
     tr = sub.add_parser("train", help="run the quality-aware training loop")
     tr.add_argument("--manifest", help="JSONL score manifest with payload refs")
     tr.add_argument("--config", help="JSON config (sampler + trainer keys)")
     tr.add_argument("--out", required=True)
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--steps", type=int)
+    tr.add_argument("--seed", type=_non_negative_int)
+    tr.add_argument("--steps", type=_non_negative_int)
     tr.add_argument("--baseline", action="store_true",
                     help="disable dropout and force the flat timestep law")
     tr.add_argument("--filter", help="keep only listed quadrants, e.g. quadrant=HMLV,LMHV")
@@ -505,7 +508,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("--model", help="checkpoint file from train")
     pr.add_argument("--config", help="JSON probe config")
     pr.add_argument("--out", required=True)
-    pr.add_argument("--seed", type=int)
+    pr.add_argument("--seed", type=_non_negative_int)
     pr.set_defaults(func=cmd_probe)
     return parser
 

@@ -81,11 +81,6 @@ class NormalizationConstants:
             "vq_min": self.vq_min, "vq_max": self.vq_max,
         }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "NormalizationConstants":
-        d = json.loads(text)
-        return cls(d["mq_min"], d["mq_max"], d["vq_min"], d["vq_max"])
-
 
 @dataclass(frozen=True)
 class QuadrantPartition:
@@ -95,10 +90,6 @@ class QuadrantPartition:
     vq_threshold: float
     counts: dict[str, int]
     fractions: dict[str, float]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -304,8 +295,3 @@ def write_sidecar(consts: NormalizationConstants, manifest_path: str | Path) -> 
     out = sidecar_path(manifest_path)
     out.write_text(consts.to_json() + "\n", encoding="utf-8")
     return out
-
-
-def read_sidecar(manifest_path: str | Path) -> NormalizationConstants:
-    return NormalizationConstants.from_json(
-        sidecar_path(manifest_path).read_text(encoding="utf-8"))

@@ -32,23 +32,29 @@ from .quality import QualityRecord
 
 _OPEN_EPS = np.finfo(np.float64).eps  # nudge for the open interval (0,1)
 
+# Numerical floor for Beta shape parameters: mu of exactly 0 or 1 would
+# otherwise give an ill-defined zero shape.
+MIN_SHAPE = 0.05
+
+# prepare_batch gives up after this many rejection attempts per batch slot
+# of the configured batch size.
+ATTEMPTS_PER_SLOT = 1000
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs of the timestep sampler.
+    """Settings of the timestep sampler.
 
     kappa_base 2 reproduces uniform baseline sampling, 4 approximates a
-    logit-normal-like centered law. min_shape is the numerical floor for
-    Beta shape parameters (mu of exactly 0 or 1 would otherwise produce
-    an ill-defined zero shape). max_rejection_attempts None means
-    1000 x batch_size.
+    logit-normal-like centered law; kappa_max is the concentration at full
+    quality disparity. seed drives `timestep_histogram`'s draws. The shape
+    floor (MIN_SHAPE) and the rejection-attempt cap (ATTEMPTS_PER_SLOT x
+    batch_size) are module constants.
     """
 
     kappa_base: float = 2.0
     kappa_max: float = 20.0
-    min_shape: float = 0.05
     batch_size: int = 16
-    max_rejection_attempts: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -57,18 +63,10 @@ class SamplerConfig:
         if not self.kappa_max >= self.kappa_base:
             raise DataError(
                 f"kappa_max ({self.kappa_max}) must be >= kappa_base ({self.kappa_base})")
-        if not self.min_shape > 0:
-            raise DataError(f"min_shape must be > 0, got {self.min_shape}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be positive, got {self.batch_size}")
-        if self.max_rejection_attempts is not None and self.max_rejection_attempts < 1:
-            raise DataError("max_rejection_attempts must be positive")
-
-    @property
-    def attempt_cap(self) -> int:
-        if self.max_rejection_attempts is not None:
-            return self.max_rejection_attempts
-        return 1000 * self.batch_size
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class TimestepLaw:
     """Per-sample Beta(alpha, beta) timestep distribution.
 
     mu and kappa are the pre-clamp values (alpha + beta == kappa exactly
-    before the min_shape floor); alpha/beta carry the clamped shapes used
+    before the MIN_SHAPE floor); alpha/beta carry the clamped shapes used
     for drawing.
     """
 
@@ -89,11 +87,6 @@ class TimestepLaw:
     def mean(self) -> float:
         """Analytical mean of the clamped law."""
         return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def variance(self) -> float:
-        s = self.alpha + self.beta
-        return self.alpha * self.beta / (s * s * (s + 1.0))
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -118,15 +111,15 @@ def compute_kappa(mq_norm: float, vq_norm: float, config: SamplerConfig) -> floa
 def make_law(record: QualityRecord, config: SamplerConfig) -> TimestepLaw:
     """Build the record's timestep law from its normalized scores.
 
-    Shapes are floored at config.min_shape: mu of exactly 0 or 1 would
-    otherwise give a zero shape parameter, which is not a distribution.
+    Shapes are floored at MIN_SHAPE: mu of exactly 0 or 1 would otherwise
+    give a zero shape parameter, which is not a distribution.
     """
     if not record.is_normalized:
         raise DataError(f"record {record.id!r} is not normalized")
     mu = compute_mu(record.mq_norm, record.vq_norm)
     kappa = compute_kappa(record.mq_norm, record.vq_norm, config)
-    alpha = max(mu * kappa, config.min_shape)
-    beta = max((1.0 - mu) * kappa, config.min_shape)
+    alpha = max(mu * kappa, MIN_SHAPE)
+    beta = max((1.0 - mu) * kappa, MIN_SHAPE)
     return TimestepLaw(mu=mu, kappa=kappa, alpha=alpha, beta=beta)
 
 
@@ -192,7 +185,7 @@ def density_curve(law: TimestepLaw, grid_points: int = 512) -> tuple[np.ndarray,
     The normalizing constant is computed through the log-gamma function
     for stability at large shapes. For laws with alpha, beta >= 1 the
     trapezoidal integral over the grid is within 1% of 1 for
-    grid_points >= 512; shape parameters below 1 (min_shape-clamped laws)
+    grid_points >= 512; shape parameters below 1 (MIN_SHAPE-clamped laws)
     put an integrable singularity at an endpoint, where any uniform grid
     underestimates the mass.
     """
@@ -230,10 +223,6 @@ class Batch:
         return [(self.records[i], float(t)) for i, t in zip(self.indices, self.timesteps)]
 
     @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.attempts if self.attempts else float("nan")
 
@@ -256,7 +245,7 @@ class TqdSampler:
         self.retention = np.array([retention_probability(r) for r in self.records])
         self._alpha = np.array([law.alpha for law in self.laws])
         self._beta = np.array([law.beta for law in self.laws])
-        base_shape = max(config.kappa_base / 2.0, config.min_shape)
+        base_shape = max(config.kappa_base / 2.0, MIN_SHAPE)
         self._baseline_law = TimestepLaw(
             mu=0.5, kappa=config.kappa_base, alpha=base_shape, beta=base_shape)
 
@@ -274,8 +263,8 @@ class TqdSampler:
         dropout and draws every timestep from the kappa_base-degenerate
         law instead (the A/B control arm).
 
-        Raises SamplingError when no record is retainable or when the
-        configured attempt cap is exhausted.
+        Raises SamplingError when no record is retainable or when
+        ATTEMPTS_PER_SLOT x config.batch_size attempts are exhausted.
         """
         if batch_size < 1:
             raise DataError(f"batch_size must be positive, got {batch_size}")
@@ -288,7 +277,7 @@ class TqdSampler:
 
         if not np.any(self.retention > 0.0):
             raise SamplingError("no retainable samples (all retention probabilities are 0)")
-        cap = self.config.attempt_cap
+        cap = ATTEMPTS_PER_SLOT * self.config.batch_size
         chosen: list[int] = []
         attempts = 0
         accepted_total = 0

@@ -26,6 +26,11 @@ from .errors import DataError
 VIDEO_MAGIC = b"TVID"
 DEGRADATION_KINDS = ("blur", "compression", "noise", "shuffle")
 
+# moving-shape rendering: square side in pixels, foreground and background levels
+SHAPE_SIZE = 3
+FOREGROUND = 0.9
+BACKGROUND = 0.1
+
 
 @dataclass
 class ToyVideo:
@@ -33,10 +38,6 @@ class ToyVideo:
 
     frames: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.frames.shape
 
     def flat(self) -> np.ndarray:
         return self.frames.reshape(-1)
@@ -49,7 +50,7 @@ class DegradationSpec:
     strength means: blur -> box kernel radius; compression -> number of
     quantization levels (>= 2); noise -> Gaussian std; shuffle -> fraction
     of frames permuted (in [0, 1]). Zero strength (or zero fraction) is
-    the identity for every kind.
+    the identity for every kind. seed must be >= 0.
     """
 
     kind: str
@@ -61,6 +62,8 @@ class DegradationSpec:
             raise DataError(f"unknown degradation kind {self.kind!r}")
         if not np.isfinite(self.strength):
             raise DataError(f"{self.kind} strength must be finite, got {self.strength}")
+        if self.seed < 0:
+            raise DataError(f"{self.kind} seed must be >= 0, got {self.seed}")
 
 
 def generate_moving_shape(
@@ -70,33 +73,35 @@ def generate_moving_shape(
     frames: int = 8,
     height: int = 16,
     width: int = 16,
-    shape_size: int = 3,
     start_x: float = 0.0,
-    fg: float = 0.9,
-    bg: float = 0.1,
 ) -> ToyVideo:
-    """Render a bright square moving horizontally at motion_speed px/frame.
+    """Render a SHAPE_SIZE square at FOREGROUND level over a BACKGROUND
+    field, moving horizontally at motion_speed px/frame.
 
     The square wraps around the right edge when its trajectory leaves the
     frame (negative speeds move left and wrap the other way). Texture
     noise is additive Gaussian of the given std, clamped to [0, 1]. meta
     records the generator parameters plus quality analogs: mq_analog
     grows with |motion_speed|, vq_analog shrinks as texture_noise grows.
+    frames, height and width must be positive.
     """
     if not np.isfinite(motion_speed):
         raise DataError(f"motion_speed must be finite, got {motion_speed}")
     if not (np.isfinite(texture_noise) and texture_noise >= 0):
         raise DataError(f"texture_noise must be finite and >= 0, got {texture_noise}")
+    if min(frames, height, width) < 1:
+        raise DataError(f"video dimensions must be positive, got frames={frames}, "
+                        f"height={height}, width={width}")
     rng = np.random.default_rng(seed)
     # integer row placement: noise-free videos take only the two nominal
     # levels when start_x and motion_speed are integral
-    y0 = float((height - shape_size) // 2)
-    cov_y = _interval_coverage(y0, shape_size, height, wrap=False)
+    y0 = float((height - SHAPE_SIZE) // 2)
+    cov_y = _interval_coverage(y0, SHAPE_SIZE, height, wrap=False)
     video = np.empty((frames, height, width), dtype=np.float64)
     for f in range(frames):
         x = start_x + f * motion_speed
-        cov_x = _interval_coverage(x, shape_size, width, wrap=True)
-        video[f] = bg + (fg - bg) * np.outer(cov_y, cov_x)
+        cov_x = _interval_coverage(x, SHAPE_SIZE, width, wrap=True)
+        video[f] = BACKGROUND + (FOREGROUND - BACKGROUND) * np.outer(cov_y, cov_x)
     if texture_noise > 0:
         video += rng.normal(0.0, texture_noise, size=video.shape)
     np.clip(video, 0.0, 1.0, out=video)
@@ -104,7 +109,7 @@ def generate_moving_shape(
         "motion_speed": motion_speed,
         "texture_noise": texture_noise,
         "seed": seed,
-        "shape_size": shape_size,
+        "shape_size": SHAPE_SIZE,
         "start_x": start_x,
         "mq_analog": abs(motion_speed),
         "vq_analog": 1.0 / (1.0 + texture_noise),
@@ -191,17 +196,17 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
 
 # --- serialization -----------------------------------------------------------
 
-def write_video(video: ToyVideo, path: str | Path, with_meta: bool = True) -> None:
+def write_video(video: ToyVideo, path: str | Path) -> None:
     """Write the flat binary format: TVID magic, F/H/W as u32-LE, then
-    float32-LE pixels in (frame, row, column) order. Meta goes to a JSON
-    sidecar at <path>.json when requested."""
+    float32-LE pixels in (frame, row, column) order. Non-empty meta goes
+    to a JSON sidecar at <path>.json."""
     f, h, w = video.frames.shape
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(VIDEO_MAGIC)
         fh.write(struct.pack("<III", f, h, w))
         fh.write(video.frames.astype("<f4").tobytes(order="C"))
-    if with_meta and video.meta:
+    if video.meta:
         Path(str(path) + ".json").write_text(
             json.dumps(video.meta, sort_keys=True) + "\n", encoding="utf-8")
 

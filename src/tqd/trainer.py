@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,14 @@ from .sampler import SamplerConfig, TqdSampler
 from .synth import ToyVideo
 
 CHECKPOINT_MAGIC = b"TQDC"
+
+# Adam moment decay rates and damping epsilon (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# share of trailing steps that final_loss averages over
+FINAL_LOSS_WINDOW = 0.1
 
 _LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
@@ -123,25 +131,6 @@ class VelocityModel:
                                           size=views["W3"].shape)
         return model
 
-    def copy(self) -> "VelocityModel":
-        return replace(self, theta=self.theta.copy())
-
-
-def _as_flat_batch(model: VelocityModel, x, name: str) -> np.ndarray:
-    """Coerce a video, flat vector, or batch thereof to shape (B, D)."""
-    if isinstance(x, ToyVideo):
-        x = x.frames
-    arr = np.asarray(x, dtype=np.float64)
-    d = model.data_dim
-    if arr.shape == model.data_shape or arr.shape == (d,):
-        return arr.reshape(1, d)
-    if arr.ndim == 4 and arr.shape[1:] == model.data_shape:
-        return arr.reshape(arr.shape[0], d)
-    if arr.ndim == 2 and arr.shape[1] == d:
-        return arr
-    raise DataError(
-        f"{name} shape {arr.shape} does not match model data shape {model.data_shape}")
-
 
 def _check_finite(arr: np.ndarray, layer: int, name: str) -> None:
     if not np.all(np.isfinite(arr)):
@@ -167,17 +156,20 @@ def _forward_batch(model: VelocityModel, xt_flat: np.ndarray, t: np.ndarray):
 def loss_and_grad(model: VelocityModel, x0, x1, t):
     """Flow-matching loss and its exact gradient w.r.t. the flat parameters.
 
-    Per-sample loss is the mean squared error over coordinates between
-    the predicted velocity at x_t = t*x1 + (1-t)*x0 and the target
-    x1 - x0; the batch loss averages per-sample losses, so it is
-    invariant to batch order. Accepts a single sample (video + scalar t)
-    or a batch (stacked arrays + t vector).
+    x0 and x1 are (B, D) batches of flat samples, D = model.data_dim, and
+    t is the (B,) vector of their timesteps. Per-sample loss is the mean
+    squared error over coordinates between the predicted velocity at
+    x_t = t*x1 + (1-t)*x0 and the target x1 - x0; the batch loss averages
+    per-sample losses, so it is invariant to batch order.
     """
-    x0f = _as_flat_batch(model, x0, "x0")
-    x1f = _as_flat_batch(model, x1, "x1")
+    x0f = np.asarray(x0, dtype=np.float64)
+    x1f = np.asarray(x1, dtype=np.float64)
+    if x0f.ndim != 2 or x0f.shape[1] != model.data_dim:
+        raise DataError(f"x0 shape {x0f.shape} does not match model data shape "
+                        f"{model.data_shape} flattened to (B, {model.data_dim})")
     if x0f.shape != x1f.shape:
         raise DataError(f"batch mismatch: x0 {x0f.shape} vs x1 {x1f.shape}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.shape != (x0f.shape[0],):
         raise DataError(f"t has shape {t_arr.shape}, batch needs ({x0f.shape[0]},)")
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
@@ -208,12 +200,13 @@ def loss_and_grad(model: VelocityModel, x0, x1, t):
     return loss, grad
 
 
-def grad_at_timestep(model: VelocityModel, x0, t: float, noise_seed: int,
-                     n_noise: int = 16) -> np.ndarray:
-    """Loss gradient at a fixed timestep, averaged over frozen noise draws.
+def grad_at_timestep(model: VelocityModel, video: ToyVideo, t: float, noise_seed: int,
+                     n_noise: int) -> np.ndarray:
+    """Loss gradient of one video at a fixed timestep, averaged over
+    n_noise frozen noise draws.
 
-    The noise endpoints x1 depend only on noise_seed, never on x0, so
-    two calls with the same seed see identical draws. That common-
+    The noise endpoints x1 depend only on noise_seed, never on the video,
+    so two calls with the same seed see identical draws. That common-
     random-numbers protocol is what makes gradient distances between an
     original and a degraded sample low-variance at small n_noise.
     """
@@ -221,12 +214,12 @@ def grad_at_timestep(model: VelocityModel, x0, t: float, noise_seed: int,
         raise DataError(f"t must be in the open interval (0, 1), got {t}")
     if n_noise < 1:
         raise DataError(f"n_noise must be >= 1, got {n_noise}")
-    x0f = _as_flat_batch(model, x0, "x0")
-    if x0f.shape[0] != 1:
-        raise DataError("grad_at_timestep takes a single sample")
+    if video.frames.shape != model.data_shape:
+        raise DataError(f"video shape {video.frames.shape} does not match model "
+                        f"data shape {model.data_shape}")
     rng = np.random.default_rng(noise_seed)
     x1f = rng.standard_normal((n_noise, model.data_dim))
-    x0rep = np.repeat(x0f, n_noise, axis=0)
+    x0rep = np.repeat(video.flat()[None, :], n_noise, axis=0)
     t_arr = np.full(n_noise, float(t))
     _, grad = loss_and_grad(model, x0rep, x1f, t_arr)
     return grad
@@ -236,30 +229,28 @@ def grad_at_timestep(model: VelocityModel, x0, t: float, noise_seed: int,
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Training-loop knobs. seed covers model init and every loop draw."""
+    """Training-loop settings. seed covers model init and every loop draw.
+
+    The Adam constants (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) are fixed, and
+    the model takes VelocityModel.init's defaults for its time features
+    (n_freqs 8) and its zeroed output layer.
+    """
 
     steps: int = 500
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     hidden_width: int = 128
-    n_freqs: int = 8
     seed: int = 0
     baseline: bool = False
-    zero_final: bool = True
 
     def __post_init__(self):
         if self.steps < 0:
             raise DataError(f"steps must be >= 0, got {self.steps}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise DataError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise DataError(f"eps must be positive, got {self.eps}")
-        if self.hidden_width < 1 or self.n_freqs < 1:
-            raise DataError("hidden_width and n_freqs must be >= 1")
+        if self.hidden_width < 1:
+            raise DataError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -270,28 +261,27 @@ class TrainState:
     m: np.ndarray
     v: np.ndarray
     step: int
-    learning_rate: float
     loss_history: list = field(default_factory=list)
     mean_t_history: list = field(default_factory=list)
     acceptance_history: list = field(default_factory=list)
 
 
 def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                step: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> None:
-    """One bias-corrected moment update, in place. step counts from 1.
+                step: int, lr: float) -> None:
+    """One bias-corrected Adam update of theta, m and v, in place, with
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. step counts from 1.
 
     First-step identity: with a fresh state and unit gradient, the
-    parameter displacement is lr/(1 + eps), i.e. the learning rate up to
-    the damping epsilon.
+    parameter displacement is lr/(1 + ADAM_EPS), i.e. the learning rate up
+    to the damping epsilon.
     """
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig) -> TrainState:
@@ -322,9 +312,8 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     sampler = TqdSampler(records, sampler_config)
     seed_seq = np.random.SeedSequence(trainer_config.seed)
     model_seed, loop_seed = seed_seq.spawn(2)
-    model = VelocityModel.init(
-        data_shape, seed=model_seed, hidden_width=trainer_config.hidden_width,
-        n_freqs=trainer_config.n_freqs, zero_final=trainer_config.zero_final)
+    model = VelocityModel.init(data_shape, seed=model_seed,
+                               hidden_width=trainer_config.hidden_width)
     rng = np.random.default_rng(loop_seed)
 
     state = TrainState(
@@ -332,7 +321,6 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
         m=np.zeros_like(model.theta),
         v=np.zeros_like(model.theta),
         step=0,
-        learning_rate=trainer_config.learning_rate,
     )
     for i in range(1, trainer_config.steps + 1):
         batch = sampler.prepare_batch(sampler_config.batch_size, rng,
@@ -343,9 +331,7 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
         loss, grad = loss_and_grad(model, x0, x1, t_arr)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at step {i}")
-        adam_update(model.theta, grad, state.m, state.v, i,
-                    trainer_config.learning_rate, trainer_config.beta1,
-                    trainer_config.beta2, trainer_config.eps)
+        adam_update(model.theta, grad, state.m, state.v, i, trainer_config.learning_rate)
         if not np.all(np.isfinite(model.theta)):
             raise NumericError(f"non-finite parameters after update at step {i}")
         state.step = i
@@ -355,15 +341,15 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     return state
 
 
-def final_loss(state: TrainState, window_frac: float = 0.1) -> float:
-    """Mean loss over the trailing window (default last 10% of steps).
+def final_loss(state: TrainState) -> float:
+    """Mean loss over the trailing FINAL_LOSS_WINDOW share of steps.
 
     Single-step losses are noisy at toy batch sizes; the trailing mean
     is the reading used for any between-run comparison.
     """
     if not state.loss_history:
         raise DataError("empty loss history")
-    n = max(1, int(round(window_frac * len(state.loss_history))))
+    n = max(1, int(round(FINAL_LOSS_WINDOW * len(state.loss_history))))
     return float(np.mean(state.loss_history[-n:]))
 
 

@@ -1,8 +1,6 @@
 """Tests for the diagnostics layer: gradient probe, timestep statistics,
 robustness sweep, and quadrant reporting."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -13,7 +11,6 @@ from tqd.analysis import (
     SweepRow,
     gradient_probe,
     histogram_csv,
-    histogram_stats_json,
     probe_curves_csv,
     quadrant_report,
     robustness_sweep,
@@ -106,6 +103,10 @@ def test_probe_validates_inputs():
         gradient_probe(model, [_video()], [spec], t_grid=[0.0, 0.5])
     with pytest.raises(DataError, match="strictly increasing"):
         gradient_probe(model, [_video()], [spec], t_grid=[0.5, 0.5])
+    with pytest.raises(DataError, match="at least one timestep"):
+        gradient_probe(model, [_video()], [spec], t_grid=[])
+    with pytest.raises(DataError, match="at least one degradation"):
+        gradient_probe(model, [_video()], [])
 
 
 def test_probe_curve_invariants():
@@ -297,18 +298,14 @@ def test_probe_curves_csv_round_trips_floats():
     assert int(n) == 3
 
 
-def test_histogram_csv_and_stats_json():
+def test_histogram_csv_format():
     report = HistogramReport(bins=[(0.0, 0.5, 12, 10.0), (0.5, 1.0, 8, 10.0)],
                              chi_square=0.8, chi_square_pvalue=0.37, dof=1,
                              ks_stat=0.02, n_draws=20)
     lines = histogram_csv(report).strip().split("\n")
     assert lines[0] == "lo,hi,observed,expected"
     assert len(lines) == 3
-    stats_obj = json.loads(histogram_stats_json(report))
-    assert stats_obj["n_draws"] == 20
-    assert stats_obj["chi_square"] == 0.8
-    assert stats_obj["ks_stat"] == 0.02
-    assert stats_obj["dof"] == 1
+    assert lines[1].split(",") == ["0.0", "0.5", "12", "10.0"]
 
 
 def test_sweep_csv_format():

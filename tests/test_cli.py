@@ -130,6 +130,8 @@ def test_sample_stats_uniform_degenerate_passes(tmp_path, capsys):
     assert stats["chi_square_pass"] is True
     assert stats["ks_pass"] is True
     assert stats["n_draws"] == 2000
+    assert set(stats) == {"n_draws", "chi_square", "dof", "chi_square_pvalue", "ks_stat",
+                          "ks_critical_1pct", "chi_square_pass", "ks_pass"}
     hist_lines = (run_dir / "histogram.csv").read_text().strip().split("\n")
     assert len(hist_lines) == 51
     curves = (run_dir / "density_curves.csv").read_text().strip().split("\n")
@@ -302,6 +304,18 @@ def test_train_rejects_negative_flags(tmp_path, capsys):
                  "--steps", "5", "--noise-level", "-0.5"]) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "sample-stats", "probe"])
+def test_negative_seed_flag_is_one_line_usage_error(tmp_path, capsys, command):
+    manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
+    ckpt, _ = _tiny_probe_setup(tmp_path)
+    inputs = ["--model", str(ckpt)] if command == "probe" else ["--manifest", str(manifest)]
+    code = main([command, *inputs, "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--seed" in err
+
+
 def test_train_resolves_file_payload_against_manifest_dir(tmp_path, capsys):
     video = generate_moving_shape(motion_speed=1.0, texture_noise=0.02, seed=9,
                                   frames=2, height=5, width=5)
@@ -407,9 +421,18 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"degradations": [{"kind": "blur", "strength": float("nan")}]}, None),
     ("train", "{not json", None),
     ("train", "[1, 2]", None),
+    ("train", {"seed": -2}, None),
+    ("probe", {"seed": -4}, None),
+    ("probe", {"t_grid": []}, None),
+    ("probe", {"degradations": []}, None),
+    ("probe", {"degradations": [{"kind": "blur", "strength": 1.0, "seed": -3}]}, None),
+    ("probe", {"samples": {"speed_min": 3, "speed_max": 1}}, None),
+    ("probe", {"samples": {"frames": 0}}, None),
 ], ids=["duplicate-ids", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
-        "non-object"])
+        "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
+        "no-degradations", "negative-degradation-seed", "inverted-speed-range",
+        "zero-frames"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_ids):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
@@ -419,12 +442,16 @@ def test_bad_config_or_manifest_is_one_line_data_error(
                                 for i, rid in enumerate(manifest_ids)])
         with pytest.raises(DataError, match="duplicate"):
             read_manifest(manifest)
-    ckpt, _ = _tiny_probe_setup(tmp_path)
+    ckpt, probe_config = _tiny_probe_setup(tmp_path)
+    if command == "probe":
+        # the bad value rides on a config that otherwise fits the checkpoint
+        base = json.loads(probe_config.read_text())
+        config = {**base, **config,
+                  "samples": {**base["samples"], **config.get("samples", {})}}
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     inputs = ["--model", str(ckpt)] if command == "probe" else ["--manifest", str(manifest)]
-    code = main([command, *inputs, "--config", str(path), "--out", str(tmp_path / "out"),
-                 "--seed", "0"])
+    code = main([command, *inputs, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1

@@ -28,7 +28,7 @@ def _circular_centroid_x(frame: np.ndarray) -> float:
 
 
 def _wrap_aware_displacements(video: ToyVideo) -> list[float]:
-    width = video.shape[2]
+    width = video.frames.shape[2]
     cents = [_circular_centroid_x(f) for f in video.frames]
     deltas = []
     for a, b in zip(cents, cents[1:]):
@@ -54,7 +54,7 @@ class TestGenerateMovingShape:
         assert _wrap_aware_displacements(video) == pytest.approx([-2.0] * 3, abs=1e-9)
 
     def test_noise_free_video_is_two_level(self):
-        video = generate_moving_shape(2.0, 0.0, seed=3, fg=0.9, bg=0.1)
+        video = generate_moving_shape(2.0, 0.0, seed=3)
         assert set(np.unique(video.frames)) == {0.1, 0.9}
 
     def test_fractional_position_renders_partial_coverage(self):
@@ -79,7 +79,7 @@ class TestGenerateMovingShape:
 
     def test_shape_and_flat_layout(self):
         video = generate_moving_shape(1.0, 0.0, seed=8, frames=4, height=6, width=5)
-        assert video.shape == (4, 6, 5)
+        assert video.frames.shape == (4, 6, 5)
         assert video.flat().shape == (120,)
 
     def test_non_finite_speed_raises(self):
@@ -90,6 +90,11 @@ class TestGenerateMovingShape:
         with pytest.raises(DataError):
             generate_moving_shape(1.0, -0.1, seed=0)
 
+    @pytest.mark.parametrize("dims", [{"frames": 0}, {"height": 0}, {"width": -1}])
+    def test_non_positive_dimensions_raise(self, dims):
+        with pytest.raises(DataError, match="dimensions must be positive"):
+            generate_moving_shape(1.0, 0.0, seed=0, **dims)
+
 
 class TestDegrade:
     def test_unknown_kind_rejected_at_spec_construction(self):
@@ -98,6 +103,9 @@ class TestDegrade:
         # so is a strength no degradation can apply
         with pytest.raises(DataError, match="finite"):
             DegradationSpec("blur", float("nan"))
+        # and a seed no generator accepts
+        with pytest.raises(DataError, match="seed"):
+            DegradationSpec("noise", 0.1, seed=-3)
 
     def test_zero_strength_is_identity_for_every_kind(self):
         video = generate_moving_shape(2.0, 0.1, seed=9)
@@ -113,7 +121,7 @@ class TestDegrade:
             assert after.mean() == pytest.approx(before.mean(), abs=1e-12)
 
     def test_compression_mid_rise_quantizer(self):
-        video = generate_moving_shape(2.0, 0.0, seed=11, fg=0.9, bg=0.1)
+        video = generate_moving_shape(2.0, 0.0, seed=11)
         out = degrade(video, DegradationSpec("compression", 2.0))
         assert set(np.unique(out.frames)) == {0.25, 0.75}
 
@@ -182,9 +190,9 @@ class TestVideoIO:
         assert back.meta == video.meta
 
     def test_meta_sidecar_is_optional(self, tmp_path):
-        video = generate_moving_shape(2.0, 0.0, seed=23)
+        video = ToyVideo(generate_moving_shape(2.0, 0.0, seed=23).frames)
         path = tmp_path / "clip.tvid"
-        write_video(video, path, with_meta=False)
+        write_video(video, path)
         assert not (tmp_path / "clip.tvid.json").exists()
         assert read_video(path).meta == {}
 
@@ -206,13 +214,13 @@ class TestVideoIO:
 class TestResolvePayload:
     def test_synth_reference_renders_parameters(self):
         video = resolve_payload("synth:speed=2.0,noise=0.05,seed=7,frames=4,height=8,width=8")
-        assert video.shape == (4, 8, 8)
+        assert video.frames.shape == (4, 8, 8)
         assert video.meta["motion_speed"] == 2.0
         assert video.meta["texture_noise"] == 0.05
         assert video.meta["seed"] == 7
 
     def test_synth_reference_defaults(self):
-        assert resolve_payload("synth:speed=1.0").shape == (8, 16, 16)
+        assert resolve_payload("synth:speed=1.0").frames.shape == (8, 16, 16)
 
     def test_malformed_synth_reference_raises(self):
         with pytest.raises(DataError, match="malformed synth payload"):
