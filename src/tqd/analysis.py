@@ -33,6 +33,9 @@ from .trainer import TrainerConfig, VelocityModel, final_loss, grad_at_timestep,
 PROBE_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 PROBE_N_NOISE = 16
 
+# fewest timestep draws timestep_histogram accepts for stable statistics
+MIN_HISTOGRAM_DRAWS = 1000
+
 
 def _derived_seed(*parts: int) -> int:
     """Stable scalar seed from a tuple of indices (for CRN streams)."""
@@ -62,6 +65,19 @@ class GradientProbeCurve:
         raise DataError(f"no probe point at t={t}")
 
 
+def check_t_grid(t_grid) -> list[float]:
+    """The probe's timestep grid as floats: non-empty, strictly
+    increasing, inside the open interval (0, 1). DataError otherwise."""
+    if not t_grid:
+        raise DataError("t_grid must hold at least one timestep")
+    t_grid = [float(t) for t in t_grid]
+    if any(not 0.0 < t < 1.0 for t in t_grid):
+        raise DataError("t_grid values must lie in the open interval (0, 1)")
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise DataError("t_grid must be strictly increasing")
+    return t_grid
+
+
 def gradient_probe(
     model: VelocityModel,
     samples: list[ToyVideo],
@@ -84,13 +100,7 @@ def gradient_probe(
         raise DataError("gradient probe needs at least one sample")
     if not degradations:
         raise DataError("gradient probe needs at least one degradation")
-    if not t_grid:
-        raise DataError("t_grid must hold at least one timestep")
-    t_grid = [float(t) for t in t_grid]
-    if any(not 0.0 < t < 1.0 for t in t_grid):
-        raise DataError("t_grid values must lie in the open interval (0, 1)")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise DataError("t_grid must be strictly increasing")
+    t_grid = check_t_grid(t_grid)
 
     degraded = [
         [degrade(video, DegradationSpec(spec.kind, spec.strength,
@@ -157,8 +167,9 @@ def timestep_histogram(
     probability (renormalized over the dataset), which is exactly the
     long-run record frequency the rejection loop produces.
     """
-    if n_draws < 1000:
-        raise DataError(f"need at least 1000 draws for stable statistics, got {n_draws}")
+    if n_draws < MIN_HISTOGRAM_DRAWS:
+        raise DataError(f"need at least {MIN_HISTOGRAM_DRAWS} draws for stable "
+                        f"statistics, got {n_draws}")
     if n_bins < 2:
         raise DataError(f"need at least 2 bins, got {n_bins}")
     sampler = TqdSampler(dataset, sampler_config)

@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MIN_HISTOGRAM_DRAWS,
     PROBE_N_NOISE,
     PROBE_T_GRID,
+    check_t_grid,
     gradient_probe,
     histogram_csv,
     probe_curves_csv,
@@ -246,6 +248,9 @@ def cmd_sample_stats(args) -> int:
     n_draws = _param(params, "n_draws", int, 10000)
     if n_draws < 1:
         raise UsageError("n_draws must be >= 1")
+    if n_draws < MIN_HISTOGRAM_DRAWS:
+        raise DataError(f"n_draws must be >= {MIN_HISTOGRAM_DRAWS} for stable "
+                        f"statistics, got {n_draws}")
     config = _config(SamplerConfig, params)
     params = {**asdict(config), "n_draws": n_draws}
 
@@ -424,8 +429,8 @@ def cmd_probe(args) -> int:
     seed = _param(params, "seed", int, 0)
     if seed < 0:
         raise DataError(f"config key seed must be >= 0, got {seed}")
-    t_grid = [_typed("t_grid", t, float)
-              for t in _param(params, "t_grid", list, list(PROBE_T_GRID))]
+    t_grid = check_t_grid([_typed("t_grid", t, float)
+                           for t in _param(params, "t_grid", list, list(PROBE_T_GRID))])
     n_noise = _param(params, "n_noise", int, PROBE_N_NOISE)
     degradations = []
     for d in _param(params, "degradations", list, _PROBE_DEFAULT_DEGRADATIONS):
@@ -434,6 +439,8 @@ def cmd_probe(args) -> int:
             kind=_typed("degradations.kind", d.get("kind"), str),
             strength=_typed("degradations.strength", d.get("strength"), float),
             seed=_typed("degradations.seed", d.get("seed", 0), int)))
+    if not degradations:
+        raise DataError("gradient probe needs at least one degradation")
 
     model, header = load_checkpoint(model_path)
     videos, sample_spec = _probe_samples(params, seed)

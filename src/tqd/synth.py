@@ -83,7 +83,7 @@ def generate_moving_shape(
     noise is additive Gaussian of the given std, clamped to [0, 1]. meta
     records the generator parameters plus quality analogs: mq_analog
     grows with |motion_speed|, vq_analog shrinks as texture_noise grows.
-    frames, height and width must be positive.
+    frames, height and width must be positive, seed must be >= 0.
     """
     if not np.isfinite(motion_speed):
         raise DataError(f"motion_speed must be finite, got {motion_speed}")
@@ -92,7 +92,8 @@ def generate_moving_shape(
     if min(frames, height, width) < 1:
         raise DataError(f"video dimensions must be positive, got frames={frames}, "
                         f"height={height}, width={width}")
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     # integer row placement: noise-free videos take only the two nominal
     # levels when start_x and motion_speed are integral
     y0 = float((height - SHAPE_SIZE) // 2)
@@ -103,7 +104,8 @@ def generate_moving_shape(
         cov_x = _interval_coverage(x, SHAPE_SIZE, width, wrap=True)
         video[f] = BACKGROUND + (FOREGROUND - BACKGROUND) * np.outer(cov_y, cov_x)
     if texture_noise > 0:
-        video += rng.normal(0.0, texture_noise, size=video.shape)
+        # only noisy clips draw, so only they pay for building a generator
+        video += np.random.default_rng(seed).normal(0.0, texture_noise, size=video.shape)
     np.clip(video, 0.0, 1.0, out=video)
     meta = {
         "motion_speed": motion_speed,

@@ -36,6 +36,10 @@ ADAM_EPS = 1e-8
 # share of trailing steps that final_loss averages over
 FINAL_LOSS_WINDOW = 0.1
 
+# elements per adam_update chunk: two float64 scratch buffers of this
+# length (256 KiB together) stay in cache while a chunk is updated
+_ADAM_CHUNK = 16384
+
 _LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
@@ -96,11 +100,16 @@ class VelocityModel:
         return self.theta.size
 
     def views(self) -> dict:
+        return self._layer_views(self.theta)
+
+    def _layer_views(self, flat: np.ndarray) -> dict:
+        """Per-layer views into flat, a vector laid out like theta (the
+        parameters or their gradient)."""
         layout, total = _param_layout(self.input_dim, self.hidden_width, self.data_dim)
-        if self.theta.size != total:
+        if flat.size != total:
             raise DataError(
-                f"parameter vector has {self.theta.size} entries, layout needs {total}")
-        return {name: self.theta[sl].reshape(shape) for name, (shape, sl) in layout.items()}
+                f"parameter vector has {flat.size} entries, layout needs {total}")
+        return {name: flat[sl].reshape(shape) for name, (shape, sl) in layout.items()}
 
     @classmethod
     def init(cls, data_shape, seed, hidden_width: int = 128, n_freqs: int = 8,
@@ -183,20 +192,21 @@ def loss_and_grad(model: VelocityModel, x0, x1, t):
     resid = out - target
     loss = float(np.mean(resid * resid))
 
-    # backward pass; d(loss)/d(out) = 2*resid / (B*D)
+    # backward pass; d(loss)/d(out) = 2*resid / (B*D). Each layer's
+    # gradient is written straight into its slot of the flat vector.
+    grad = np.empty_like(model.theta)
+    g = model._layer_views(grad)
     d_out = (2.0 / (b * d)) * resid
-    g_w3 = a2.T @ d_out
-    g_b3 = d_out.sum(axis=0)
+    np.matmul(a2.T, d_out, out=g["W3"])
+    d_out.sum(axis=0, out=g["b3"])
     d_a2 = d_out @ views["W3"].T
     d_z2 = d_a2 * (1.0 - a2 * a2)
-    g_w2 = a1.T @ d_z2
-    g_b2 = d_z2.sum(axis=0)
+    np.matmul(a1.T, d_z2, out=g["W2"])
+    d_z2.sum(axis=0, out=g["b2"])
     d_a1 = d_z2 @ views["W2"].T
     d_z1 = d_a1 * (1.0 - a1 * a1)
-    g_w1 = x.T @ d_z1
-    g_b1 = d_z1.sum(axis=0)
-
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2, g_w3.ravel(), g_b3])
+    np.matmul(x.T, d_z1, out=g["W1"])
+    d_z1.sum(axis=0, out=g["b1"])
     return loss, grad
 
 
@@ -271,17 +281,44 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
     """One bias-corrected Adam update of theta, m and v, in place, with
     ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. step counts from 1.
 
+    The update runs chunk by chunk over _ADAM_CHUNK elements, in place
+    through two chunk-sized scratch buffers, so it allocates no
+    parameter-sized temporaries and keeps each chunk in cache. Every
+    element sees the same operations in the same order as the
+    whole-array formula
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        theta -= lr*(m/c1) / (sqrt(v/c2) + eps),  ck = 1 - bk**step
+
+    so the results are bit-identical to it.
+
     First-step identity: with a fresh state and unit gradient, the
     parameter displacement is lr/(1 + ADAM_EPS), i.e. the learning rate up
     to the damping epsilon.
     """
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** step)
-    v_hat = v / (1.0 - ADAM_BETA2 ** step)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    c1 = 1.0 - ADAM_BETA1 ** step
+    c2 = 1.0 - ADAM_BETA2 ** step
+    n = theta.size
+    scratch_a = np.empty(min(n, _ADAM_CHUNK))
+    scratch_b = np.empty_like(scratch_a)
+    for lo in range(0, n, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, n)
+        g, m_c, v_c = grad[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+        m_c *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m_c += a
+        v_c *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v_c += a
+        np.divide(m_c, c1, out=a)
+        a *= lr
+        np.divide(v_c, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        theta[lo:hi] -= a
 
 
 def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig) -> TrainState:

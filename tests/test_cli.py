@@ -181,6 +181,7 @@ def test_sample_stats_too_few_draws_is_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--n-draws", "500"])
     assert code == 3
     assert "1000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --- train ---------------------------------------------------------------------
@@ -428,11 +429,13 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"degradations": [{"kind": "blur", "strength": 1.0, "seed": -3}]}, None),
     ("probe", {"samples": {"speed_min": 3, "speed_max": 1}}, None),
     ("probe", {"samples": {"frames": 0}}, None),
+    ("probe", {"t_grid": [0.0, 0.5]}, None),
+    ("sample-stats", {"n_draws": 500}, None),
 ], ids=["duplicate-ids", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
         "no-degradations", "negative-degradation-seed", "inverted-speed-range",
-        "zero-frames"])
+        "zero-frames", "t-grid-out-of-range", "too-few-draws"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_ids):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
@@ -451,10 +454,13 @@ def test_bad_config_or_manifest_is_one_line_data_error(
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     inputs = ["--model", str(ckpt)] if command == "probe" else ["--manifest", str(manifest)]
-    code = main([command, *inputs, "--config", str(path), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main([command, *inputs, "--config", str(path), "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+    # every check runs before the run directory is made
+    assert not out.exists()
 
 
 # --- entry point -------------------------------------------------------------------

@@ -77,6 +77,17 @@ class TestGenerateMovingShape:
         b = generate_moving_shape(1.5, 0.1, seed=7)
         assert np.array_equal(a.frames, b.frames)
 
+    def test_noise_free_clip_ignores_seed(self):
+        a = generate_moving_shape(1.5, 0.0, seed=7, start_x=1.25)
+        b = generate_moving_shape(1.5, 0.0, seed=8, start_x=1.25)
+        assert np.array_equal(a.frames, b.frames)
+
+    def test_texture_noise_is_one_normal_draw_from_the_seed(self):
+        video = generate_moving_shape(1.5, 0.2, seed=7, start_x=1.25)
+        clean = generate_moving_shape(1.5, 0.0, seed=7, start_x=1.25).frames
+        noise = np.random.default_rng(7).normal(0.0, 0.2, size=clean.shape)
+        assert np.array_equal(video.frames, np.clip(clean + noise, 0.0, 1.0))
+
     def test_shape_and_flat_layout(self):
         video = generate_moving_shape(1.0, 0.0, seed=8, frames=4, height=6, width=5)
         assert video.frames.shape == (4, 6, 5)
@@ -89,6 +100,11 @@ class TestGenerateMovingShape:
     def test_negative_texture_noise_raises(self):
         with pytest.raises(DataError):
             generate_moving_shape(1.0, -0.1, seed=0)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_negative_seed_raises(self, noise):
+        with pytest.raises(DataError, match="seed"):
+            generate_moving_shape(1.0, noise, seed=-1)
 
     @pytest.mark.parametrize("dims", [{"frames": 0}, {"height": 0}, {"width": -1}])
     def test_non_positive_dimensions_raise(self, dims):

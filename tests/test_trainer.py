@@ -8,8 +8,10 @@ from tqd.quality import QualityRecord
 from tqd.sampler import SamplerConfig
 from tqd.synth import ToyVideo, generate_moving_shape
 from tqd.trainer import (
+    _ADAM_CHUNK,
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_EPS,
     TrainerConfig,
     VelocityModel,
     adam_update,
@@ -198,6 +200,30 @@ def test_loss_and_grad_validates_inputs():
         loss_and_grad(model, np.zeros((1, 4)), np.zeros((1, 4)), 0.5)
 
 
+def test_gradient_equals_concatenated_layer_products_bit_for_bit():
+    # reference: each layer's A.T @ B and bias sum, joined by concatenate
+    model = VelocityModel.init((2, 4, 4), seed=5, hidden_width=48, zero_final=False)
+    rng = np.random.default_rng(9)
+    x0 = rng.normal(size=(6, 32))
+    x1 = rng.normal(size=(6, 32))
+    t = rng.uniform(0.1, 0.9, size=6)
+    _, grad = loss_and_grad(model, x0, x1, t)
+
+    w = model.views()
+    xt = t[:, None] * x1 + (1.0 - t[:, None]) * x0
+    x = np.concatenate([xt, time_features(t, model.n_freqs)], axis=1)
+    a1 = np.tanh(x @ w["W1"] + w["b1"])
+    a2 = np.tanh(a1 @ w["W2"] + w["b2"])
+    d_out = (2.0 / x0.size) * (a2 @ w["W3"] + w["b3"] - (x1 - x0))
+    d_z2 = (d_out @ w["W3"].T) * (1.0 - a2 * a2)
+    d_z1 = (d_z2 @ w["W2"].T) * (1.0 - a1 * a1)
+    expected = np.concatenate([
+        (x.T @ d_z1).ravel(), d_z1.sum(axis=0),
+        (a1.T @ d_z2).ravel(), d_z2.sum(axis=0),
+        (a2.T @ d_out).ravel(), d_out.sum(axis=0)])
+    assert np.array_equal(grad, expected)
+
+
 # --- gradients at fixed timesteps ---------------------------------------------
 
 
@@ -280,6 +306,34 @@ def test_adam_updates_moments_in_place():
     adam_update(theta, grad, m, v, step=1, lr=0.01)
     np.testing.assert_allclose(m, (1.0 - ADAM_BETA1) * grad, rtol=1e-14)
     np.testing.assert_allclose(v, (1.0 - ADAM_BETA2) * grad * grad, rtol=1e-14)
+
+
+def _whole_array_adam(theta, grad, m, v, step, lr):
+    # the unchunked formula adam_update must reproduce bit for bit
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+@pytest.mark.parametrize("n", [1, _ADAM_CHUNK - 1, _ADAM_CHUNK, 2 * _ADAM_CHUNK + 7])
+def test_chunked_adam_is_bit_identical_to_whole_array_formula(n):
+    rng = np.random.default_rng(n)
+    theta = rng.normal(size=n)
+    ref_theta, ref_m, ref_v = theta.copy(), np.zeros(n), np.zeros(n)
+    m, v = np.zeros(n), np.zeros(n)
+    for step in range(1, 21):
+        # gradients spanning many magnitudes, with exact zeros
+        grad = rng.normal(size=n) * 10.0 ** rng.integers(-6, 4, size=n)
+        grad[rng.random(n) < 0.05] = 0.0
+        adam_update(theta, grad, m, v, step, 3e-3)
+        _whole_array_adam(ref_theta, grad, ref_m, ref_v, step, 3e-3)
+    assert np.array_equal(theta, ref_theta)
+    assert np.array_equal(m, ref_m)
+    assert np.array_equal(v, ref_v)
 
 
 # --- training loop -------------------------------------------------------------
