@@ -155,27 +155,26 @@ class HistogramReport:
 
 
 def timestep_histogram(
-    dataset: list[QualityRecord],
-    sampler_config: SamplerConfig,
+    sampler: TqdSampler,
     n_draws: int,
     n_bins: int = 50,
 ) -> HistogramReport:
-    """Draw timesteps through the full batch-preparation path and compare
-    against the analytic mixture law.
+    """Draw timesteps through the sampler's batch-preparation path and
+    compare against the analytic mixture law.
 
-    The mixture weights each record's timestep law by its retention
-    probability (renormalized over the dataset), which is exactly the
-    long-run record frequency the rejection loop produces.
+    The draws use the seed and batch size of `sampler.config`. The mixture
+    weights each record's timestep law by its retention probability
+    (renormalized over the dataset), which is exactly the long-run record
+    frequency the rejection loop produces.
     """
     if n_draws < MIN_HISTOGRAM_DRAWS:
         raise DataError(f"need at least {MIN_HISTOGRAM_DRAWS} draws for stable "
                         f"statistics, got {n_draws}")
     if n_bins < 2:
         raise DataError(f"need at least 2 bins, got {n_bins}")
-    sampler = TqdSampler(dataset, sampler_config)
-    rng = np.random.default_rng(sampler_config.seed)
+    rng = np.random.default_rng(sampler.config.seed)
     draws = []
-    batch_size = sampler_config.batch_size
+    batch_size = sampler.config.batch_size
     while len(draws) < n_draws:
         batch = sampler.prepare_batch(batch_size, rng)
         draws.extend(batch.timesteps.tolist())
@@ -186,16 +185,11 @@ def timestep_histogram(
 
     weights = sampler.retention / sampler.retention.sum()
     masses = np.zeros(n_bins)
-    cdf_parts = []
     for law, w in zip(sampler.laws, weights):
         masses += w * bin_masses(law, edges)
-        cdf_parts.append((w, law))
     # per-record Beta mass over (0,1) integrates to 1, so no renormalization
     expected = n_draws * masses
-    return _finish_histogram(t, edges, observed, expected, cdf_parts, n_draws)
 
-
-def _finish_histogram(t, edges, observed, expected, cdf_parts, n_draws) -> HistogramReport:
     # pooled chi-square: group adjacent bins until expected >= 5
     groups = []
     acc_o, acc_e = 0.0, 0.0
@@ -225,7 +219,7 @@ def _finish_histogram(t, edges, observed, expected, cdf_parts, n_draws) -> Histo
     cum = np.cumsum(counts)
     n = len(t)
     cdf = np.zeros_like(vals)
-    for w, law in cdf_parts:
+    for law, w in zip(sampler.laws, weights):
         cdf += w * betainc(law.alpha, law.beta, np.clip(vals, 0.0, 1.0))
     post_jump = cdf.copy()
     post_jump[vals >= 1.0 - eps] = 1.0  # top atom absorbs the censored tail

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import typing
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from .quality import (
     read_manifest,
     write_sidecar,
 )
-from .sampler import SamplerConfig, density_curve, make_law, retention_probability
+from .sampler import SamplerConfig, TqdSampler
 from .synth import DegradationSpec, generate_moving_shape, resolve_payload
 from .trainer import (
     TrainerConfig,
@@ -239,8 +240,6 @@ def cmd_sample_stats(args) -> int:
     params = _load_params(args.config, "sample-stats")
     manifest = _require(args.manifest or _param(params, "manifest", str), "--manifest")
     if args.n_draws is not None:
-        if args.n_draws < 1:
-            raise UsageError("--n-draws must be >= 1")
         params["n_draws"] = args.n_draws
     if args.seed is not None:
         params["seed"] = args.seed
@@ -256,30 +255,24 @@ def cmd_sample_stats(args) -> int:
 
     records = read_manifest(manifest)
     normalized, _ = normalize_scores(records)
+    sampler = TqdSampler(normalized, config)
 
     run_dir, run_id = _start_run("sample-stats", args.out, params,
                                  {"manifest": str(manifest)})
-    report = timestep_histogram(normalized, config, n_draws)
-
-    # density curve per distinct quality profile, first-appearance order
-    profiles = []
-    seen = set()
-    for rec in normalized:
-        key = (rec.mq_norm, rec.vq_norm)
-        if key not in seen:
-            seen.add(key)
-            profiles.append(rec)
-    curve_lines = ["profile,mq_norm,vq_norm,retention,t,pdf"]
-    for i, rec in enumerate(profiles):
-        law = make_law(rec, config)
-        keep = retention_probability(rec)
-        ts, pdf = density_curve(law)
-        for t, p in zip(ts, pdf):
-            curve_lines.append(
-                f"{i},{rec.mq_norm!r},{rec.vq_norm!r},{keep!r},{float(t)!r},{float(p)!r}")
-    (run_dir / "density_curves.csv").write_text(
-        "\n".join(curve_lines) + "\n", encoding="utf-8")
+    report = timestep_histogram(sampler, n_draws)
     (run_dir / "histogram.csv").write_text(histogram_csv(report), encoding="utf-8")
+
+    # one row per distinct quality profile, first-appearance order; the
+    # law and retention depend on the profile alone, so any member serves
+    profiles = [(rec.mq_norm, rec.vq_norm) for rec in sampler.records]
+    n_records = Counter(profiles)
+    member = {key: i for i, key in enumerate(profiles)}
+    law_lines = ["profile,mq_norm,vq_norm,n_records,retention,alpha,beta"]
+    for k, ((mq, vq), i) in enumerate(member.items()):
+        law = sampler.laws[i]
+        law_lines.append(f"{k},{mq!r},{vq!r},{n_records[mq, vq]},"
+                         f"{float(sampler.retention[i])!r},{law.alpha!r},{law.beta!r}")
+    (run_dir / "laws.csv").write_text("\n".join(law_lines) + "\n", encoding="utf-8")
 
     # fixed 1% level: chi-square p-value plus the asymptotic KS bound
     ks_critical = float(1.6276 / np.sqrt(n_draws))
@@ -299,7 +292,7 @@ def cmd_sample_stats(args) -> int:
         json.dumps(stats_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     print(f"run {run_id}: {n_draws} draws from {len(records)} records "
-          f"({len(profiles)} profiles)")
+          f"({len(member)} profiles)")
     print(f"chi-square {report.chi_square:.2f} (dof {report.dof}, "
           f"p {report.chi_square_pvalue:.4g}) -> {'pass' if chi_ok else 'FAIL'}")
     print(f"KS {report.ks_stat:.5f} vs 1% critical {ks_critical:.5f} "
@@ -432,6 +425,8 @@ def cmd_probe(args) -> int:
     t_grid = check_t_grid([_typed("t_grid", t, float)
                            for t in _param(params, "t_grid", list, list(PROBE_T_GRID))])
     n_noise = _param(params, "n_noise", int, PROBE_N_NOISE)
+    if n_noise < 1:
+        raise DataError(f"config key n_noise must be >= 1, got {n_noise}")
     degradations = []
     for d in _param(params, "degradations", list, _PROBE_DEFAULT_DEGRADATIONS):
         d = _typed("degradations", d, dict)

@@ -50,7 +50,8 @@ class DegradationSpec:
     strength means: blur -> box kernel radius; compression -> number of
     quantization levels (>= 2); noise -> Gaussian std; shuffle -> fraction
     of frames permuted (in [0, 1]). Zero strength (or zero fraction) is
-    the identity for every kind. seed must be >= 0.
+    the identity for every kind. seed must be >= 0. Construction rejects
+    a strength outside its kind's range, so `degrade` never has to.
     """
 
     kind: str
@@ -64,6 +65,14 @@ class DegradationSpec:
             raise DataError(f"{self.kind} strength must be finite, got {self.strength}")
         if self.seed < 0:
             raise DataError(f"{self.kind} seed must be >= 0, got {self.seed}")
+        if self.kind == "blur" and round(self.strength) < 0:
+            raise DataError(f"blur radius must be >= 0, got {self.strength}")
+        if self.kind == "compression" and self.strength != 0 and int(self.strength) < 2:
+            raise DataError(f"compression needs >= 2 levels, got {self.strength}")
+        if self.kind == "noise" and self.strength < 0:
+            raise DataError(f"noise std must be >= 0, got {self.strength}")
+        if self.kind == "shuffle" and not 0.0 <= self.strength <= 1.0:
+            raise DataError(f"shuffle fraction must be in [0, 1], got {self.strength}")
 
 
 def generate_moving_shape(
@@ -144,8 +153,6 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
     frames = video.frames
     if spec.kind == "blur":
         radius = int(round(spec.strength))
-        if radius < 0:
-            raise DataError(f"blur radius must be >= 0, got {spec.strength}")
         if radius == 0:
             out = frames.copy()
         else:
@@ -158,13 +165,9 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
             out = frames.copy()
         else:
             levels = int(spec.strength)
-            if levels < 2:
-                raise DataError(f"compression needs >= 2 levels, got {spec.strength}")
             # mid-rise quantizer over [0, 1]
             out = (np.clip(np.floor(frames * levels), 0, levels - 1) + 0.5) / levels
     elif spec.kind == "noise":
-        if spec.strength < 0:
-            raise DataError(f"noise std must be >= 0, got {spec.strength}")
         if spec.strength == 0:
             out = frames.copy()
         else:
@@ -172,8 +175,6 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
             out = frames + rng.normal(0.0, spec.strength, size=frames.shape)
             np.clip(out, 0.0, 1.0, out=out)
     elif spec.kind == "shuffle":
-        if not 0.0 <= spec.strength <= 1.0:
-            raise DataError(f"shuffle fraction must be in [0, 1], got {spec.strength}")
         n_frames = frames.shape[0]
         k = int(round(spec.strength * n_frames))
         if n_frames < 2 or k < 2:

@@ -19,7 +19,7 @@ from tqd.analysis import (
 )
 from tqd.errors import DataError
 from tqd.quality import QualityRecord, normalize_scores, synth_population
-from tqd.sampler import SamplerConfig, make_law
+from tqd.sampler import SamplerConfig, TqdSampler, make_law
 from tqd.synth import DegradationSpec, generate_moving_shape
 from tqd.trainer import TrainerConfig, VelocityModel, final_loss, train
 
@@ -135,7 +135,8 @@ def test_uniform_degenerate_histogram_passes_both_tests():
     # draws must look uniform to both the pooled chi-square and the KS
     # statistic
     records = [_norm_record(f"r{i}", 0.5, 0.5) for i in range(4)]
-    report = timestep_histogram(records, SamplerConfig(seed=0), n_draws=5000, n_bins=20)
+    report = timestep_histogram(TqdSampler(records, SamplerConfig(seed=0)), n_draws=5000,
+                                n_bins=20)
     assert report.n_draws == 5000
     assert report.chi_square_pvalue > 0.001
     assert report.ks_stat < 0.05
@@ -149,7 +150,7 @@ def test_high_motion_record_concentrates_mass_high():
     # reached through a different code path than the sampler itself
     rec = _norm_record("hm", 1.0, 0.2)
     cfg = SamplerConfig(seed=1)
-    report = timestep_histogram([rec], cfg, n_draws=5000, n_bins=20)
+    report = timestep_histogram(TqdSampler([rec], cfg), n_draws=5000, n_bins=20)
     observed_hi = sum(obs for lo, _, obs, _ in report.bins if lo >= 0.5) / 5000
     law = make_law(rec, cfg)
     analytic_hi = 1.0 - betainc(law.alpha, law.beta, 0.5)
@@ -167,7 +168,7 @@ def test_low_motion_record_mirrors_high_motion():
     law_l = make_law(lm, cfg)
     np.testing.assert_allclose(law_h.alpha, law_l.beta, rtol=1e-12)
     np.testing.assert_allclose(law_h.beta, law_l.alpha, rtol=1e-12)
-    report = timestep_histogram([lm], cfg, n_draws=5000, n_bins=20)
+    report = timestep_histogram(TqdSampler([lm], cfg), n_draws=5000, n_bins=20)
     observed_lo = sum(obs for _, hi, obs, _ in report.bins if hi <= 0.5) / 5000
     assert observed_lo > 0.9
 
@@ -177,16 +178,17 @@ def test_clamped_extreme_law_keeps_censored_ks_small():
     # mass beyond float resolution near 1, which the censored reference
     # absorbs into a boundary atom
     rec = _norm_record("ext", 1.0, 0.0)
-    report = timestep_histogram([rec], SamplerConfig(seed=3), n_draws=5000, n_bins=20)
+    report = timestep_histogram(TqdSampler([rec], SamplerConfig(seed=3)), n_draws=5000,
+                                n_bins=20)
     assert report.ks_stat < 0.05
 
 
 def test_histogram_validates_arguments():
-    records = [_norm_record("r", 0.5, 0.5)]
+    sampler = TqdSampler([_norm_record("r", 0.5, 0.5)], SamplerConfig())
     with pytest.raises(DataError, match="1000"):
-        timestep_histogram(records, SamplerConfig(), n_draws=10)
+        timestep_histogram(sampler, n_draws=10)
     with pytest.raises(DataError, match="2 bins"):
-        timestep_histogram(records, SamplerConfig(), n_draws=2000, n_bins=1)
+        timestep_histogram(sampler, n_draws=2000, n_bins=1)
 
 
 def test_histogram_report_checks_count_conservation():

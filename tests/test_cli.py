@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from tqd.cli import main
 from tqd.errors import DataError
@@ -134,10 +135,14 @@ def test_sample_stats_uniform_degenerate_passes(tmp_path, capsys):
                           "ks_critical_1pct", "chi_square_pass", "ks_pass"}
     hist_lines = (run_dir / "histogram.csv").read_text().strip().split("\n")
     assert len(hist_lines) == 51
-    curves = (run_dir / "density_curves.csv").read_text().strip().split("\n")
-    assert curves[0] == "profile,mq_norm,vq_norm,retention,t,pdf"
-    # identical profiles collapse to one density curve
-    assert len({line.split(",")[0] for line in curves[1:]}) == 1
+    laws = (run_dir / "laws.csv").read_text().strip().split("\n")
+    assert laws[0] == "profile,mq_norm,vq_norm,n_records,retention,alpha,beta"
+    # identical profiles collapse to one law row
+    assert len(laws) == 2
+    profile, _, _, n_records, retention, alpha, beta = laws[1].split(",")
+    assert (profile, int(n_records), float(retention)) == ("0", 4, 0.5)
+    assert float(alpha) == float(beta) == 1.0
+    assert not (run_dir / "density_curves.csv").exists()
 
 
 def test_sample_stats_motion_skew_puts_mass_high(tmp_path, capsys):
@@ -164,6 +169,17 @@ def test_sample_stats_motion_skew_puts_mass_high(tmp_path, capsys):
             high += int(obs)
     assert total == 2000
     assert high / total > 0.5
+
+    # laws.csv alone rebuilds the expected counts: a mixture of its Beta
+    # laws weighted by n_records * retention
+    hist = np.loadtxt(run_dir / "histogram.csv", delimiter=",", skiprows=1)
+    laws = np.loadtxt(run_dir / "laws.csv", delimiter=",", skiprows=1, ndmin=2)
+    n_records, retention, alpha, beta = laws[:, 3:].T
+    assert n_records.sum() == 4
+    weights = n_records * retention / (n_records * retention).sum()
+    lo, hi = hist[:, :1], hist[:, 1:2]
+    masses = scipy_stats.beta.cdf(hi, alpha, beta) - scipy_stats.beta.cdf(lo, alpha, beta)
+    np.testing.assert_allclose(2000 * masses @ weights, hist[:, 3], rtol=1e-9)
 
 
 def test_sample_stats_rejects_zero_draws(tmp_path, capsys):
@@ -431,11 +447,15 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"samples": {"frames": 0}}, None),
     ("probe", {"t_grid": [0.0, 0.5]}, None),
     ("sample-stats", {"n_draws": 500}, None),
+    ("probe", {"n_noise": 0}, None),
+    ("probe", {"degradations": [{"kind": "compression", "strength": 1.0}]}, None),
+    ("probe", {"degradations": [{"kind": "shuffle", "strength": 2.0}]}, None),
 ], ids=["duplicate-ids", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
         "no-degradations", "negative-degradation-seed", "inverted-speed-range",
-        "zero-frames", "t-grid-out-of-range", "too-few-draws"])
+        "zero-frames", "t-grid-out-of-range", "too-few-draws", "zero-n-noise",
+        "one-level-compression", "shuffle-fraction-two"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_ids):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
