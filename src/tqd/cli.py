@@ -1,9 +1,10 @@
 """Command-line front door: curate, sample-stats, train, probe.
 
 Every command resolves its full parameter set (config file merged with
-flag overrides), derives a run id from the resolved values, and echoes
-them to out/<run-id>/resolved_config.json before doing any work. Feeding
-that file back through --config reproduces the run bit-exactly.
+flag overrides) against its one key table, derives a run id from the
+resolved values, and echoes them to out/<run-id>/resolved_config.json
+before doing any work. Feeding that file back through --config
+reproduces the run bit-exactly.
 
 Exit codes are stable: 0 success, 1 usage, 2 I/O, 3 bad data,
 4 numeric/statistical failure, 5 artifact mismatch.
@@ -14,10 +15,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-import typing
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -67,26 +68,38 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_ARTIFACT = 5
 
-# raw-score quadrant thresholds used by --filter when the config is silent
-DEFAULT_MQ_THRESHOLD = 2.5
-DEFAULT_VQ_THRESHOLD = 2.7
+def _keys(cls) -> dict:
+    """The key table of a config dataclass: each field is typed by its default."""
+    return {f.name: (type(f.default), f.default) for f in fields(cls)}
 
-_PROBE_DEFAULT_DEGRADATIONS = [
-    {"kind": "blur", "strength": 2.0, "seed": 0},
-    {"kind": "compression", "strength": 8.0, "seed": 0},
-    {"kind": "noise", "strength": 0.1, "seed": 0},
-    {"kind": "shuffle", "strength": 1.0, "seed": 0},
-]
 
-_PROBE_DEFAULT_SAMPLES = {
-    "n": 40,
-    "speed_min": 1.5,
-    "speed_max": 3.0,
-    "texture_noise": 0.02,
-    "frames": 8,
-    "height": 16,
-    "width": 16,
+# Key tables, {key: (type, default)}: every key a command reads, listed
+# once. A None default makes a key optional; an ... default, required.
+_CURATE_KEYS = {  # a None threshold is the manifest's median raw score
+    "manifest": (str, None), "mq_threshold": (float, None), "vq_threshold": (float, None)}
+_SAMPLE_STATS_KEYS = {"manifest": (str, None), **_keys(SamplerConfig), "n_draws": (int, 10000)}
+_TRAIN_KEYS = {
+    "manifest": (str, None), **_keys(SamplerConfig), **_keys(TrainerConfig),
+    "noise_level": (float, 0.0), "filter_quadrants": (list, None),
+    # raw-score quadrant thresholds of filter_quadrants
+    "mq_threshold": (float, 2.5), "vq_threshold": (float, 2.7),
 }
+_PROBE_KEYS = {
+    "model": (str, None), "seed": (int, 0),
+    "t_grid": (list, list(PROBE_T_GRID)), "n_noise": (int, PROBE_N_NOISE),
+    "degradations": (list, [
+        {"kind": "blur", "strength": 2.0, "seed": 0},
+        {"kind": "compression", "strength": 8.0, "seed": 0},
+        {"kind": "noise", "strength": 0.1, "seed": 0},
+        {"kind": "shuffle", "strength": 1.0, "seed": 0},
+    ]),
+    "samples": (dict, {}),
+}
+_PROBE_SAMPLE_KEYS = {
+    "n": (int, 40), "speed_min": (float, 1.5), "speed_max": (float, 3.0),
+    "texture_noise": (float, 0.02), "frames": (int, 8), "height": (int, 16), "width": (int, 16),
+}
+_DEGRADATION_KEYS = {"kind": (str, ...), "strength": (float, ...), "seed": (int, 0)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +109,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for --seed and --steps: an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _int_at_least(least: int):
+    """argparse type for an integer flag: a decimal integer >= least."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for --noise-level: a finite number >= 0."""
+    try:
+        if 0.0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
 
 
 def _canonical(obj) -> str:
@@ -115,7 +140,7 @@ def _load_params(config_path, command: str) -> dict:
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"malformed config file {config_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"config file {config_path} must hold a JSON object")
@@ -178,46 +203,52 @@ def _typed(key: str, value, kind: type):
     return value
 
 
-def _param(params: dict, key: str, kind: type, default=None):
-    """A command key that is not a config field, checked like one. A
-    None default makes the key optional (null or absent gives None)."""
-    value = params.get(key, default)
-    return None if value is None and default is None else _typed(key, value, kind)
+def _resolve(given: dict, keys: dict, where: str = "") -> dict:
+    """Resolve config values against a key table {key: (type, default)}.
+
+    A key the table does not list, a missing required key and a value
+    of the wrong type (see _typed) are bad data. An absent key takes its
+    default; with a None default, null or absent gives None. The result
+    is the dict a command both uses and echoes. where prefixes the key
+    names of a nested block in messages.
+    """
+    for key in given:
+        if key not in keys:
+            raise DataError(f"unknown config key {where}{key}")
+    resolved = {}
+    for key, (kind, default) in keys.items():
+        value = given.get(key, default)
+        if value is ...:
+            raise DataError(f"config key {where}{key} is required")
+        resolved[key] = (None if value is None and default is None
+                         else _typed(where + key, value, kind))
+    return resolved
 
 
-def _config(cls, params: dict):
-    """Build config dataclass cls from the params keys that name its
-    fields, each checked against the field's declared type; other keys
-    are ignored."""
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        if f.name in params:
-            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-            value = params[f.name]
-            optional = value is None and type(None) in kinds
-            values[f.name] = None if optional else _typed(f.name, value, kinds[0])
-    return cls(**values)
+def _params(args, keys: dict) -> dict:
+    """The command's config file with its given flags laid over it (each
+    flag's dest is its key), resolved against the command's key table."""
+    given = _load_params(args.config, args.command)
+    given.update((key, value) for key, value in vars(args).items()
+                 if key in keys and value is not None)
+    return _resolve(given, keys)
+
+
+def _build(cls, params: dict):
+    """Config dataclass cls from the resolved params that name its fields."""
+    return cls(**{f.name: params[f.name] for f in fields(cls)})
 
 
 # --- curate -------------------------------------------------------------------
 
 def cmd_curate(args) -> int:
-    params = _load_params(args.config, "curate")
-    manifest = _require(args.manifest or _param(params, "manifest", str), "--manifest")
-    if args.mq_threshold is not None:
-        params["mq_threshold"] = args.mq_threshold
-    if args.vq_threshold is not None:
-        params["vq_threshold"] = args.vq_threshold
-
-    mq_thr = _param(params, "mq_threshold", float)
-    vq_thr = _param(params, "vq_threshold", float)
+    params = _params(args, _CURATE_KEYS)
+    manifest = _require(params.pop("manifest"), "--manifest")
     records = read_manifest(manifest)
-    if mq_thr is None:
-        mq_thr = float(np.median([r.mq_raw for r in records]))
-    if vq_thr is None:
-        vq_thr = float(np.median([r.vq_raw for r in records]))
-    params = {"mq_threshold": mq_thr, "vq_threshold": vq_thr}
+    if params["mq_threshold"] is None:
+        params["mq_threshold"] = float(np.median([r.mq_raw for r in records]))
+    if params["vq_threshold"] is None:
+        params["vq_threshold"] = float(np.median([r.vq_raw for r in records]))
 
     _, consts = normalize_scores(records)
     report = quadrant_report(records, params["mq_threshold"], params["vq_threshold"])
@@ -237,21 +268,13 @@ def cmd_curate(args) -> int:
 # --- sample-stats -------------------------------------------------------------
 
 def cmd_sample_stats(args) -> int:
-    params = _load_params(args.config, "sample-stats")
-    manifest = _require(args.manifest or _param(params, "manifest", str), "--manifest")
-    if args.n_draws is not None:
-        params["n_draws"] = args.n_draws
-    if args.seed is not None:
-        params["seed"] = args.seed
-
-    n_draws = _param(params, "n_draws", int, 10000)
-    if n_draws < 1:
-        raise UsageError("n_draws must be >= 1")
+    params = _params(args, _SAMPLE_STATS_KEYS)
+    manifest = _require(params.pop("manifest"), "--manifest")
+    n_draws = params["n_draws"]
     if n_draws < MIN_HISTOGRAM_DRAWS:
         raise DataError(f"n_draws must be >= {MIN_HISTOGRAM_DRAWS} for stable "
                         f"statistics, got {n_draws}")
-    config = _config(SamplerConfig, params)
-    params = {**asdict(config), "n_draws": n_draws}
+    config = _build(SamplerConfig, params)
 
     records = read_manifest(manifest)
     normalized, _ = normalize_scores(records)
@@ -305,62 +328,40 @@ def cmd_sample_stats(args) -> int:
 # --- train --------------------------------------------------------------------
 
 def _parse_filter(spec: str) -> list[str]:
-    """Parse --filter quadrant=HMLV,LMHV into a quadrant list."""
+    """argparse type for --filter: quadrant=HMLV,LMHV as a quadrant list."""
     key, sep, value = spec.partition("=")
     if not sep or key.strip() != "quadrant":
-        raise UsageError(f"unsupported filter {spec!r}; expected quadrant=Q1[,Q2...]")
+        raise argparse.ArgumentTypeError(
+            f"unsupported filter {spec!r}; expected quadrant=Q1[,Q2...]")
     quads = [q.strip().upper() for q in value.split(",") if q.strip()]
     if not quads:
-        raise UsageError("empty quadrant filter")
+        raise argparse.ArgumentTypeError("empty quadrant filter")
     for q in quads:
         if q not in QUADRANTS:
-            raise UsageError(f"unknown quadrant {q!r}; valid: {', '.join(QUADRANTS)}")
+            raise argparse.ArgumentTypeError(
+                f"unknown quadrant {q!r}; valid: {', '.join(QUADRANTS)}")
     return quads
 
 
 def cmd_train(args) -> int:
-    params = _load_params(args.config, "train")
-    manifest = _require(args.manifest or _param(params, "manifest", str), "--manifest")
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.steps is not None:
-        params["steps"] = args.steps
-    if args.baseline:
-        params["baseline"] = True
-    if args.filter is not None:
-        params["filter_quadrants"] = _parse_filter(args.filter)
-    if args.noise_level is not None:
-        if args.noise_level < 0:
-            raise UsageError("--noise-level must be >= 0")
-        params["noise_level"] = args.noise_level
-
-    sampler_cfg = _config(SamplerConfig, params)
-    trainer_cfg = _config(TrainerConfig, params)
-    noise_level = _param(params, "noise_level", float, 0.0)
-    quads = _param(params, "filter_quadrants", list)
+    params = _params(args, _TRAIN_KEYS)
+    manifest = _require(params.pop("manifest"), "--manifest")
+    sampler_cfg = _build(SamplerConfig, params)
+    trainer_cfg = _build(TrainerConfig, params)
+    quads = params["filter_quadrants"]
     if quads is not None and any(q not in QUADRANTS for q in quads):
         raise DataError(f"config key filter_quadrants must name quadrants of "
                         f"{', '.join(QUADRANTS)}, got {quads!r}")
-    mq_thr = _param(params, "mq_threshold", float, DEFAULT_MQ_THRESHOLD)
-    vq_thr = _param(params, "vq_threshold", float, DEFAULT_VQ_THRESHOLD)
-    params = {
-        **asdict(sampler_cfg), **asdict(trainer_cfg),
-        "noise_level": noise_level,
-        "filter_quadrants": quads,
-        "mq_threshold": mq_thr, "vq_threshold": vq_thr,
-    }
 
     records = read_manifest(manifest)
     if quads is not None:
-        kept = [rec for rec in records if quadrant_of(rec, mq_thr, vq_thr) in quads]
+        kept = [rec for rec in records if quadrant_of(
+            rec, params["mq_threshold"], params["vq_threshold"]) in quads]
         if not kept:
             raise DataError(f"no records left after filter quadrant={','.join(quads)}")
         records = kept
-    if noise_level > 0:
-        records = inject_score_noise(records, noise_level, trainer_cfg.seed)
+    records = inject_score_noise(records, params["noise_level"], trainer_cfg.seed)
     normalized, _ = normalize_scores(records)
-
-    run_dir, run_id = _start_run("train", args.out, params, {"manifest": str(manifest)})
 
     base_dir = Path(manifest).parent
     dataset = []
@@ -369,6 +370,7 @@ def cmd_train(args) -> int:
             raise DataError(f"record {rec.id!r} has no payload reference")
         dataset.append((rec, resolve_payload(rec.payload_ref, base_dir=base_dir)))
 
+    run_dir, run_id = _start_run("train", args.out, params, {"manifest": str(manifest)})
     state = train(dataset, sampler_cfg, trainer_cfg)
     save_checkpoint(state.model, run_dir / "checkpoint.bin", step=state.step,
                     seed=trainer_cfg.seed)
@@ -385,10 +387,8 @@ def cmd_train(args) -> int:
 
 # --- probe --------------------------------------------------------------------
 
-def _probe_samples(params: dict, seed: int):
-    given = _param(params, "samples", dict, {})
-    spec = {key: _typed(f"samples.{key}", given.get(key, default), type(default))
-            for key, default in _PROBE_DEFAULT_SAMPLES.items()}
+def _probe_samples(spec: dict, seed: int):
+    """Render the probe's clean samples from its resolved samples block."""
     n = spec["n"]
     if n < 1:
         raise DataError(f"probe needs at least one sample, got n={n}")
@@ -398,7 +398,7 @@ def _probe_samples(params: dict, seed: int):
     rng = np.random.default_rng([seed, 101])
     speeds = rng.uniform(spec["speed_min"], spec["speed_max"], n)
     starts = rng.uniform(0.0, spec["width"], n)
-    videos = [
+    return [
         generate_moving_shape(
             motion_speed=float(speeds[i]),
             texture_noise=spec["texture_noise"],
@@ -410,48 +410,35 @@ def _probe_samples(params: dict, seed: int):
         )
         for i in range(n)
     ]
-    return videos, spec
 
 
 def cmd_probe(args) -> int:
-    params = _load_params(args.config, "probe")
-    model_path = _require(args.model or _param(params, "model", str), "--model")
-    if args.seed is not None:
-        params["seed"] = args.seed
-
-    seed = _param(params, "seed", int, 0)
+    params = _params(args, _PROBE_KEYS)
+    model_path = _require(params.pop("model"), "--model")
+    seed = params["seed"]
     if seed < 0:
         raise DataError(f"config key seed must be >= 0, got {seed}")
-    t_grid = check_t_grid([_typed("t_grid", t, float)
-                           for t in _param(params, "t_grid", list, list(PROBE_T_GRID))])
-    n_noise = _param(params, "n_noise", int, PROBE_N_NOISE)
+    t_grid = params["t_grid"] = check_t_grid([_typed("t_grid", t, float)
+                                              for t in params["t_grid"]])
+    n_noise = params["n_noise"]
     if n_noise < 1:
         raise DataError(f"config key n_noise must be >= 1, got {n_noise}")
-    degradations = []
-    for d in _param(params, "degradations", list, _PROBE_DEFAULT_DEGRADATIONS):
-        d = _typed("degradations", d, dict)
-        degradations.append(DegradationSpec(
-            kind=_typed("degradations.kind", d.get("kind"), str),
-            strength=_typed("degradations.strength", d.get("strength"), float),
-            seed=_typed("degradations.seed", d.get("seed", 0), int)))
+    params["degradations"] = [
+        _resolve(_typed("degradations", d, dict), _DEGRADATION_KEYS, "degradations.")
+        for d in params["degradations"]]
+    degradations = [DegradationSpec(**d) for d in params["degradations"]]
     if not degradations:
         raise DataError("gradient probe needs at least one degradation")
+    params["samples"] = _resolve(params["samples"], _PROBE_SAMPLE_KEYS, "samples.")
 
     model, header = load_checkpoint(model_path)
-    videos, sample_spec = _probe_samples(params, seed)
+    videos = _probe_samples(params["samples"], seed)
     shape = videos[0].frames.shape
     if shape != model.data_shape:
         raise CheckpointError(
             f"checkpoint {model_path} expects data shape {model.data_shape}, "
             f"probe samples have {shape}")
 
-    params = {
-        "seed": seed, "t_grid": t_grid, "n_noise": n_noise,
-        "degradations": [
-            {"kind": d.kind, "strength": d.strength, "seed": d.seed}
-            for d in degradations],
-        "samples": sample_spec,
-    }
     run_dir, run_id = _start_run("probe", args.out, params, {"model": str(model_path)})
 
     curves = gradient_probe(model, videos, degradations, t_grid=t_grid,
@@ -489,20 +476,21 @@ def _build_parser() -> _Parser:
     ss.add_argument("--manifest", help="JSONL score manifest")
     ss.add_argument("--config", help="JSON sampler config")
     ss.add_argument("--out", required=True)
-    ss.add_argument("--n-draws", type=int, help="number of timestep draws")
-    ss.add_argument("--seed", type=_non_negative_int)
+    ss.add_argument("--n-draws", type=_int_at_least(1), help="number of timestep draws")
+    ss.add_argument("--seed", type=_int_at_least(0))
     ss.set_defaults(func=cmd_sample_stats)
 
     tr = sub.add_parser("train", help="run the quality-aware training loop")
     tr.add_argument("--manifest", help="JSONL score manifest with payload refs")
     tr.add_argument("--config", help="JSON config (sampler + trainer keys)")
     tr.add_argument("--out", required=True)
-    tr.add_argument("--seed", type=_non_negative_int)
-    tr.add_argument("--steps", type=_non_negative_int)
-    tr.add_argument("--baseline", action="store_true",
+    tr.add_argument("--seed", type=_int_at_least(0))
+    tr.add_argument("--steps", type=_int_at_least(0))
+    tr.add_argument("--baseline", action="store_const", const=True,
                     help="disable dropout and force the flat timestep law")
-    tr.add_argument("--filter", help="keep only listed quadrants, e.g. quadrant=HMLV,LMHV")
-    tr.add_argument("--noise-level", type=float,
+    tr.add_argument("--filter", dest="filter_quadrants", type=_parse_filter,
+                    help="keep only listed quadrants, e.g. quadrant=HMLV,LMHV")
+    tr.add_argument("--noise-level", type=_non_negative_float,
                     help="inject scorer noise of this relative level before training")
     tr.set_defaults(func=cmd_train)
 
@@ -510,7 +498,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("--model", help="checkpoint file from train")
     pr.add_argument("--config", help="JSON probe config")
     pr.add_argument("--out", required=True)
-    pr.add_argument("--seed", type=_non_negative_int)
+    pr.add_argument("--seed", type=_int_at_least(0))
     pr.set_defaults(func=cmd_probe)
     return parser
 

@@ -244,32 +244,37 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
     One object per line with keys `id` (string), `mq` (number), `vq`
     (number) and optional `payload` (string).
 
-    Raises DataError naming the line number on malformed lines and the
-    record id on non-finite scores or on an id seen before.
+    Raises DataError on bytes that are not UTF-8, naming the line number
+    on malformed lines and the record id on non-finite scores or on an
+    id seen before.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not UTF-8 text: {exc}") from exc
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rec = QualityRecord(
-                    id=str(obj["id"]),
-                    mq_raw=float(obj["mq"]),
-                    vq_raw=float(obj["vq"]),
-                    payload_ref=obj.get("payload"),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
-            if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
-                raise DataError(f"non-finite score on record {rec.id!r} (line {lineno})")
-            if rec.id in seen:
-                raise DataError(f"duplicate record id {rec.id!r} (line {lineno})")
-            seen.add(rec.id)
-            records.append(rec)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            rec = QualityRecord(
+                id=str(obj["id"]),
+                mq_raw=float(obj["mq"]),
+                vq_raw=float(obj["vq"]),
+                payload_ref=obj.get("payload"),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
+        if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
+            raise DataError(f"non-finite score on record {rec.id!r} (line {lineno})")
+        if rec.id in seen:
+            raise DataError(f"duplicate record id {rec.id!r} (line {lineno})")
+        seen.add(rec.id)
+        records.append(rec)
     if not records:
         raise DataError(f"empty manifest: {path}")
     return records

@@ -232,32 +232,46 @@ def read_video(path: str | Path) -> ToyVideo:
 
 # --- payload resolution -------------------------------------------------------
 
+# the keys of a "synth:" payload reference and their defaults
+_SYNTH_DEFAULTS = {"speed": 0.0, "noise": 0.0, "seed": 0, "frames": 8, "height": 16,
+                   "width": 16, "start": 0.0}
+
+
 def resolve_payload(payload_ref: str, base_dir: str | Path | None = None) -> ToyVideo:
     """Materialize a manifest payload reference.
 
     Two forms are understood:
     - "synth:speed=2.0,noise=0.05,seed=7[,frames=8,height=16,width=16,start=0]"
-      renders a moving-shape video from those parameters;
+      renders a moving-shape video from those parameters (an unknown key,
+      or a seed, frames, height or width that is not a finite integer,
+      is DataError);
     - any other string is a path to a serialized toy video, resolved
       against base_dir when relative.
     """
     if payload_ref.startswith("synth:"):
-        params: dict[str, float] = {}
-        body = payload_ref[len("synth:"):]
+        params = dict(_SYNTH_DEFAULTS)
         try:
-            for part in body.split(","):
+            for part in payload_ref[len("synth:"):].split(","):
                 key, val = part.split("=", 1)
-                params[key.strip()] = float(val)
+                key = key.strip()
+                if key not in params:
+                    raise DataError(f"unknown key {key!r} in synth payload {payload_ref!r}")
+                params[key] = float(val)
         except ValueError as exc:
             raise DataError(f"malformed synth payload {payload_ref!r}") from exc
+        for key in ("seed", "frames", "height", "width"):
+            if not float(params[key]).is_integer():
+                raise DataError(f"synth payload key {key} must be a finite integer, "
+                                f"got {params[key]} in {payload_ref!r}")
+            params[key] = int(params[key])
         return generate_moving_shape(
-            motion_speed=params.get("speed", 0.0),
-            texture_noise=params.get("noise", 0.0),
-            seed=int(params.get("seed", 0)),
-            frames=int(params.get("frames", 8)),
-            height=int(params.get("height", 16)),
-            width=int(params.get("width", 16)),
-            start_x=params.get("start", 0.0),
+            motion_speed=params["speed"],
+            texture_noise=params["noise"],
+            seed=params["seed"],
+            frames=params["frames"],
+            height=params["height"],
+            width=params["width"],
+            start_x=params["start"],
         )
     path = Path(payload_ref)
     if base_dir is not None and not path.is_absolute():

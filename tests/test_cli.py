@@ -242,7 +242,7 @@ def test_train_is_reproducible_from_echoed_config(tmp_path, capsys):
 def test_train_flag_overrides_config_value(tmp_path, capsys):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"steps": 5, "mystery": 1}))
+    config.write_text(json.dumps({"steps": 5}))
     code = main(["train", "--manifest", str(manifest), "--config", str(config),
                  "--out", str(tmp_path / "out"), "--steps", "7", "--seed", "0"])
     assert code == 0
@@ -305,12 +305,20 @@ def test_train_filter_to_nothing_is_data_error(tmp_path, capsys):
 
 
 def test_train_missing_payload_is_data_error(tmp_path, capsys):
+    # no payload, a missing file and unusable synth references all fail
+    # before the run directory is made
     manifest = tmp_path / "scores.jsonl"
-    _write_lines(manifest, [{"id": "bare", "mq": 2.0, "vq": 2.1}])
-    code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
-                 "--steps", "5"])
-    assert code == 3
-    assert "bare" in capsys.readouterr().err
+    for payload, expected in [(None, "bare"), ("absent.tvid", "absent.tvid"),
+                              ("synth:sped=2", "sped"), ("synth:frames=inf", "frames")]:
+        row = {"id": "bare", "mq": 2.0, "vq": 2.1}
+        _write_lines(manifest, [row if payload is None else {**row, "payload": payload}])
+        code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--steps", "5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert expected in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_negative_flags(tmp_path, capsys):
@@ -450,12 +458,22 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"n_noise": 0}, None),
     ("probe", {"degradations": [{"kind": "compression", "strength": 1.0}]}, None),
     ("probe", {"degradations": [{"kind": "shuffle", "strength": 2.0}]}, None),
+    ("train", {"min_shape": 0.3}, None),
+    ("sample-stats", {"hidden_width": 64}, None),
+    ("probe", {"samples": {"fps": 8}}, None),
+    ("probe", {"degradations": [{"kind": "blur", "strength": 1.0, "radius": 2}]}, None),
+    ("probe", {"degradations": [{"strength": 1.0}]}, None),
+    ("sample-stats", {"n_draws": 0}, None),
+    ("train", b'{"steps": "\xff"}', None),
+    ("train", {"noise_level": -0.5}, None),
 ], ids=["duplicate-ids", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
         "no-degradations", "negative-degradation-seed", "inverted-speed-range",
         "zero-frames", "t-grid-out-of-range", "too-few-draws", "zero-n-noise",
-        "one-level-compression", "shuffle-fraction-two"])
+        "one-level-compression", "shuffle-fraction-two", "unknown-key",
+        "other-command-key", "unknown-samples-key", "unknown-degradation-key",
+        "degradation-without-kind", "zero-draws", "non-utf8", "negative-noise-level"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_ids):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
@@ -472,7 +490,10 @@ def test_bad_config_or_manifest_is_one_line_data_error(
         config = {**base, **config,
                   "samples": {**base["samples"], **config.get("samples", {})}}
     path = tmp_path / "config.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
     inputs = ["--model", str(ckpt)] if command == "probe" else ["--manifest", str(manifest)]
     out = tmp_path / "out"
     code = main([command, *inputs, "--config", str(path), "--out", str(out)])

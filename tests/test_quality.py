@@ -218,6 +218,12 @@ class TestManifestIO:
         with pytest.raises(DataError, match="line 2"):
             read_manifest(path)
 
+    def test_non_utf8_manifest_raises(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b'{"id": "a\xff", "mq": 1, "vq": 2}\n')
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_manifest(path)
+
     def test_missing_key_names_line_number(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"id": "a", "mq": 1}\n')

@@ -238,9 +238,12 @@ class TestResolvePayload:
     def test_synth_reference_defaults(self):
         assert resolve_payload("synth:speed=1.0").frames.shape == (8, 16, 16)
 
-    def test_malformed_synth_reference_raises(self):
-        with pytest.raises(DataError, match="malformed synth payload"):
-            resolve_payload("synth:speed")
+    @pytest.mark.parametrize("ref", [
+        "synth:speed", "synth:sped=2", "synth:frames=inf", "synth:frames=nan",
+        "synth:seed=1.5", "synth:width=-inf"])
+    def test_malformed_synth_reference_raises(self, ref):
+        with pytest.raises(DataError, match="synth payload"):
+            resolve_payload(ref)
 
     def test_file_reference_resolves_against_base_dir(self, tmp_path):
         video = generate_moving_shape(2.0, 0.0, seed=25)
