@@ -27,7 +27,7 @@ from .quality import (
 )
 from .sampler import SamplerConfig, TqdSampler, bin_masses, compute_mu
 from .synth import DegradationSpec, ToyVideo, degrade
-from .trainer import TrainerConfig, VelocityModel, final_loss, grad_at_timestep, train
+from .trainer import TrainerConfig, VelocityModel, final_loss, gradient_distances, train
 
 # gradient_probe's default timestep grid and noise draws per gradient
 PROBE_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -88,13 +88,15 @@ def gradient_probe(
 ) -> list[GradientProbeCurve]:
     """Gradient-distance curves, one per degradation.
 
-    For sample i at grid point t_j, the probe computes the full-parameter
-    loss gradient for the original video and for each degraded copy, all
-    under one noise stream derived from (noise_seed, i, j): common random
-    numbers, so the distance reflects the degradation rather than noise
-    resampling. Per-sample degradation randomness is derived from the
-    spec seed and the sample index, so two samples never share a noise
-    field or shuffle order.
+    For sample i at grid point t_j, the probe measures how far the
+    full-parameter loss gradient of each degraded copy lies from that of
+    the original video, all under one noise stream derived from
+    (noise_seed, i, j): common random numbers, so the distance reflects
+    the degradation rather than noise resampling. The distances come from
+    per-layer Gram matrices (trainer.gradient_distances); no gradient is
+    formed. Per-sample degradation randomness is derived from the spec
+    seed and the sample index, so two samples never share a noise field
+    or shuffle order.
     """
     if not samples:
         raise DataError("gradient probe needs at least one sample")
@@ -112,11 +114,8 @@ def gradient_probe(
     sums = np.zeros((len(degradations), len(t_grid)))
     for i, video in enumerate(samples):
         for j, t in enumerate(t_grid):
-            seed_ij = _derived_seed(noise_seed, i, j)
-            g_orig = grad_at_timestep(model, video, t, seed_ij, n_noise)
-            for k, copy in enumerate(degraded[i]):
-                g_deg = grad_at_timestep(model, copy, t, seed_ij, n_noise)
-                sums[k, j] += np.linalg.norm(g_orig - g_deg)
+            sums[:, j] += gradient_distances(model, video, degraded[i], t,
+                                             _derived_seed(noise_seed, i, j), n_noise)
     means = sums / len(samples)
     return [
         GradientProbeCurve(

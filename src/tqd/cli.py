@@ -118,14 +118,19 @@ def _int_at_least(least: int):
     return parse
 
 
-def _non_negative_float(text: str) -> float:
-    """argparse type for --noise-level: a finite number >= 0."""
-    try:
-        if 0.0 <= float(text) < math.inf:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+def _finite_float(least: float = -math.inf):
+    """argparse type for a number flag: a finite number >= least."""
+    bound = f" >= {least:g}" if least > -math.inf else ""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            if math.isfinite(value) and value >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text!r}")
+    return parse
 
 
 def _canonical(obj) -> str:
@@ -194,12 +199,15 @@ def _typed(key: str, value, kind: type):
 
     The JSON type must match exactly: 1 is not a bool and 2.5 not an
     int. Only an integer may stand for a float, and becomes one. A
+    number must be finite (JSON NaN and Infinity parse to floats). A
     mismatch is bad data (exit 3).
     """
     if kind is float and type(value) is int:
         return float(value)
     if type(value) is not kind:
         raise DataError(f"config key {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise DataError(f"config key {key} must be a finite number, got {value!r}")
     return value
 
 
@@ -467,8 +475,8 @@ def _build_parser() -> _Parser:
     cur.add_argument("--manifest", help="JSONL score manifest")
     cur.add_argument("--config", help="JSON config (flat or echoed resolved config)")
     cur.add_argument("--out", required=True, help="output directory root")
-    cur.add_argument("--mq-threshold", type=float, help="raw MQ quadrant threshold")
-    cur.add_argument("--vq-threshold", type=float, help="raw VQ quadrant threshold")
+    cur.add_argument("--mq-threshold", type=_finite_float(), help="raw MQ quadrant threshold")
+    cur.add_argument("--vq-threshold", type=_finite_float(), help="raw VQ quadrant threshold")
     cur.set_defaults(func=cmd_curate)
 
     ss = sub.add_parser("sample-stats",
@@ -490,7 +498,7 @@ def _build_parser() -> _Parser:
                     help="disable dropout and force the flat timestep law")
     tr.add_argument("--filter", dest="filter_quadrants", type=_parse_filter,
                     help="keep only listed quadrants, e.g. quadrant=HMLV,LMHV")
-    tr.add_argument("--noise-level", type=_non_negative_float,
+    tr.add_argument("--noise-level", type=_finite_float(0.0),
                     help="inject scorer noise of this relative level before training")
     tr.set_defaults(func=cmd_train)
 

@@ -245,8 +245,8 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
     (number) and optional `payload` (string).
 
     Raises DataError on bytes that are not UTF-8, naming the line number
-    on malformed lines and the record id on non-finite scores or on an
-    id seen before.
+    on malformed lines and the record id on a payload that is not a
+    string or null, on non-finite scores or on an id seen before.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -269,6 +269,9 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
+        if not isinstance(rec.payload_ref, (str, type(None))):
+            raise DataError(f"payload of record {rec.id!r} must be a string or null, "
+                            f"got {rec.payload_ref!r} (line {lineno})")
         if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
             raise DataError(f"non-finite score on record {rec.id!r} (line {lineno})")
         if rec.id in seen:

@@ -219,6 +219,10 @@ def grad_at_timestep(model: VelocityModel, video: ToyVideo, t: float, noise_seed
     so two calls with the same seed see identical draws. That common-
     random-numbers protocol is what makes gradient distances between an
     original and a degraded sample low-variance at small n_noise.
+
+    The probe measures those distances with gradient_distances, which
+    forms no gradient; this function is the per-copy reference it is
+    tested against.
     """
     if not 0.0 < float(t) < 1.0:
         raise DataError(f"t must be in the open interval (0, 1), got {t}")
@@ -233,6 +237,103 @@ def grad_at_timestep(model: VelocityModel, video: ToyVideo, t: float, noise_seed
     t_arr = np.full(n_noise, float(t))
     _, grad = loss_and_grad(model, x0rep, x1f, t_arr)
     return grad
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row dot products x_r . y_r' of each stacked matrix pair."""
+    return x @ np.swapaxes(y, -1, -2)
+
+
+def _layer_sq_dists(gram_dd, gram_dk, gram_kk, b: np.ndarray) -> np.ndarray:
+    """Squared distances between one layer's weight-and-bias gradients.
+
+    b stacks the layer's output-gradient rows per video, (1+K, n, width);
+    the gram_* arguments are the input-row Gram blocks of a_0 - a_k with
+    itself, with a_k, and of a_k with itself, broadcastable to (K, n, n).
+    Returns the K sums of the layer's 2n x 2n kernel (see
+    gradient_distances).
+    """
+    b0, db = b[0], b[0] - b[1:]
+    return ((gram_dd * _gram(b0, b0)).sum(axis=(1, 2))
+            + 2.0 * (gram_dk * _gram(b0, db)).sum(axis=(1, 2))
+            + ((gram_kk + 1.0) * _gram(db, db)).sum(axis=(1, 2)))
+
+
+def gradient_distances(model: VelocityModel, video: ToyVideo, copies, t: float,
+                       noise_seed: int, n_noise: int) -> np.ndarray:
+    """||g(video) - g(copy)|| for each copy, where g is grad_at_timestep
+    at (t, noise_seed, n_noise), without forming any gradient.
+
+    Every layer's weight and bias gradient is sum_r [a_r; 1] b_r^T over
+    the batch rows r, with a_r the layer's input row and b_r the loss
+    gradient at its output. For the video (rows a, b) and a copy (rows
+    a', b'), a b^T - a' b'^T = (a - a') b^T + a' (b - b')^T, so the
+    difference of the two gradients is a sum over 2n rows whose squared
+    norm is the sum of the Gram kernel (A A^T + E) o (B B^T). A stacks
+    the rows a - a' and a', B the rows b and b - b', and E is 1 on the
+    (a', a') block only, for the bias. Every kernel entry carries a
+    difference, so the result is not the small difference of two large
+    squared norms, and an identical copy gives exactly 0.
+
+    One forward and backward pass covers the video and all copies, under
+    the one noise draw x1. Every row shares t, so the first layer's
+    pre-activation is t (x1 W1x) + (1-t) (v W1x) + feats W1f + b1 and
+    its input Gram follows from x1 x1^T, x1 v^T, v . v' and ||feats||^2.
+    """
+    if not 0.0 < float(t) < 1.0:
+        raise DataError(f"t must be in the open interval (0, 1), got {t}")
+    if n_noise < 1:
+        raise DataError(f"n_noise must be >= 1, got {n_noise}")
+    for clip in (video, *copies):
+        if clip.frames.shape != model.data_shape:
+            raise DataError(f"video shape {clip.frames.shape} does not match model "
+                            f"data shape {model.data_shape}")
+    t = float(t)
+    s = 1.0 - t
+    d = model.data_dim
+    views = model.views()
+    w1x, w1f = views["W1"][:d], views["W1"][d:]
+    x1 = np.random.default_rng(noise_seed).standard_normal((n_noise, d))
+    v = np.stack([video.flat()] + [clip.flat() for clip in copies])  # (1+K, D)
+    feats = time_features(t, model.n_freqs)
+
+    # forward and backward for every video at once, (1+K, n, width) each.
+    # Stacked, not flattened: numpy multiplies each video's rows on their
+    # own, so identical videos give identical rows bit for bit, where one
+    # product over all rows may round a row by its position.
+    z1 = (t * (x1 @ w1x) + (s * (v[:, None, :] @ w1x)
+                            + (feats @ w1f + views["b1"])))
+    _check_finite(z1, 1, "W1")
+    a1 = np.tanh(z1)
+    z2 = a1 @ views["W2"] + views["b2"]
+    _check_finite(z2, 2, "W2")
+    a2 = np.tanh(z2)
+    out = a2 @ views["W3"]
+    out += views["b3"]
+    _check_finite(out, 3, "W3")
+    # d_out = (2 / (n D)) (out - target), target = x1 - v, in place
+    d_out = out
+    d_out -= x1
+    d_out += v[:, None, :]
+    d_out *= 2.0 / (n_noise * d)
+    d_z2 = (d_out @ views["W3"].T) * (1.0 - a2 * a2)
+    d_z1 = (d_z2 @ views["W2"].T) * (1.0 - a1 * a1)
+
+    # first-layer input Gram blocks, from x_r = [t x1_r + s v; feats]
+    vk = v[1:]
+    delta = v[0] - vk  # (K, D)
+    c = vk @ x1.T  # (K, n): x1_r . v_k
+    gram_dd = (s * s * np.einsum("kd,kd->k", delta, delta))[:, None, None]
+    gram_dk = s * (t * (delta @ x1.T)[:, None, :]
+                   + s * np.einsum("kd,kd->k", delta, vk)[:, None, None])
+    gram_kk = (t * t * _gram(x1, x1)
+               + t * s * (c[:, :, None] + c[:, None, :])
+               + (s * s * np.einsum("kd,kd->k", vk, vk) + feats @ feats)[:, None, None])
+    sq = _layer_sq_dists(gram_dd, gram_dk, gram_kk, d_z1)
+    for a, b in ((a1, d_z2), (a2, d_out)):
+        da = a[0] - a[1:]
+        sq += _layer_sq_dists(_gram(da, da), _gram(da, a[1:]), _gram(a[1:], a[1:]), b)
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 # --- optimizer and training loop ---------------------------------------------
@@ -423,7 +524,8 @@ def save_checkpoint(model: VelocityModel, path, step: int = 0, seed=None) -> Non
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint back; returns (model, header).
 
-    Raises CheckpointError on bad magic, malformed header, or a
+    Raises CheckpointError on bad magic, a malformed header, a header
+    architecture with a data dim, hidden_width or n_freqs below 1, or a
     parameter payload that disagrees with the header's architecture.
     """
     path = Path(path)
@@ -443,6 +545,11 @@ def load_checkpoint(path) -> tuple:
         n_freqs = int(header["n_freqs"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint header in {path}: {exc}") from exc
+    if len(data_shape) != 3 or min(data_shape) < 1 or hidden_width < 1 or n_freqs < 1:
+        raise CheckpointError(
+            f"checkpoint {path} header has no valid architecture: data_shape "
+            f"{list(data_shape)}, hidden_width {hidden_width}, n_freqs {n_freqs} "
+            f"(three dims >= 1, widths >= 1)")
     expected = param_count(int(np.prod(data_shape)), hidden_width, n_freqs)
     body = raw[8 + hlen:]
     if len(body) != 8 * expected:

@@ -6,6 +6,8 @@ import pytest
 from scipy.special import betainc
 
 from tqd.analysis import (
+    _derived_seed,
+    PROBE_N_NOISE,
     GradientProbeCurve,
     HistogramReport,
     SweepRow,
@@ -20,8 +22,16 @@ from tqd.analysis import (
 from tqd.errors import DataError
 from tqd.quality import QualityRecord, normalize_scores, synth_population
 from tqd.sampler import SamplerConfig, TqdSampler, make_law
-from tqd.synth import DegradationSpec, generate_moving_shape
-from tqd.trainer import TrainerConfig, VelocityModel, final_loss, train
+from tqd.synth import DegradationSpec, degrade, generate_moving_shape
+from tqd.trainer import (
+    TrainerConfig,
+    VelocityModel,
+    adam_update,
+    final_loss,
+    grad_at_timestep,
+    loss_and_grad,
+    train,
+)
 
 
 def _video(seed=0, speed=1.0, tex=0.05, frames=2, height=5, width=5):
@@ -50,6 +60,62 @@ def test_zero_strength_degradations_give_zero_curves():
         assert curve.n_samples == 3
         for _, dist in curve.points:
             assert dist == 0.0
+
+
+def _reference_probe(model, samples, degradations, t_grid, n_noise, noise_seed=0):
+    """Mean gradient distances the per-copy way: one full gradient per
+    video from grad_at_timestep, one norm of each difference."""
+    sums = np.zeros((len(degradations), len(t_grid)))
+    for i, video in enumerate(samples):
+        copies = [degrade(video, DegradationSpec(spec.kind, spec.strength,
+                                                 seed=_derived_seed(spec.seed, i)))
+                  for spec in degradations]
+        for j, t in enumerate(t_grid):
+            seed_ij = _derived_seed(noise_seed, i, j)
+            g_orig = grad_at_timestep(model, video, t, seed_ij, n_noise)
+            for k, copy in enumerate(copies):
+                sums[k, j] += np.linalg.norm(
+                    g_orig - grad_at_timestep(model, copy, t, seed_ij, n_noise))
+    return sums / len(samples)
+
+
+def _trained_model(samples, seed=5, hidden_width=16, steps=300):
+    """A small model fitted by Adam to samples; its gradients run some 30
+    times smaller than an untrained model's."""
+    model = VelocityModel.init(samples[0].frames.shape, seed=seed, hidden_width=hidden_width)
+    m, v = np.zeros_like(model.theta), np.zeros_like(model.theta)
+    x_all = np.stack([s.flat() for s in samples])
+    rng = np.random.default_rng(seed)
+    for step in range(1, steps + 1):
+        x0 = x_all[rng.integers(0, len(samples), 8)]
+        _, grad = loss_and_grad(model, x0, rng.standard_normal(x0.shape),
+                                rng.uniform(0.02, 0.98, 8))
+        adam_update(model.theta, grad, m, v, step, 3e-3)
+    return model
+
+
+# the probe CLI's default degradations, plus an identity copy
+_EQUIV_SPECS = [DegradationSpec("blur", 2.0, seed=0), DegradationSpec("compression", 8.0, seed=0),
+                DegradationSpec("noise", 0.1, seed=0), DegradationSpec("shuffle", 1.0, seed=0),
+                DegradationSpec("blur", 0.0, seed=0)]
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+def test_probe_matches_per_copy_gradients(trained):
+    samples = [_video(seed=s, speed=2.0 + 0.5 * s, tex=0.02, frames=8, height=16, width=16)
+               for s in range(2)]
+    if trained:
+        model = _trained_model(samples)
+    else:
+        model = VelocityModel.init((8, 16, 16), seed=5, hidden_width=16, zero_final=False)
+    t_grid = [0.1, 0.5, 0.9]
+    curves = gradient_probe(model, samples, _EQUIV_SPECS, t_grid=t_grid,
+                            n_noise=PROBE_N_NOISE, noise_seed=3)
+    expected = _reference_probe(model, samples, _EQUIV_SPECS, t_grid, PROBE_N_NOISE,
+                                noise_seed=3)
+    got = np.array([[d for _, d in curve.points] for curve in curves])
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+    assert np.all(got[-1] == 0.0) and np.all(got[:-1] > 0.0)
 
 
 def test_shuffle_on_static_video_gives_zero_curve():

@@ -2,6 +2,7 @@
 directories, echoed configs, and artifact contents."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from tqd.cli import main
 from tqd.errors import DataError
 from tqd.quality import read_manifest
 from tqd.synth import generate_moving_shape, write_video
-from tqd.trainer import VelocityModel, load_checkpoint, save_checkpoint
+from tqd.trainer import VelocityModel, load_checkpoint, param_count, save_checkpoint
 
 
 def _write_lines(path, rows):
@@ -77,6 +78,33 @@ def test_curate_non_finite_score_is_data_error(tmp_path, capsys):
     code = main(["curate", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "broken" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_curate_non_finite_threshold_flag_is_usage_error(tmp_path, capsys, value):
+    manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
+    out = tmp_path / "out"
+    code = main(["curate", "--manifest", str(manifest), "--out", str(out),
+                 f"--mq-threshold={value}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "finite number" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, literal", [("mq_threshold", "NaN"),
+                                          ("vq_threshold", "Infinity")])
+def test_curate_non_finite_threshold_config_is_data_error(tmp_path, capsys, key, literal):
+    manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
+    config = tmp_path / "curate.json"
+    config.write_text(f'{{"{key}": {literal}}}')
+    out = tmp_path / "out"
+    code = main(["curate", "--manifest", str(manifest), "--config", str(config),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and key in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_curate_malformed_line_names_line_number(tmp_path, capsys):
@@ -427,6 +455,34 @@ def test_probe_corrupt_checkpoint_is_artifact_error(tmp_path, capsys):
     assert "not a checkpoint" in capsys.readouterr().err
 
 
+def _write_raw_checkpoint(path, data_shape, hidden_width, n_freqs):
+    """A checkpoint whose header states any architecture, with as many
+    zero parameters as that architecture counts."""
+    n_params = param_count(int(np.prod(data_shape)), hidden_width, n_freqs)
+    header = json.dumps({"data_shape": data_shape, "hidden_width": hidden_width,
+                         "n_freqs": n_freqs, "param_count": n_params, "step": 0,
+                         "seed": None}, sort_keys=True).encode()
+    path.write_bytes(b"TQDC" + struct.pack("<I", len(header)) + header
+                     + np.zeros(max(n_params, 0)).tobytes())
+
+
+@pytest.mark.parametrize("data_shape, hidden_width, n_freqs", [
+    ([2, 5, 5], 0, 2), ([2, 5, 5], 8, 0), ([2, 0, 5], 8, 2), ([2, 5, 5], -1, 2),
+    ([10, 5], 8, 2),
+], ids=["zero-width", "zero-freqs", "zero-height", "negative-width", "two-dims"])
+def test_probe_checkpoint_without_valid_architecture_is_artifact_error(
+        tmp_path, capsys, data_shape, hidden_width, n_freqs):
+    _, config = _tiny_probe_setup(tmp_path)
+    ckpt = tmp_path / "bad.bin"
+    _write_raw_checkpoint(ckpt, data_shape, hidden_width, n_freqs)
+    out = tmp_path / "out"
+    code = main(["probe", "--model", str(ckpt), "--config", str(config), "--out", str(out)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("artifact error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_probe_requires_model(tmp_path, capsys):
     code = main(["probe", "--out", str(tmp_path / "out")])
     assert code == 1
@@ -436,8 +492,9 @@ def test_probe_requires_model(tmp_path, capsys):
 # --- config values -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command, config, manifest_ids", [
-    ("train", {}, ["a", "a"]),
+@pytest.mark.parametrize("command, config, manifest_rows", [
+    ("train", {}, [{"id": "a"}, {"id": "a"}]),
+    ("train", {}, [{"id": "a", "payload": 5}, {"id": "b"}]),
     ("train", {"steps": 2.5}, None),
     ("train", {"baseline": "no"}, None),
     ("sample-stats", {"kappa_base": "abc"}, None),
@@ -466,7 +523,7 @@ def test_probe_requires_model(tmp_path, capsys):
     ("sample-stats", {"n_draws": 0}, None),
     ("train", b'{"steps": "\xff"}', None),
     ("train", {"noise_level": -0.5}, None),
-], ids=["duplicate-ids", "float-steps", "string-baseline", "string-kappa",
+], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
         "no-degradations", "negative-degradation-seed", "inverted-speed-range",
@@ -475,13 +532,12 @@ def test_probe_requires_model(tmp_path, capsys):
         "other-command-key", "unknown-samples-key", "unknown-degradation-key",
         "degradation-without-kind", "zero-draws", "non-utf8", "negative-noise-level"])
 def test_bad_config_or_manifest_is_one_line_data_error(
-        tmp_path, capsys, command, config, manifest_ids):
+        tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
-    if manifest_ids is not None:
-        _write_lines(manifest, [{"id": rid, "mq": 2.0 + i, "vq": 2.0,
-                                 "payload": _synth_ref(1.0, i)}
-                                for i, rid in enumerate(manifest_ids)])
-        with pytest.raises(DataError, match="duplicate"):
+    if manifest_rows is not None:
+        _write_lines(manifest, [{"mq": 2.0 + i, "vq": 2.0, "payload": _synth_ref(1.0, i),
+                                 **row} for i, row in enumerate(manifest_rows)])
+        with pytest.raises(DataError, match="duplicate|payload"):
             read_manifest(manifest)
     ckpt, probe_config = _tiny_probe_setup(tmp_path)
     if command == "probe":

@@ -17,6 +17,7 @@ from tqd.trainer import (
     adam_update,
     final_loss,
     grad_at_timestep,
+    gradient_distances,
     load_checkpoint,
     loss_and_grad,
     param_count,
@@ -274,6 +275,28 @@ def test_grad_at_timestep_validates_arguments():
         grad_at_timestep(model, x0, 0.5, noise_seed=0, n_noise=0)
     with pytest.raises(DataError, match="does not match"):
         grad_at_timestep(model, ToyVideo(np.zeros((2, 2, 2))), 0.5, noise_seed=0, n_noise=4)
+    # the probe's Gram path keeps the same checks, on the video and each copy
+    with pytest.raises(DataError, match="open interval"):
+        gradient_distances(model, x0, [x0], 0.0, noise_seed=0, n_noise=4)
+    with pytest.raises(DataError, match="open interval"):
+        gradient_distances(model, x0, [x0], 1.0, noise_seed=0, n_noise=4)
+    with pytest.raises(DataError, match="n_noise"):
+        gradient_distances(model, x0, [x0], 0.5, noise_seed=0, n_noise=0)
+    with pytest.raises(DataError, match="does not match"):
+        gradient_distances(model, x0, [ToyVideo(np.zeros((2, 2, 2)))], 0.5,
+                           noise_seed=0, n_noise=4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("layer, name", [(1, "W1"), (3, "W3")])
+def test_non_finite_layer_stops_both_gradient_paths(layer, name):
+    model = VelocityModel.init((1, 2, 2), seed=0, hidden_width=4, zero_final=False)
+    model.views()[name][0, 0] = np.inf
+    x0 = ToyVideo(np.ones((1, 2, 2)))
+    with pytest.raises(NumericError, match=f"layer {layer}"):
+        grad_at_timestep(model, x0, 0.5, noise_seed=0, n_noise=2)
+    with pytest.raises(NumericError, match=f"layer {layer}"):
+        gradient_distances(model, x0, [x0], 0.5, noise_seed=0, n_noise=2)
 
 
 # --- optimizer ----------------------------------------------------------------
