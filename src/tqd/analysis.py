@@ -28,6 +28,9 @@ from .quality import (
 from .sampler import SamplerConfig, TqdSampler, bin_masses, compute_mu
 from .synth import DegradationSpec, ToyVideo, degrade
 from .trainer import TrainerConfig, VelocityModel, final_loss, gradient_distances, train
+# the per-copy reference path, kept under this module's name because the
+# benchmark (bench/) reads it here
+from .trainer import grad_at_timestep  # noqa: F401
 
 # gradient_probe's default timestep grid and noise draws per gradient
 PROBE_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))

@@ -145,7 +145,7 @@ def _load_params(config_path, command: str) -> dict:
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, an over-long int
             raise DataError(f"malformed config file {config_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"config file {config_path} must hold a JSON object")
@@ -203,7 +203,11 @@ def _typed(key: str, value, kind: type):
     mismatch is bad data (exit 3).
     """
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DataError(f"config key {key} must be a finite number, "
+                            "got an integer too large for a float") from None
     if type(value) is not kind:
         raise DataError(f"config key {key} must be {_KIND_NAMES[kind]}, got {value!r}")
     if kind is float and not math.isfinite(value):

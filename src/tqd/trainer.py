@@ -121,10 +121,7 @@ class VelocityModel:
         False so every layer sits on a live gradient path.
         """
         data_shape = tuple(int(d) for d in data_shape)
-        if len(data_shape) != 3 or any(d < 1 for d in data_shape):
-            raise DataError(f"data_shape must be three positive dims, got {data_shape}")
-        if hidden_width < 1 or n_freqs < 1:
-            raise DataError("hidden_width and n_freqs must be >= 1")
+        _check_architecture(data_shape, hidden_width, n_freqs)
         data_dim = int(np.prod(data_shape))
         in_dim = data_dim + 2 * n_freqs
         layout, total = _param_layout(in_dim, hidden_width, data_dim)
@@ -139,6 +136,14 @@ class VelocityModel:
             views["W3"][...] = rng.normal(0.0, 1.0 / np.sqrt(hidden_width),
                                           size=views["W3"].shape)
         return model
+
+
+def _check_architecture(data_shape: tuple, hidden_width: int, n_freqs: int) -> None:
+    if len(data_shape) != 3 or any(d < 1 for d in data_shape):
+        raise DataError(f"data_shape must be three positive dims, got {data_shape}")
+    if hidden_width < 1 or n_freqs < 1:
+        raise DataError(f"hidden_width and n_freqs must be >= 1, got {hidden_width} "
+                        f"and {n_freqs}")
 
 
 def _check_finite(arr: np.ndarray, layer: int, name: str) -> None:
@@ -545,11 +550,10 @@ def load_checkpoint(path) -> tuple:
         n_freqs = int(header["n_freqs"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint header in {path}: {exc}") from exc
-    if len(data_shape) != 3 or min(data_shape) < 1 or hidden_width < 1 or n_freqs < 1:
-        raise CheckpointError(
-            f"checkpoint {path} header has no valid architecture: data_shape "
-            f"{list(data_shape)}, hidden_width {hidden_width}, n_freqs {n_freqs} "
-            f"(three dims >= 1, widths >= 1)")
+    try:
+        _check_architecture(data_shape, hidden_width, n_freqs)
+    except DataError as exc:
+        raise CheckpointError(f"checkpoint {path} header: {exc}") from exc
     expected = param_count(int(np.prod(data_shape)), hidden_width, n_freqs)
     body = raw[8 + hlen:]
     if len(body) != 8 * expected:

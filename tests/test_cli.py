@@ -93,7 +93,9 @@ def test_curate_non_finite_threshold_flag_is_usage_error(tmp_path, capsys, value
 
 
 @pytest.mark.parametrize("key, literal", [("mq_threshold", "NaN"),
-                                          ("vq_threshold", "Infinity")])
+                                          ("vq_threshold", "Infinity"),
+                                          ("mq_threshold", "1" + "0" * 400)],
+                         ids=["nan", "infinity", "overflowing-int"])
 def test_curate_non_finite_threshold_config_is_data_error(tmp_path, capsys, key, literal):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
     config = tmp_path / "curate.json"
@@ -523,6 +525,7 @@ def test_probe_requires_model(tmp_path, capsys):
     ("sample-stats", {"n_draws": 0}, None),
     ("train", b'{"steps": "\xff"}', None),
     ("train", {"noise_level": -0.5}, None),
+    ("train", '{"steps": 1' + "0" * 5000 + "}", None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
@@ -530,7 +533,8 @@ def test_probe_requires_model(tmp_path, capsys):
         "zero-frames", "t-grid-out-of-range", "too-few-draws", "zero-n-noise",
         "one-level-compression", "shuffle-fraction-two", "unknown-key",
         "other-command-key", "unknown-samples-key", "unknown-degradation-key",
-        "degradation-without-kind", "zero-draws", "non-utf8", "negative-noise-level"])
+        "degradation-without-kind", "zero-draws", "non-utf8", "negative-noise-level",
+        "over-long-int"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
