@@ -58,6 +58,7 @@ from .trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
+    training_set,
     write_training_log,
 )
 
@@ -381,9 +382,10 @@ def cmd_train(args) -> int:
         if rec.payload_ref is None:
             raise DataError(f"record {rec.id!r} has no payload reference")
         dataset.append((rec, resolve_payload(rec.payload_ref, base_dir=base_dir)))
+    data = training_set(dataset)
 
     run_dir, run_id = _start_run("train", args.out, params, {"manifest": str(manifest)})
-    state = train(dataset, sampler_cfg, trainer_cfg)
+    state = train(data, sampler_cfg, trainer_cfg)
     save_checkpoint(state.model, run_dir / "checkpoint.bin", step=state.step,
                     seed=trainer_cfg.seed)
     write_training_log(state, run_dir / "training_log.csv")

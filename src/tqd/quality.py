@@ -242,11 +242,13 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
     """Read a JSON-lines score manifest.
 
     One object per line with keys `id` (string), `mq` (number), `vq`
-    (number) and optional `payload` (string).
+    (number) and optional `payload` (string). The JSON types must match
+    exactly: true is not a number and "2.5" is not one either.
 
     Raises DataError on bytes that are not UTF-8, naming the line number
-    on malformed lines and the record id on a payload that is not a
-    string or null, on non-finite scores or on an id seen before.
+    on malformed lines and on values of the wrong JSON type, and the
+    record id on a payload that is not a string or null, on non-finite
+    scores or on an id seen before.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -261,14 +263,21 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
             continue
         try:
             obj = json.loads(line)
-            rec = QualityRecord(
-                id=str(obj["id"]),
-                mq_raw=float(obj["mq"]),
-                vq_raw=float(obj["vq"]),
-                payload_ref=obj.get("payload"),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            rec_id, mq, vq = obj["id"], obj["mq"], obj["vq"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
+        if type(rec_id) is not str:
+            raise DataError(f"id must be a JSON string, got {rec_id!r} (line {lineno})")
+        for key, value in (("mq", mq), ("vq", vq)):
+            # bool is an int subclass, so the types are compared exactly
+            if type(value) not in (int, float):
+                raise DataError(f"{key} of record {rec_id!r} must be a JSON number, "
+                                f"got {value!r} (line {lineno})")
+        try:
+            rec = QualityRecord(id=rec_id, mq_raw=float(mq), vq_raw=float(vq),
+                                payload_ref=obj.get("payload"))
+        except OverflowError as exc:
+            raise DataError(f"non-finite score on record {rec_id!r} (line {lineno})") from exc
         if not isinstance(rec.payload_ref, (str, type(None))):
             raise DataError(f"payload of record {rec.id!r} must be a string or null, "
                             f"got {rec.payload_ref!r} (line {lineno})")

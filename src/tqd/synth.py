@@ -215,7 +215,9 @@ def write_video(video: ToyVideo, path: str | Path) -> None:
 
 
 def read_video(path: str | Path) -> ToyVideo:
-    """Read the flat binary format back (pixels land as float64)."""
+    """Read the flat binary format back (pixels land as float64), with
+    the JSON object of its `.json` meta sidecar when there is one.
+    DataError on a malformed file or sidecar."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:4] != VIDEO_MAGIC:
@@ -226,7 +228,15 @@ def read_video(path: str | Path) -> ToyVideo:
         raise DataError(f"truncated toy-video file {path}: {len(raw)} bytes, expected {expected}")
     frames = np.frombuffer(raw[16:], dtype="<f4").reshape(f, h, w).astype(np.float64)
     meta_path = Path(str(path) + ".json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+    meta = {}
+    if meta_path.exists():
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"video meta {meta_path} is not JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"video meta {meta_path} must hold a JSON object, "
+                            f"got {type(meta).__name__}")
     return ToyVideo(frames=frames, meta=meta)
 
 

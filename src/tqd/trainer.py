@@ -338,6 +338,8 @@ def gradient_distances(model: VelocityModel, video: ToyVideo, copies, t: float,
     for a, b in ((a1, d_z2), (a2, d_out)):
         da = a[0] - a[1:]
         sq += _layer_sq_dists(_gram(da, da), _gram(da, a[1:]), _gram(a[1:], a[1:]), b)
+    if not np.all(np.isfinite(sq)):
+        raise NumericError("non-finite gradient distance")
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -427,17 +429,21 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
         theta[lo:hi] -= a
 
 
-def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig) -> TrainState:
-    """Run the full quality-aware loop and return the final state.
+@dataclass(frozen=True)
+class TrainingSet:
+    """Checked training data, built by training_set: the records, and
+    their videos stacked so that row i of `videos` is records[i]'s flat
+    video, all of shape data_shape."""
 
-    dataset is a list of (QualityRecord, ToyVideo) pairs; records must
-    be normalized. Each step prepares a batch through the quality-aware
-    sampler (or, with trainer_config.baseline, the uniform arm that
-    skips dropout and forces the flat timestep law), draws fresh noise
-    endpoints, and applies one optimizer update. Deterministic given
-    trainer_config.seed; the sampler config's own seed is not consulted
-    here.
-    """
+    records: list
+    videos: np.ndarray
+    data_shape: tuple
+
+
+def training_set(dataset) -> TrainingSet:
+    """Check a list of (QualityRecord, ToyVideo) pairs and stack the
+    videos. DataError on an empty list, an entry that is not a
+    QualityRecord, or videos of different shapes."""
     if not dataset:
         raise DataError("dataset is empty")
     records = []
@@ -449,13 +455,27 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
         if shape != data_shape:
             raise DataError(f"video shape mismatch: {rec.id} has {shape}, expected {data_shape}")
         records.append(rec)
-    # row i is records[i]'s video; batches gather rows by index
-    x_all = np.stack([video.flat() for _, video in dataset])
+    return TrainingSet(records, np.stack([video.flat() for _, video in dataset]), data_shape)
 
-    sampler = TqdSampler(records, sampler_config)
+
+def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig) -> TrainState:
+    """Run the full quality-aware loop and return the final state.
+
+    dataset is a list of (QualityRecord, ToyVideo) pairs, checked by
+    training_set, or the TrainingSet it returns; records must be
+    normalized. Each step prepares a batch through the quality-aware
+    sampler (or, with trainer_config.baseline, the uniform arm that
+    skips dropout and forces the flat timestep law), draws fresh noise
+    endpoints, and applies one optimizer update. Deterministic given
+    trainer_config.seed; the sampler config's own seed is not consulted
+    here. A non-finite loss or parameter is NumericError; numpy's own
+    overflow warnings are silenced, so that error is the one report.
+    """
+    data = dataset if isinstance(dataset, TrainingSet) else training_set(dataset)
+    sampler = TqdSampler(data.records, sampler_config)
     seed_seq = np.random.SeedSequence(trainer_config.seed)
     model_seed, loop_seed = seed_seq.spawn(2)
-    model = VelocityModel.init(data_shape, seed=model_seed,
+    model = VelocityModel.init(data.data_shape, seed=model_seed,
                                hidden_width=trainer_config.hidden_width)
     rng = np.random.default_rng(loop_seed)
 
@@ -465,22 +485,23 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
         v=np.zeros_like(model.theta),
         step=0,
     )
-    for i in range(1, trainer_config.steps + 1):
-        batch = sampler.prepare_batch(sampler_config.batch_size, rng,
-                                      baseline=trainer_config.baseline)
-        x0 = x_all[batch.indices]
-        t_arr = batch.timesteps
-        x1 = rng.standard_normal(x0.shape)
-        loss, grad = loss_and_grad(model, x0, x1, t_arr)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at step {i}")
-        adam_update(model.theta, grad, state.m, state.v, i, trainer_config.learning_rate)
-        if not np.all(np.isfinite(model.theta)):
-            raise NumericError(f"non-finite parameters after update at step {i}")
-        state.step = i
-        state.loss_history.append(loss)
-        state.mean_t_history.append(float(np.mean(t_arr)))
-        state.acceptance_history.append(batch.acceptance_rate)
+    with np.errstate(all="ignore"):
+        for i in range(1, trainer_config.steps + 1):
+            batch = sampler.prepare_batch(sampler_config.batch_size, rng,
+                                          baseline=trainer_config.baseline)
+            x0 = data.videos[batch.indices]
+            t_arr = batch.timesteps
+            x1 = rng.standard_normal(x0.shape)
+            loss, grad = loss_and_grad(model, x0, x1, t_arr)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at step {i}")
+            adam_update(model.theta, grad, state.m, state.v, i, trainer_config.learning_rate)
+            if not np.all(np.isfinite(model.theta)):
+                raise NumericError(f"non-finite parameters after update at step {i}")
+            state.step = i
+            state.loss_history.append(loss)
+            state.mean_t_history.append(float(np.mean(t_arr)))
+            state.acceptance_history.append(batch.acceptance_rate)
     return state
 
 

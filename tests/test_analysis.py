@@ -3,10 +3,13 @@ robustness sweep, and quadrant reporting."""
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 from scipy.special import betainc
 
 from tqd.analysis import (
+    _KS_STRIDE,
     _derived_seed,
+    _ks_statistic,
     PROBE_N_NOISE,
     GradientProbeCurve,
     HistogramReport,
@@ -21,7 +24,7 @@ from tqd.analysis import (
 )
 from tqd.errors import DataError
 from tqd.quality import QualityRecord, normalize_scores, synth_population
-from tqd.sampler import SamplerConfig, TqdSampler, make_law
+from tqd.sampler import MIN_SHAPE, SamplerConfig, TimestepLaw, TqdSampler, make_law
 from tqd.synth import DegradationSpec, degrade, generate_moving_shape
 from tqd.trainer import (
     TrainerConfig,
@@ -239,6 +242,97 @@ def test_clamped_extreme_law_keeps_censored_ks_small():
     report = timestep_histogram(TqdSampler([rec], SamplerConfig(seed=3)), n_draws=5000,
                                 n_bins=20)
     assert report.ks_stat < 0.05
+
+
+def _full_loop_ks(t, laws, weights):
+    """The KS statistic the unpruned way, with the mixture CDF at every
+    distinct draw. Returns it and the index of the distinct draw where
+    the largest gap sits."""
+    eps = float(np.finfo(np.float64).eps)
+    vals, counts = np.unique(np.sort(t), return_counts=True)
+    cum = np.cumsum(counts)
+    n = len(t)
+    cdf = np.zeros_like(vals)
+    for law, w in zip(laws, weights):
+        cdf += w * betainc(law.alpha, law.beta, np.clip(vals, 0.0, 1.0))
+    post_jump = cdf.copy()
+    post_jump[vals >= 1.0 - eps] = 1.0
+    left_limit = cdf.copy()
+    left_limit[vals <= eps] = 0.0
+    d_post = np.abs(cum / n - post_jump)
+    d_pre = np.abs((cum - counts) / n - left_limit)
+    return float(max(d_post.max(), d_pre.max())), int(np.argmax(np.maximum(d_post, d_pre)))
+
+
+def _sampler_draws(sampler, n_draws):
+    """The draws timestep_histogram takes: whole batches from the
+    sampler's seed, cut to n_draws."""
+    rng = np.random.default_rng(sampler.config.seed)
+    draws = []
+    while len(draws) < n_draws:
+        draws.extend(sampler.prepare_batch(sampler.config.batch_size, rng).timesteps.tolist())
+    return np.array(draws[:n_draws])
+
+
+def _population_sampler(n_records, seed=0):
+    records, _ = normalize_scores(synth_population(n_records, -0.22, seed=17))
+    return TqdSampler(records, SamplerConfig(seed=seed))
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@pytest.mark.parametrize("case", ["clamped-both-atoms", "uniform", "max-between-anchors"])
+def test_histogram_ks_matches_full_loop(case):
+    if case == "clamped-both-atoms":
+        # mu of 1 and of 0 clamp one shape each to MIN_SHAPE
+        records = [_norm_record("hi", 1.0, 0.0), _norm_record("lo", 0.0, 1.0)]
+        sampler, n_draws = TqdSampler(records, SamplerConfig(seed=3)), 5000
+    elif case == "uniform":
+        sampler, n_draws = TqdSampler([_norm_record("u", 0.5, 0.5)], SamplerConfig(seed=3)), 2000
+    else:
+        sampler, n_draws = _population_sampler(40), 3000
+    t = _sampler_draws(sampler, n_draws)
+    expected, where = _full_loop_ks(t, sampler.laws, sampler.retention / sampler.retention.sum())
+    assert timestep_histogram(sampler, n_draws).ks_stat == expected
+    if case == "clamped-both-atoms":
+        assert t.min() == _EPS and t.max() == 1.0 - _EPS
+    elif case == "max-between-anchors":
+        assert where % _KS_STRIDE != 0 and where != len(np.unique(t)) - 1
+
+
+@pytest.mark.parametrize("case", ["fewer-than-stride", "many-ties", "atoms-below-clip",
+                                  "tie-after-deficit", "tie-before-surplus"])
+def test_pruned_ks_matches_full_loop_on_other_draws(case):
+    # draws the sampler does not produce: heavy ties, values below the clip
+    # that make the bottom atom span many distinct draws, and a tie that
+    # carries the largest gap next to a long deficit or surplus, so that
+    # only one of its two one-sided bounds reaches it
+    sampler = _population_sampler(5, seed=4)
+    laws, weights = sampler.laws, sampler.retention / sampler.retention.sum()
+    t = _sampler_draws(sampler, 5000)
+    quantiles = (np.arange(len(t)) + 0.5) / len(t)
+    if case == "fewer-than-stride":
+        t = np.round(t, 1)
+        assert len(np.unique(t)) < _KS_STRIDE
+    elif case == "many-ties":
+        t = np.round(t, 2)
+    elif case == "atoms-below-clip":
+        # a MIN_SHAPE Beta law's quantiles, unclipped: some 8% lie below eps
+        laws, weights = [TimestepLaw(mu=0.5, kappa=0.1, alpha=MIN_SHAPE, beta=MIN_SHAPE)], [1.0]
+        t = scipy_stats.beta.ppf(quantiles, MIN_SHAPE, MIN_SHAPE)
+        assert np.sum(np.unique(t) <= _EPS) > _KS_STRIDE
+    else:
+        # Beta(2, 3) quantiles with every other one of 1000..2999 moved onto
+        # quantile 3000 (a deficit) or onto quantile 1000 (a surplus); the
+        # tie is distinct draw 2000 or 1000, not an anchor
+        laws, weights = [TimestepLaw(mu=0.4, kappa=5.0, alpha=2.0, beta=3.0)], [1.0]
+        t = scipy_stats.beta.ppf(quantiles, 2.0, 3.0)
+        if case == "tie-after-deficit":
+            t[1000:3000:2] = t[3000]
+        else:
+            t[1001:3000:2] = t[1000]
+    assert _ks_statistic(t, laws, weights) == _full_loop_ks(t, laws, weights)[0]
 
 
 def test_histogram_validates_arguments():

@@ -351,6 +351,31 @@ def test_train_missing_payload_is_data_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["mixed-shapes", "meta-not-json", "meta-not-object"])
+def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case):
+    video = generate_moving_shape(motion_speed=1.0, texture_noise=0.02, seed=9,
+                                  frames=2, height=5, width=5)
+    write_video(video, tmp_path / "clip.tvid")
+    second = _synth_ref(1.5, 5)
+    if case == "mixed-shapes":
+        second = second.replace("frames=2", "frames=3")
+    else:
+        (tmp_path / "clip.tvid.json").write_text("{not json" if case == "meta-not-json"
+                                                 else "[1, 2]")
+    manifest = tmp_path / "scores.jsonl"
+    _write_lines(manifest, [
+        {"id": "file", "mq": 2.0, "vq": 2.1, "payload": "clip.tvid"},
+        {"id": "synth", "mq": 2.2, "vq": 2.0, "payload": second},
+    ])
+    out = tmp_path / "out"
+    code = main(["train", "--manifest", str(manifest), "--out", str(out), "--steps", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert ("shape mismatch" if case == "mixed-shapes" else "clip.tvid.json") in err
+    assert not out.exists()
+
+
 def test_train_rejects_negative_flags(tmp_path, capsys):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
     assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
@@ -561,6 +586,46 @@ def test_bad_config_or_manifest_is_one_line_data_error(
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     # every check runs before the run directory is made
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["diverging-train", "overflowing-W2", "overflowing-W3"])
+def test_numeric_failure_is_one_stderr_line(tmp_path, case):
+    # a subprocess, so that numpy's RuntimeWarnings would reach the
+    # captured stderr
+    if case == "diverging-train":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"learning_rate": 1e300}))
+        args = ["train", "--manifest", str(_quadrant_manifest(tmp_path / "scores.jsonl")),
+                "--config", str(config), "--steps", "5"]
+    else:
+        ckpt, config = _tiny_probe_setup(tmp_path, strength=1.0)
+        model, _ = load_checkpoint(ckpt)
+        layer, value = ("W2", 1e308) if case == "overflowing-W2" else ("W3", 1e150)
+        model.views()[layer][...] = value
+        save_checkpoint(model, ckpt, step=42)
+        args = ["probe", "--model", str(ckpt), "--config", str(config)]
+    res = subprocess.run([sys.executable, "-m", "tqd.cli", *args, "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True)
+    assert res.returncode == 4
+    assert res.stderr.startswith("numeric error: ") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("row, key", [
+    ({"id": None}, "id"),
+    ({"id": "a", "mq": True}, "mq"),
+    ({"id": "a", "vq": "2.5"}, "vq"),
+    ({"id": "a", "mq": int("1" + "0" * 400)}, "non-finite"),
+], ids=["null-id", "bool-mq", "string-vq", "overflowing-int-mq"])
+def test_manifest_value_of_wrong_type_is_one_line_data_error(tmp_path, capsys, row, key):
+    manifest = tmp_path / "scores.jsonl"
+    _write_lines(manifest, [{"mq": 2.0, "vq": 2.0, **row}])
+    out = tmp_path / "out"
+    code = main(["curate", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert key in err
     assert not out.exists()
 
 
