@@ -19,6 +19,7 @@ from scipy.special import betainc
 
 from .errors import DataError, NumericError
 from .quality import (
+    QUADRANTS,
     QualityRecord,
     inject_score_noise,
     normalize_scores,
@@ -382,7 +383,7 @@ def quadrant_report(
         f"thresholds: mq > {mq_threshold:.4g}, vq > {vq_threshold:.4g}",
         "quadrant   count  fraction",
     ]
-    for key in ("HMHV", "HMLV", "LMHV", "LMLV"):
+    for key in QUADRANTS:
         lines.append(f"{key:<9} {part.counts[key]:>6}  {part.fractions[key]:.4f}")
     return QuadrantReport(data=data, text="\n".join(lines) + "\n")
 

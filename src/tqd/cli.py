@@ -48,7 +48,6 @@ from .quality import (
     normalize_scores,
     quadrant_of,
     read_manifest,
-    write_sidecar,
 )
 from .sampler import SamplerConfig, TqdSampler
 from .synth import DegradationSpec, generate_moving_shape, resolve_payload
@@ -263,17 +262,14 @@ def cmd_curate(args) -> int:
     if params["vq_threshold"] is None:
         params["vq_threshold"] = float(np.median([r.vq_raw for r in records]))
 
-    _, consts = normalize_scores(records)
     report = quadrant_report(records, params["mq_threshold"], params["vq_threshold"])
 
     run_dir, run_id = _start_run("curate", args.out, params, {"manifest": str(manifest)})
-    sidecar = write_sidecar(consts, manifest)
     (run_dir / "quadrant_report.json").write_text(
         json.dumps(report.data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     (run_dir / "quadrant_report.txt").write_text(report.text, encoding="utf-8")
 
     print(f"run {run_id}: curated {len(records)} records")
-    print(f"normalization sidecar: {sidecar}")
     print(report.text, end="")
     return EXIT_OK
 
@@ -477,7 +473,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tqd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    cur = sub.add_parser("curate", help="normalize scores and report quadrants")
+    cur = sub.add_parser("curate", help="report quadrant occupancy and the MQ/VQ correlation")
     cur.add_argument("--manifest", help="JSONL score manifest")
     cur.add_argument("--config", help="JSON config (flat or echoed resolved config)")
     cur.add_argument("--out", required=True, help="output directory root")

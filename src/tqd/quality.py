@@ -48,11 +48,7 @@ class QualityRecord:
 
 @dataclass(frozen=True)
 class NormalizationConstants:
-    """Min/max constants frozen at normalization time.
-
-    Persisting these next to the manifest lets held-out or streaming
-    records be normalized identically to the training population.
-    """
+    """Min/max constants frozen at normalization time."""
 
     mq_min: float
     mq_max: float
@@ -300,15 +296,3 @@ def write_manifest(records: list[QualityRecord], path: str | Path) -> None:
             if rec.payload_ref is not None:
                 obj["payload"] = rec.payload_ref
             fh.write(json.dumps(obj) + "\n")
-
-
-def sidecar_path(manifest_path: str | Path) -> Path:
-    """Conventional location of the normalization sidecar: next to the manifest."""
-    p = Path(manifest_path)
-    return p.with_name(p.name + ".norm.json")
-
-
-def write_sidecar(consts: NormalizationConstants, manifest_path: str | Path) -> Path:
-    out = sidecar_path(manifest_path)
-    out.write_text(consts.to_json() + "\n", encoding="utf-8")
-    return out

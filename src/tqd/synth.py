@@ -217,16 +217,22 @@ def write_video(video: ToyVideo, path: str | Path) -> None:
 def read_video(path: str | Path) -> ToyVideo:
     """Read the flat binary format back (pixels land as float64), with
     the JSON object of its `.json` meta sidecar when there is one.
-    DataError on a malformed file or sidecar."""
+    DataError on a malformed file or sidecar, a zero dimension or a
+    non-finite pixel."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:4] != VIDEO_MAGIC:
         raise DataError(f"not a toy-video file: {path}")
     f, h, w = struct.unpack("<III", raw[4:16])
+    if 0 in (f, h, w):
+        raise DataError(f"toy-video file {path} has shape ({f}, {h}, {w}), "
+                        f"every dimension must be positive")
     expected = 16 + 4 * f * h * w
     if len(raw) != expected:
         raise DataError(f"truncated toy-video file {path}: {len(raw)} bytes, expected {expected}")
     frames = np.frombuffer(raw[16:], dtype="<f4").reshape(f, h, w).astype(np.float64)
+    if not np.isfinite(frames).all():
+        raise DataError(f"toy-video file {path} holds non-finite pixels")
     meta_path = Path(str(path) + ".json")
     meta = {}
     if meta_path.exists():

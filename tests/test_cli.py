@@ -13,7 +13,7 @@ from scipy import stats as scipy_stats
 from tqd.cli import main
 from tqd.errors import DataError
 from tqd.quality import read_manifest
-from tqd.synth import generate_moving_shape, write_video
+from tqd.synth import ToyVideo, generate_moving_shape, write_video
 from tqd.trainer import VelocityModel, load_checkpoint, param_count, save_checkpoint
 
 
@@ -61,8 +61,8 @@ def test_curate_reports_quadrants(tmp_path, capsys):
         assert report["fractions"][key] == 0.25
     assert (run_dir / "quadrant_report.txt").exists()
     assert (run_dir / "resolved_config.json").exists()
-    # normalization sidecar lands next to the manifest
-    assert (tmp_path / "scores.jsonl.norm.json").exists()
+    # nothing is written outside --out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scores.jsonl"]
 
 
 def test_curate_missing_manifest_is_io_error(tmp_path, capsys):
@@ -351,15 +351,20 @@ def test_train_missing_payload_is_data_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["mixed-shapes", "meta-not-json", "meta-not-object"])
+@pytest.mark.parametrize("case", ["mixed-shapes", "meta-not-json", "meta-not-object",
+                                  "zero-frames", "nan-pixels"])
 def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case):
     video = generate_moving_shape(motion_speed=1.0, texture_noise=0.02, seed=9,
                                   frames=2, height=5, width=5)
+    if case == "zero-frames":
+        video = ToyVideo(np.zeros((0, 5, 5)))
+    elif case == "nan-pixels":
+        video.frames[1, 2, 3] = np.nan
     write_video(video, tmp_path / "clip.tvid")
     second = _synth_ref(1.5, 5)
     if case == "mixed-shapes":
         second = second.replace("frames=2", "frames=3")
-    else:
+    elif case.startswith("meta"):
         (tmp_path / "clip.tvid.json").write_text("{not json" if case == "meta-not-json"
                                                  else "[1, 2]")
     manifest = tmp_path / "scores.jsonl"
@@ -372,7 +377,10 @@ def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
-    assert ("shape mismatch" if case == "mixed-shapes" else "clip.tvid.json") in err
+    expected = {"mixed-shapes": ["shape mismatch"],
+                "zero-frames": ["clip.tvid", "(0, 5, 5)"],
+                "nan-pixels": ["clip.tvid", "non-finite pixels"]}.get(case, ["clip.tvid.json"])
+    assert all(part in err for part in expected)
     assert not out.exists()
 
 
@@ -642,3 +650,12 @@ def test_module_invocation_smoke():
     assert res.returncode == 0
     for name in ("curate", "sample-stats", "train", "probe"):
         assert name in res.stdout
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, tqd; "
+            "print(tqd.__version__); "
+            "print(sorted(m for m in sys.modules if m.startswith('tqd.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["0.1.0", "[]"]

@@ -19,7 +19,6 @@ from tqd.quality import (
     read_manifest,
     synth_population,
     write_manifest,
-    write_sidecar,
 )
 from tqd.errors import DataError
 
@@ -250,13 +249,6 @@ class TestManifestIO:
         path = tmp_path / "scores.jsonl"
         path.write_text('\n{"id": "a", "mq": 1, "vq": 2}\n\n')
         assert len(read_manifest(path)) == 1
-
-    def test_sidecar_round_trip(self, tmp_path):
-        manifest = tmp_path / "scores.jsonl"
-        _, consts = normalize_scores(_records([(1, 1), (4, 2)]))
-        out = write_sidecar(consts, manifest)
-        assert out.name == "scores.jsonl.norm.json"
-        assert NormalizationConstants(**json.loads(out.read_text())) == consts
 
 
 def test_record_is_frozen():
