@@ -75,19 +75,6 @@ class GradientProbeCurve:
         raise DataError(f"no probe point at t={t}")
 
 
-def check_t_grid(t_grid) -> list[float]:
-    """The probe's timestep grid as floats: non-empty, strictly
-    increasing, inside the open interval (0, 1). DataError otherwise."""
-    if not t_grid:
-        raise DataError("t_grid must hold at least one timestep")
-    t_grid = [float(t) for t in t_grid]
-    if any(not 0.0 < t < 1.0 for t in t_grid):
-        raise DataError("t_grid values must lie in the open interval (0, 1)")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise DataError("t_grid must be strictly increasing")
-    return t_grid
-
-
 def gradient_probe(
     model: VelocityModel,
     samples: list[ToyVideo],
@@ -112,7 +99,13 @@ def gradient_probe(
         raise DataError("gradient probe needs at least one sample")
     if not degradations:
         raise DataError("gradient probe needs at least one degradation")
-    t_grid = check_t_grid(t_grid)
+    if not t_grid:
+        raise DataError("t_grid must hold at least one timestep")
+    t_grid = [float(t) for t in t_grid]
+    if any(not 0.0 < t < 1.0 for t in t_grid):
+        raise DataError("t_grid values must lie in the open interval (0, 1)")
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise DataError("t_grid must be strictly increasing")
 
     degraded = [
         [degrade(video, DegradationSpec(spec.kind, spec.strength,

@@ -1,9 +1,10 @@
 """Command-line front door: curate, sample-stats, train, probe.
 
 Every command resolves its full parameter set (config file merged with
-flag overrides) against its one key table, derives a run id from the
-resolved values, and echoes them to out/<run-id>/resolved_config.json
-before doing any work. Feeding that file back through --config
+flag overrides) against its one key table and does its work. Only then
+does it derive a run id from the resolved values and echo them to
+out/<run-id>/resolved_config.json beside its results, so a failed command
+leaves no run directory. Feeding that file back through --config
 reproduces the run bit-exactly.
 
 Exit codes are stable: 0 success, 1 usage, 2 I/O, 3 bad data,
@@ -24,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    MIN_HISTOGRAM_DRAWS,
     PROBE_N_NOISE,
     PROBE_T_GRID,
-    check_t_grid,
     gradient_probe,
     histogram_csv,
     probe_curves_csv,
@@ -57,7 +56,6 @@ from .trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
-    training_set,
     write_training_log,
 )
 
@@ -167,7 +165,7 @@ def _load_params(config_path, command: str) -> dict:
 
 
 def _start_run(command: str, out_dir: str, params: dict, inputs: dict) -> tuple[Path, str]:
-    """Create out/<run-id>/ and echo the resolved config before any work.
+    """Create out/<run-id>/ and echo the resolved config, once the results exist.
 
     The run id hashes the command, its input paths, and the resolved
     parameters, so identical invocations land in the same directory and
@@ -257,12 +255,9 @@ def cmd_curate(args) -> int:
     params = _params(args, _CURATE_KEYS)
     manifest = _require(params.pop("manifest"), "--manifest")
     records = read_manifest(manifest)
-    if params["mq_threshold"] is None:
-        params["mq_threshold"] = float(np.median([r.mq_raw for r in records]))
-    if params["vq_threshold"] is None:
-        params["vq_threshold"] = float(np.median([r.vq_raw for r in records]))
-
     report = quadrant_report(records, params["mq_threshold"], params["vq_threshold"])
+    # echo the thresholds used, a None one being the manifest's median
+    params.update((key, report.data[key]) for key in ("mq_threshold", "vq_threshold"))
 
     run_dir, run_id = _start_run("curate", args.out, params, {"manifest": str(manifest)})
     (run_dir / "quadrant_report.json").write_text(
@@ -280,19 +275,12 @@ def cmd_sample_stats(args) -> int:
     params = _params(args, _SAMPLE_STATS_KEYS)
     manifest = _require(params.pop("manifest"), "--manifest")
     n_draws = params["n_draws"]
-    if n_draws < MIN_HISTOGRAM_DRAWS:
-        raise DataError(f"n_draws must be >= {MIN_HISTOGRAM_DRAWS} for stable "
-                        f"statistics, got {n_draws}")
     config = _build(SamplerConfig, params)
 
     records = read_manifest(manifest)
     normalized, _ = normalize_scores(records)
     sampler = TqdSampler(normalized, config)
-
-    run_dir, run_id = _start_run("sample-stats", args.out, params,
-                                 {"manifest": str(manifest)})
     report = timestep_histogram(sampler, n_draws)
-    (run_dir / "histogram.csv").write_text(histogram_csv(report), encoding="utf-8")
 
     # one row per distinct quality profile, first-appearance order; the
     # law and retention depend on the profile alone, so any member serves
@@ -304,7 +292,6 @@ def cmd_sample_stats(args) -> int:
         law = sampler.laws[i]
         law_lines.append(f"{k},{mq!r},{vq!r},{n_records[mq, vq]},"
                          f"{float(sampler.retention[i])!r},{law.alpha!r},{law.beta!r}")
-    (run_dir / "laws.csv").write_text("\n".join(law_lines) + "\n", encoding="utf-8")
 
     # fixed 1% level: chi-square p-value plus the asymptotic KS bound
     ks_critical = float(1.6276 / np.sqrt(n_draws))
@@ -320,6 +307,12 @@ def cmd_sample_stats(args) -> int:
         "chi_square_pass": chi_ok,
         "ks_pass": ks_ok,
     }
+
+    # a goodness-of-fit miss (exit 4) is reported after its run is written
+    run_dir, run_id = _start_run("sample-stats", args.out, params,
+                                 {"manifest": str(manifest)})
+    (run_dir / "histogram.csv").write_text(histogram_csv(report), encoding="utf-8")
+    (run_dir / "laws.csv").write_text("\n".join(law_lines) + "\n", encoding="utf-8")
     (run_dir / "stats.json").write_text(
         json.dumps(stats_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -378,10 +371,9 @@ def cmd_train(args) -> int:
         if rec.payload_ref is None:
             raise DataError(f"record {rec.id!r} has no payload reference")
         dataset.append((rec, resolve_payload(rec.payload_ref, base_dir=base_dir)))
-    data = training_set(dataset)
+    state = train(dataset, sampler_cfg, trainer_cfg)
 
     run_dir, run_id = _start_run("train", args.out, params, {"manifest": str(manifest)})
-    state = train(data, sampler_cfg, trainer_cfg)
     save_checkpoint(state.model, run_dir / "checkpoint.bin", step=state.step,
                     seed=trainer_cfg.seed)
     write_training_log(state, run_dir / "training_log.csv")
@@ -428,17 +420,11 @@ def cmd_probe(args) -> int:
     seed = params["seed"]
     if seed < 0:
         raise DataError(f"config key seed must be >= 0, got {seed}")
-    t_grid = params["t_grid"] = check_t_grid([_typed("t_grid", t, float)
-                                              for t in params["t_grid"]])
-    n_noise = params["n_noise"]
-    if n_noise < 1:
-        raise DataError(f"config key n_noise must be >= 1, got {n_noise}")
+    t_grid = params["t_grid"] = [_typed("t_grid", t, float) for t in params["t_grid"]]
     params["degradations"] = [
         _resolve(_typed("degradations", d, dict), _DEGRADATION_KEYS, "degradations.")
         for d in params["degradations"]]
     degradations = [DegradationSpec(**d) for d in params["degradations"]]
-    if not degradations:
-        raise DataError("gradient probe needs at least one degradation")
     params["samples"] = _resolve(params["samples"], _PROBE_SAMPLE_KEYS, "samples.")
 
     model, header = load_checkpoint(model_path)
@@ -448,11 +434,10 @@ def cmd_probe(args) -> int:
         raise CheckpointError(
             f"checkpoint {model_path} expects data shape {model.data_shape}, "
             f"probe samples have {shape}")
+    curves = gradient_probe(model, videos, degradations, t_grid=t_grid,
+                            n_noise=params["n_noise"], noise_seed=seed)
 
     run_dir, run_id = _start_run("probe", args.out, params, {"model": str(model_path)})
-
-    curves = gradient_probe(model, videos, degradations, t_grid=t_grid,
-                            n_noise=n_noise, noise_seed=seed)
     for i, curve in enumerate(curves):
         out_path = run_dir / f"probe_{i:02d}_{curve.kind}.csv"
         out_path.write_text(probe_curves_csv([curve]), encoding="utf-8")

@@ -429,21 +429,18 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
         theta[lo:hi] -= a
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """Checked training data, built by training_set: the records, and
-    their videos stacked so that row i of `videos` is records[i]'s flat
-    video, all of shape data_shape."""
+def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig) -> TrainState:
+    """Run the full quality-aware loop and return the final state.
 
-    records: list
-    videos: np.ndarray
-    data_shape: tuple
-
-
-def training_set(dataset) -> TrainingSet:
-    """Check a list of (QualityRecord, ToyVideo) pairs and stack the
-    videos. DataError on an empty list, an entry that is not a
-    QualityRecord, or videos of different shapes."""
+    dataset is a list of (QualityRecord, ToyVideo) pairs; records must
+    be normalized. Each step prepares a batch through the quality-aware
+    sampler (or, with trainer_config.baseline, the uniform arm that
+    skips dropout and forces the flat timestep law), draws fresh noise
+    endpoints, and applies one optimizer update. Deterministic given
+    trainer_config.seed; the sampler config's own seed is not consulted
+    here. A non-finite loss or parameter is NumericError; numpy's own
+    overflow warnings are silenced, so that error is the one report.
+    """
     if not dataset:
         raise DataError("dataset is empty")
     records = []
@@ -455,27 +452,13 @@ def training_set(dataset) -> TrainingSet:
         if shape != data_shape:
             raise DataError(f"video shape mismatch: {rec.id} has {shape}, expected {data_shape}")
         records.append(rec)
-    return TrainingSet(records, np.stack([video.flat() for _, video in dataset]), data_shape)
+    # row i is records[i]'s video; batches gather rows by index
+    x_all = np.stack([video.flat() for _, video in dataset])
 
-
-def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig) -> TrainState:
-    """Run the full quality-aware loop and return the final state.
-
-    dataset is a list of (QualityRecord, ToyVideo) pairs, checked by
-    training_set, or the TrainingSet it returns; records must be
-    normalized. Each step prepares a batch through the quality-aware
-    sampler (or, with trainer_config.baseline, the uniform arm that
-    skips dropout and forces the flat timestep law), draws fresh noise
-    endpoints, and applies one optimizer update. Deterministic given
-    trainer_config.seed; the sampler config's own seed is not consulted
-    here. A non-finite loss or parameter is NumericError; numpy's own
-    overflow warnings are silenced, so that error is the one report.
-    """
-    data = dataset if isinstance(dataset, TrainingSet) else training_set(dataset)
-    sampler = TqdSampler(data.records, sampler_config)
+    sampler = TqdSampler(records, sampler_config)
     seed_seq = np.random.SeedSequence(trainer_config.seed)
     model_seed, loop_seed = seed_seq.spawn(2)
-    model = VelocityModel.init(data.data_shape, seed=model_seed,
+    model = VelocityModel.init(data_shape, seed=model_seed,
                                hidden_width=trainer_config.hidden_width)
     rng = np.random.default_rng(loop_seed)
 
@@ -489,7 +472,7 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
         for i in range(1, trainer_config.steps + 1):
             batch = sampler.prepare_batch(sampler_config.batch_size, rng,
                                           baseline=trainer_config.baseline)
-            x0 = data.videos[batch.indices]
+            x0 = x_all[batch.indices]
             t_arr = batch.timesteps
             x1 = rng.standard_normal(x0.shape)
             loss, grad = loss_and_grad(model, x0, x1, t_arr)
@@ -551,8 +534,10 @@ def load_checkpoint(path) -> tuple:
     """Read a checkpoint back; returns (model, header).
 
     Raises CheckpointError on bad magic, a malformed header, a header
-    architecture with a data dim, hidden_width or n_freqs below 1, or a
-    parameter payload that disagrees with the header's architecture.
+    data_shape, hidden_width, n_freqs or param_count that is not a JSON
+    integer (a bool is not), an architecture with a data dim,
+    hidden_width or n_freqs below 1, or a parameter payload that
+    disagrees with the header's architecture.
     """
     path = Path(path)
     try:
@@ -566,11 +551,18 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointError(f"truncated checkpoint header in {path}")
     try:
         header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-        data_shape = tuple(int(d) for d in header["data_shape"])
-        hidden_width = int(header["hidden_width"])
-        n_freqs = int(header["n_freqs"])
+        dims = header["data_shape"]
+        hidden_width, n_freqs = header["hidden_width"], header["n_freqs"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint header in {path}: {exc}") from exc
+    if type(dims) is not list or any(type(d) is not int for d in dims):
+        raise CheckpointError(f"checkpoint {path} header data_shape must be a list "
+                              f"of integers, got {dims!r}")
+    for key in ("hidden_width", "n_freqs", "param_count"):
+        if type(header.get(key, 0)) is not int:
+            raise CheckpointError(f"checkpoint {path} header {key} must be an integer, "
+                                  f"got {header[key]!r}")
+    data_shape = tuple(dims)
     try:
         _check_architecture(data_shape, hidden_width, n_freqs)
     except DataError as exc:
@@ -584,7 +576,7 @@ def load_checkpoint(path) -> tuple:
     theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
     model = VelocityModel(data_shape=data_shape, hidden_width=hidden_width,
                           n_freqs=n_freqs, theta=theta)
-    if int(header.get("param_count", expected)) != expected:
+    if header.get("param_count", expected) != expected:
         raise CheckpointError(
             f"checkpoint {path} header param_count {header.get('param_count')} "
             f"does not match architecture ({expected})")

@@ -490,26 +490,35 @@ def test_probe_corrupt_checkpoint_is_artifact_error(tmp_path, capsys):
     assert "not a checkpoint" in capsys.readouterr().err
 
 
-def _write_raw_checkpoint(path, data_shape, hidden_width, n_freqs):
+def _write_raw_checkpoint(path, data_shape, hidden_width, n_freqs, stated=None):
     """A checkpoint whose header states any architecture, with as many
-    zero parameters as that architecture counts."""
+    zero parameters as that architecture counts; stated replaces header
+    values after the count."""
     n_params = param_count(int(np.prod(data_shape)), hidden_width, n_freqs)
     header = json.dumps({"data_shape": data_shape, "hidden_width": hidden_width,
                          "n_freqs": n_freqs, "param_count": n_params, "step": 0,
-                         "seed": None}, sort_keys=True).encode()
+                         "seed": None, **(stated or {})}, sort_keys=True).encode()
     path.write_bytes(b"TQDC" + struct.pack("<I", len(header)) + header
                      + np.zeros(max(n_params, 0)).tobytes())
 
 
-@pytest.mark.parametrize("data_shape, hidden_width, n_freqs", [
-    ([2, 5, 5], 0, 2), ([2, 5, 5], 8, 0), ([2, 0, 5], 8, 2), ([2, 5, 5], -1, 2),
-    ([10, 5], 8, 2),
-], ids=["zero-width", "zero-freqs", "zero-height", "negative-width", "two-dims"])
+@pytest.mark.parametrize("data_shape, hidden_width, n_freqs, stated", [
+    ([2, 5, 5], 0, 2, None), ([2, 5, 5], 8, 0, None), ([2, 0, 5], 8, 2, None),
+    ([2, 5, 5], -1, 2, None), ([10, 5], 8, 2, None),
+    # the parameters fit the architecture that the stated value would be
+    # rounded to, so only the value's JSON type is wrong
+    ([2, 5, 5], 8, 2, {"param_count": "abc"}), ([2, 5, 5], 8, 2, {"param_count": None}),
+    ([2, 5, 5], 8, 2, {"param_count": [1]}), ([2, 5, 5], 8, 2, {"data_shape": [2.7, 5, 5]}),
+    ([2, 5, 5], 8, 2, {"data_shape": "255"}), ([2, 5, 5], 1, 2, {"hidden_width": True}),
+    ([2, 5, 5], 8, 2, {"n_freqs": 2.0}),
+], ids=["zero-width", "zero-freqs", "zero-height", "negative-width", "two-dims",
+        "string-count", "null-count", "list-count", "float-dim", "string-shape",
+        "bool-width", "float-freqs"])
 def test_probe_checkpoint_without_valid_architecture_is_artifact_error(
-        tmp_path, capsys, data_shape, hidden_width, n_freqs):
+        tmp_path, capsys, data_shape, hidden_width, n_freqs, stated):
     _, config = _tiny_probe_setup(tmp_path)
     ckpt = tmp_path / "bad.bin"
-    _write_raw_checkpoint(ckpt, data_shape, hidden_width, n_freqs)
+    _write_raw_checkpoint(ckpt, data_shape, hidden_width, n_freqs, stated)
     out = tmp_path / "out"
     code = main(["probe", "--model", str(ckpt), "--config", str(config), "--out", str(out)])
     assert code == 5
@@ -593,11 +602,12 @@ def test_bad_config_or_manifest_is_one_line_data_error(
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
-    # every check runs before the run directory is made
+    # the run directory is made only once a command has its results
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["diverging-train", "overflowing-W2", "overflowing-W3"])
+@pytest.mark.parametrize("case", ["diverging-train", "overflowing-W2", "overflowing-W3",
+                                  "starved-sampler"])
 def test_numeric_failure_is_one_stderr_line(tmp_path, case):
     # a subprocess, so that numpy's RuntimeWarnings would reach the
     # captured stderr
@@ -606,6 +616,14 @@ def test_numeric_failure_is_one_stderr_line(tmp_path, case):
         config.write_text(json.dumps({"learning_rate": 1e300}))
         args = ["train", "--manifest", str(_quadrant_manifest(tmp_path / "scores.jsonl")),
                 "--config", str(config), "--steps", "5"]
+    elif case == "starved-sampler":
+        # one retainable record among 2000: the rejection loop runs out
+        # of attempts while filling the first batch
+        manifest = tmp_path / "scores.jsonl"
+        ref = "synth:speed=1.0,noise=0.0,seed=0,frames=1,height=3,width=3"
+        _write_lines(manifest, [{"id": f"r{i}", "mq": 1.0 + (i == 0), "vq": 1.0 + (i == 0),
+                                 "payload": ref} for i in range(2000)])
+        args = ["train", "--manifest", str(manifest), "--steps", "5"]
     else:
         ckpt, config = _tiny_probe_setup(tmp_path, strength=1.0)
         model, _ = load_checkpoint(ckpt)
@@ -613,10 +631,15 @@ def test_numeric_failure_is_one_stderr_line(tmp_path, case):
         model.views()[layer][...] = value
         save_checkpoint(model, ckpt, step=42)
         args = ["probe", "--model", str(ckpt), "--config", str(config)]
-    res = subprocess.run([sys.executable, "-m", "tqd.cli", *args, "--out", str(tmp_path / "out")],
+    out = tmp_path / "out"
+    res = subprocess.run([sys.executable, "-m", "tqd.cli", *args, "--out", str(out)],
                          capture_output=True, text=True)
-    assert res.returncode == 4
-    assert res.stderr.startswith("numeric error: ") and res.stderr.count("\n") == 1
+    code, kind = (3, "data") if case == "starved-sampler" else (4, "numeric")
+    assert res.returncode == code
+    assert res.stderr.startswith(f"{kind} error: ") and res.stderr.count("\n") == 1
+    assert case != "starved-sampler" or "cap exhausted" in res.stderr
+    # a failed run leaves no run directory
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, key", [
