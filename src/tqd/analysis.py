@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import betainc
+from scipy.special import betainc, chdtrc
 
 from .errors import DataError, NumericError
 from .quality import (
@@ -269,7 +268,7 @@ def timestep_histogram(
         groups.append((acc_o, acc_e))
     chi_square = float(sum((o - e) ** 2 / e for o, e in groups))
     dof = max(1, len(groups) - 1)
-    pvalue = float(stats.chi2.sf(chi_square, dof))
+    pvalue = float(chdtrc(dof, chi_square))
 
     ks_stat = _ks_statistic(t, sampler.laws, weights)
 

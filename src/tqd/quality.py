@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DataError
 
@@ -82,8 +82,6 @@ class NormalizationConstants:
 class QuadrantPartition:
     """Counts and fractions of records per quality quadrant."""
 
-    mq_threshold: float
-    vq_threshold: float
     counts: dict[str, int]
     fractions: dict[str, float]
 
@@ -94,7 +92,6 @@ class PopulationStats:
 
     pearson_r: float
     p_value: float
-    n: int
 
 
 def _minmax(x: float, lo: float, hi: float) -> float:
@@ -113,7 +110,8 @@ def normalize_scores(
     the same normalization can be applied to held-out data later. When
     all raw values of a metric are equal, every normalized value is 0.5.
 
-    Raises DataError on empty input or any non-finite raw score.
+    Raises DataError on empty input, any non-finite raw score, or a
+    metric whose range max - min overflows a float.
     """
     if not records:
         raise DataError("empty dataset")
@@ -123,6 +121,10 @@ def normalize_scores(
     mq = [r.mq_raw for r in records]
     vq = [r.vq_raw for r in records]
     consts = NormalizationConstants(min(mq), max(mq), min(vq), max(vq))
+    for name, lo, hi in (("mq", consts.mq_min, consts.mq_max),
+                         ("vq", consts.vq_min, consts.vq_max)):
+        if not math.isfinite(hi - lo):
+            raise DataError(f"{name} score range {lo!r} to {hi!r} overflows a float")
     return consts.apply(records), consts
 
 
@@ -150,25 +152,39 @@ def partition_quadrants(
         counts[quadrant_of(rec, mq_threshold, vq_threshold)] += 1
     n = len(records)
     fractions = {k: counts[k] / n for k in QUADRANTS}
-    return QuadrantPartition(mq_threshold, vq_threshold, counts, fractions)
+    return QuadrantPartition(counts, fractions)
 
 
 def pearson_correlation(records: list[QualityRecord]) -> PopulationStats:
     """Sample Pearson r between raw MQ and VQ, with a two-sided p-value.
 
-    The p-value is the standard two-sided test from the t distribution
-    with n-2 degrees of freedom. Requires n >= 3 and nonzero variance in
-    both score sequences.
+    The p-value is the two-sided test of r = 0, under which (r + 1)/2
+    follows Beta(n/2 - 1, n/2 - 1). Each step is scipy.stats.pearsonr's,
+    so both numbers equal its own. DataError unless n >= 3 and both score
+    sequences are non-constant with finite centred norms.
     """
     n = len(records)
     if n < 3:
         raise DataError(f"need at least 3 records to correlate, got {n}")
     mq = np.array([r.mq_raw for r in records])
     vq = np.array([r.vq_raw for r in records])
-    if np.ptp(mq) == 0.0 or np.ptp(vq) == 0.0:
+    if mq.min() == mq.max() or vq.min() == vq.max():
         raise DataError("constant score sequence")
-    r, p = stats.pearsonr(mq, vq)
-    return PopulationStats(float(r), float(p), n)
+    unit = {}
+    with np.errstate(all="ignore"):
+        for name, x in (("mq", mq), ("vq", vq)):
+            xm = x - x.mean()
+            # scale by max|xm| first so the norm does not overflow early
+            xmax = np.abs(xm).max()
+            norm = xmax * np.linalg.norm(xm / xmax, axis=-1)
+            if not math.isfinite(norm):
+                raise DataError(f"{name} scores are too large to correlate: "
+                                f"their mean or norm overflows a float")
+            unit[name] = xm / norm
+    r = float(np.clip(np.dot(unit["mq"], unit["vq"]), -1.0, 1.0))
+    ab = n / 2 - 1
+    p = float(2 * special.betaincc(ab, ab, (abs(r) + 1) / 2))
+    return PopulationStats(r, p)
 
 
 def synth_population(

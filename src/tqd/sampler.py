@@ -245,9 +245,8 @@ class TqdSampler:
         self.retention = np.array([retention_probability(r) for r in self.records])
         self._alpha = np.array([law.alpha for law in self.laws])
         self._beta = np.array([law.beta for law in self.laws])
-        base_shape = max(config.kappa_base / 2.0, MIN_SHAPE)
-        self._baseline_law = TimestepLaw(
-            mu=0.5, kappa=config.kappa_base, alpha=base_shape, beta=base_shape)
+        # the baseline arm's symmetric law Beta(shape, shape)
+        self._baseline_shape = max(config.kappa_base / 2.0, MIN_SHAPE)
 
     def prepare_batch(
         self,
@@ -271,8 +270,7 @@ class TqdSampler:
         n = len(self.records)
         if baseline:
             idx = rng.integers(0, n, batch_size)
-            ts = beta_variates(
-                self._baseline_law.alpha, self._baseline_law.beta, rng, batch_size)
+            ts = beta_variates(self._baseline_shape, self._baseline_shape, rng, batch_size)
             return Batch(self.records, idx, ts, attempts=batch_size, accepted=batch_size)
 
         if not np.any(self.retention > 0.0):

@@ -13,9 +13,8 @@ leaving every frame's pixels intact.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +33,9 @@ BACKGROUND = 0.1
 
 @dataclass
 class ToyVideo:
-    """F x H x W float array in [0, 1] plus generator metadata."""
+    """F x H x W float array in [0, 1]."""
 
     frames: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def flat(self) -> np.ndarray:
         return self.frames.reshape(-1)
@@ -89,9 +87,7 @@ def generate_moving_shape(
 
     The square wraps around the right edge when its trajectory leaves the
     frame (negative speeds move left and wrap the other way). Texture
-    noise is additive Gaussian of the given std, clamped to [0, 1]. meta
-    records the generator parameters plus quality analogs: mq_analog
-    grows with |motion_speed|, vq_analog shrinks as texture_noise grows.
+    noise is additive Gaussian of the given std, clamped to [0, 1].
     frames, height and width must be positive, seed must be >= 0.
     """
     if not np.isfinite(motion_speed):
@@ -116,16 +112,7 @@ def generate_moving_shape(
         # only noisy clips draw, so only they pay for building a generator
         video += np.random.default_rng(seed).normal(0.0, texture_noise, size=video.shape)
     np.clip(video, 0.0, 1.0, out=video)
-    meta = {
-        "motion_speed": motion_speed,
-        "texture_noise": texture_noise,
-        "seed": seed,
-        "shape_size": SHAPE_SIZE,
-        "start_x": start_x,
-        "mq_analog": abs(motion_speed),
-        "vq_analog": 1.0 / (1.0 + texture_noise),
-    }
-    return ToyVideo(frames=video, meta=meta)
+    return ToyVideo(frames=video)
 
 
 def _interval_coverage(start: float, length: float, n: int, wrap: bool) -> np.ndarray:
@@ -190,35 +177,25 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
             out[picked] = frames[picked[perm]]
     else:  # pragma: no cover - DegradationSpec already validates
         raise DataError(f"unknown degradation kind {spec.kind!r}")
-    meta = dict(video.meta)
-    meta.setdefault("degradations", [])
-    meta["degradations"] = meta["degradations"] + [
-        {"kind": spec.kind, "strength": spec.strength, "seed": spec.seed}]
-    return ToyVideo(frames=out, meta=meta)
+    return ToyVideo(frames=out)
 
 
 # --- serialization -----------------------------------------------------------
 
 def write_video(video: ToyVideo, path: str | Path) -> None:
     """Write the flat binary format: TVID magic, F/H/W as u32-LE, then
-    float32-LE pixels in (frame, row, column) order. Non-empty meta goes
-    to a JSON sidecar at <path>.json."""
+    float32-LE pixels in (frame, row, column) order."""
     f, h, w = video.frames.shape
-    path = Path(path)
     with open(path, "wb") as fh:
         fh.write(VIDEO_MAGIC)
         fh.write(struct.pack("<III", f, h, w))
         fh.write(video.frames.astype("<f4").tobytes(order="C"))
-    if video.meta:
-        Path(str(path) + ".json").write_text(
-            json.dumps(video.meta, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_video(path: str | Path) -> ToyVideo:
-    """Read the flat binary format back (pixels land as float64), with
-    the JSON object of its `.json` meta sidecar when there is one.
-    DataError on a malformed file or sidecar, a zero dimension or a
-    non-finite pixel."""
+    """Read the flat binary format back (pixels land as float64).
+    DataError on a malformed file, a zero dimension or a non-finite
+    pixel. A `<path>.json` file next to it is not read."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:4] != VIDEO_MAGIC:
@@ -233,17 +210,7 @@ def read_video(path: str | Path) -> ToyVideo:
     frames = np.frombuffer(raw[16:], dtype="<f4").reshape(f, h, w).astype(np.float64)
     if not np.isfinite(frames).all():
         raise DataError(f"toy-video file {path} holds non-finite pixels")
-    meta_path = Path(str(path) + ".json")
-    meta = {}
-    if meta_path.exists():
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise DataError(f"video meta {meta_path} is not JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise DataError(f"video meta {meta_path} must hold a JSON object, "
-                            f"got {type(meta).__name__}")
-    return ToyVideo(frames=frames, meta=meta)
+    return ToyVideo(frames=frames)
 
 
 # --- payload resolution -------------------------------------------------------

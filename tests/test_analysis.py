@@ -335,6 +335,13 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
     assert _ks_statistic(t, laws, weights) == _full_loop_ks(t, laws, weights)[0]
 
 
+@pytest.mark.parametrize("n_records, n_bins", [(1, 20), (40, 20), (40, 50), (300, 100)])
+def test_histogram_pvalue_matches_scipy_chi2(n_records, n_bins):
+    report = timestep_histogram(_population_sampler(n_records, seed=n_bins), 5000, n_bins)
+    expected = float(scipy_stats.chi2.sf(report.chi_square, report.dof))
+    assert report.chi_square_pvalue == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_histogram_validates_arguments():
     sampler = TqdSampler([_norm_record("r", 0.5, 0.5)], SamplerConfig())
     with pytest.raises(DataError, match="1000"):

@@ -351,8 +351,7 @@ def test_train_missing_payload_is_data_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["mixed-shapes", "meta-not-json", "meta-not-object",
-                                  "zero-frames", "nan-pixels"])
+@pytest.mark.parametrize("case", ["mixed-shapes", "zero-frames", "nan-pixels"])
 def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case):
     video = generate_moving_shape(motion_speed=1.0, texture_noise=0.02, seed=9,
                                   frames=2, height=5, width=5)
@@ -364,9 +363,6 @@ def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case
     second = _synth_ref(1.5, 5)
     if case == "mixed-shapes":
         second = second.replace("frames=2", "frames=3")
-    elif case.startswith("meta"):
-        (tmp_path / "clip.tvid.json").write_text("{not json" if case == "meta-not-json"
-                                                 else "[1, 2]")
     manifest = tmp_path / "scores.jsonl"
     _write_lines(manifest, [
         {"id": "file", "mq": 2.0, "vq": 2.1, "payload": "clip.tvid"},
@@ -379,7 +375,7 @@ def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case
     assert err.startswith("data error: ") and err.count("\n") == 1
     expected = {"mixed-shapes": ["shape mismatch"],
                 "zero-frames": ["clip.tvid", "(0, 5, 5)"],
-                "nan-pixels": ["clip.tvid", "non-finite pixels"]}.get(case, ["clip.tvid.json"])
+                "nan-pixels": ["clip.tvid", "non-finite pixels"]}[case]
     assert all(part in err for part in expected)
     assert not out.exists()
 
@@ -606,11 +602,16 @@ def test_bad_config_or_manifest_is_one_line_data_error(
     assert not out.exists()
 
 
+def _cli(args, out):
+    """Run the CLI in a subprocess, so that numpy's RuntimeWarnings
+    would reach the captured stderr."""
+    return subprocess.run([sys.executable, "-m", "tqd.cli", *args, "--out", str(out)],
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("case", ["diverging-train", "overflowing-W2", "overflowing-W3",
                                   "starved-sampler"])
 def test_numeric_failure_is_one_stderr_line(tmp_path, case):
-    # a subprocess, so that numpy's RuntimeWarnings would reach the
-    # captured stderr
     if case == "diverging-train":
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"learning_rate": 1e300}))
@@ -632,13 +633,41 @@ def test_numeric_failure_is_one_stderr_line(tmp_path, case):
         save_checkpoint(model, ckpt, step=42)
         args = ["probe", "--model", str(ckpt), "--config", str(config)]
     out = tmp_path / "out"
-    res = subprocess.run([sys.executable, "-m", "tqd.cli", *args, "--out", str(out)],
-                         capture_output=True, text=True)
+    res = _cli(args, out)
     code, kind = (3, "data") if case == "starved-sampler" else (4, "numeric")
     assert res.returncode == code
     assert res.stderr.startswith(f"{kind} error: ") and res.stderr.count("\n") == 1
     assert case != "starved-sampler" or "cap exhausted" in res.stderr
     # a failed run leaves no run directory
+    assert not out.exists()
+
+
+def test_curate_on_opposite_extreme_scores_is_silent_and_matches_scipy(tmp_path):
+    # max - min of mq overflows; the mean and the norms do not
+    manifest = tmp_path / "scores.jsonl"
+    pairs = [(1e308, 1.0), (-1e308, 2.0), (0.0, 3.0)]
+    _write_lines(manifest, [{"id": f"r{i}", "mq": mq, "vq": vq}
+                            for i, (mq, vq) in enumerate(pairs)])
+    res = _cli(["curate", "--manifest", str(manifest)], tmp_path / "out")
+    assert res.returncode == 0 and res.stderr == ""
+    (run_dir,) = _run_dirs(tmp_path / "out")
+    report = json.loads((run_dir / "quadrant_report.json").read_text())
+    ref = scipy_stats.pearsonr(*np.array(pairs).T)
+    assert (report["pearson_r"], report["p_value"]) == (ref.statistic, ref.pvalue)
+
+
+@pytest.mark.parametrize("command, mq, expected", [
+    ("curate", [1e308, 1e308, 0.0], "mq scores are too large"),
+    ("sample-stats", [1e308, -1e308, 0.0], "mq score range"),
+], ids=["curate-mean-overflows", "sample-stats-range-overflows"])
+def test_overflowing_scores_are_one_line_data_error(tmp_path, command, mq, expected):
+    manifest = tmp_path / "scores.jsonl"
+    _write_lines(manifest, [{"id": f"r{i}", "mq": m, "vq": 1.0 + i} for i, m in enumerate(mq)])
+    out = tmp_path / "out"
+    res = _cli([command, "--manifest", str(manifest)], out)
+    assert res.returncode == 3
+    assert res.stderr.startswith("data error: ") and res.stderr.count("\n") == 1
+    assert expected in res.stderr
     assert not out.exists()
 
 
@@ -673,6 +702,13 @@ def test_module_invocation_smoke():
     assert res.returncode == 0
     for name in ("curate", "sample-stats", "train", "probe"):
         assert name in res.stdout
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, tqd.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 def test_package_import_loads_no_submodule():

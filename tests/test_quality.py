@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from tqd.quality import (
     NormalizationConstants,
@@ -68,6 +69,12 @@ class TestNormalizeScores:
         recs = _records([(1, 1), (2, 2)])
         normalize_scores(recs)
         assert recs[0].mq_norm is None
+
+    def test_overflowing_range_raises_naming_the_metric(self):
+        # max - min is inf; inf / inf would clamp every record to 0
+        recs = _records([(1e308, 1), (-1e308, 2), (0, 3)])
+        with pytest.raises(DataError, match="mq score range"):
+            normalize_scores(recs)
 
 
 class TestPartitionQuadrants:
@@ -130,6 +137,18 @@ class TestPearsonCorrelation:
     def test_constant_sequence_raises(self):
         with pytest.raises(DataError):
             pearson_correlation(_records([(1, 1), (1, 2), (1, 3)]))
+
+    @pytest.mark.parametrize("n", [3, 4, 40, 300, 5000])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_scipy_pearsonr(self, n, scale):
+        recs = synth_population(n, -0.22, seed=n, mq_range=(-scale, 3 * scale),
+                                vq_range=(scale, 2 * scale))
+        mq = np.array([r.mq_raw for r in recs])
+        vq = np.array([r.vq_raw for r in recs])
+        stats = pearson_correlation(recs)
+        ref = scipy_stats.pearsonr(mq, vq)
+        assert stats.pearson_r == pytest.approx(float(ref.statistic), rel=1e-15, abs=0)
+        assert stats.p_value == pytest.approx(float(ref.pvalue), rel=1e-12, abs=0)
 
 
 class TestSynthPopulation:
