@@ -113,15 +113,13 @@ def gradient_probe(
         for i, video in enumerate(samples)
     ]
 
-    sums = np.zeros((len(degradations), len(t_grid)))
+    seeds = [[_derived_seed(noise_seed, i, j) for j in range(len(t_grid))]
+             for i in range(len(samples))]
     # a non-finite value is reported by gradient_distances' NumericError
     # alone, not also by numpy's overflow warnings
     with np.errstate(all="ignore"):
-        for i, video in enumerate(samples):
-            for j, t in enumerate(t_grid):
-                sums[:, j] += gradient_distances(model, video, degraded[i], t,
-                                                 _derived_seed(noise_seed, i, j), n_noise)
-    means = sums / len(samples)
+        dists = gradient_distances(model, samples, degraded, t_grid, seeds, n_noise)
+    means = dists.sum(axis=0) / len(samples)
     return [
         GradientProbeCurve(
             kind=spec.kind,
@@ -227,7 +225,8 @@ def timestep_histogram(
     The draws use the seed and batch size of `sampler.config`. The mixture
     weights each record's timestep law by its retention probability
     (renormalized over the dataset), which is exactly the long-run record
-    frequency the rejection loop produces.
+    frequency the rejection loop produces. A chi-square or KS statistic
+    that is not finite is NumericError.
     """
     if n_draws < MIN_HISTOGRAM_DRAWS:
         raise DataError(f"need at least {MIN_HISTOGRAM_DRAWS} draws for stable "
@@ -271,6 +270,9 @@ def timestep_histogram(
     pvalue = float(chdtrc(dof, chi_square))
 
     ks_stat = _ks_statistic(t, sampler.laws, weights)
+    if not (np.isfinite(chi_square) and np.isfinite(ks_stat)):
+        raise NumericError(f"non-finite goodness-of-fit statistic: chi-square "
+                           f"{chi_square}, KS {ks_stat}")
 
     bins = [
         (float(edges[i]), float(edges[i + 1]), int(observed[i]), float(expected[i]))

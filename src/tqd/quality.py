@@ -121,11 +121,15 @@ def normalize_scores(
     mq = [r.mq_raw for r in records]
     vq = [r.vq_raw for r in records]
     consts = NormalizationConstants(min(mq), max(mq), min(vq), max(vq))
-    for name, lo, hi in (("mq", consts.mq_min, consts.mq_max),
-                         ("vq", consts.vq_min, consts.vq_max)):
-        if not math.isfinite(hi - lo):
-            raise DataError(f"{name} score range {lo!r} to {hi!r} overflows a float")
+    _check_range("mq", consts.mq_min, consts.mq_max)
+    _check_range("vq", consts.vq_min, consts.vq_max)
     return consts.apply(records), consts
+
+
+def _check_range(name: str, lo: float, hi: float) -> None:
+    if not math.isfinite(hi - lo):
+        raise DataError(f"{name} score range {float(lo)!r} to {float(hi)!r} "
+                        f"overflows a float")
 
 
 def quadrant_of(record: QualityRecord, mq_threshold: float, vq_threshold: float) -> str:
@@ -228,7 +232,8 @@ def inject_score_noise(
     range over the input records ("10% noise" = std of 0.1 x range).
     noise_level 0 returns the records unchanged, all fields identical.
     Positive levels clear mq_norm/vq_norm: re-normalization over the
-    noisy population is the caller's responsibility.
+    noisy population is the caller's responsibility. A raw range, or a
+    noisy score, that overflows a float is DataError.
     """
     if noise_level < 0:
         raise DataError(f"noise level must be >= 0, got {noise_level}")
@@ -236,11 +241,18 @@ def inject_score_noise(
         return list(records)
     if not records:
         raise DataError("empty dataset")
-    mq = np.array([r.mq_raw for r in records])
-    vq = np.array([r.vq_raw for r in records])
     rng = np.random.default_rng(seed)
-    mq_noisy = mq + rng.standard_normal(len(records)) * noise_level * np.ptp(mq)
-    vq_noisy = vq + rng.standard_normal(len(records)) * noise_level * np.ptp(vq)
+    noisy = []
+    with np.errstate(all="ignore"):
+        for name, raw in (("mq", np.array([r.mq_raw for r in records])),
+                          ("vq", np.array([r.vq_raw for r in records]))):
+            _check_range(name, raw.min(), raw.max())
+            scores = raw + rng.standard_normal(len(records)) * noise_level * np.ptp(raw)
+            if not np.all(np.isfinite(scores)):
+                raise DataError(f"{name} scores at noise level {noise_level!r} overflow "
+                                f"a float")
+            noisy.append(scores)
+    mq_noisy, vq_noisy = noisy
     return [
         replace(rec, mq_raw=float(mq_noisy[i]), vq_raw=float(vq_noisy[i]),
                 mq_norm=None, vq_norm=None)

@@ -40,6 +40,12 @@ MIN_SHAPE = 0.05
 # of the configured batch size.
 ATTEMPTS_PER_SLOT = 1000
 
+# Largest kappa_max SamplerConfig accepts. A Beta law this concentrated has
+# a standard deviation of at most 1/(2 sqrt(MAX_KAPPA)) = 5e-4, a fortieth
+# of timestep_histogram's default bin; at 1e100 its KS statistic is no
+# longer finite.
+MAX_KAPPA = 1e6
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -47,9 +53,10 @@ class SamplerConfig:
 
     kappa_base 2 reproduces uniform baseline sampling, 4 approximates a
     logit-normal-like centered law; kappa_max is the concentration at full
-    quality disparity. seed drives `timestep_histogram`'s draws. The shape
-    floor (MIN_SHAPE) and the rejection-attempt cap (ATTEMPTS_PER_SLOT x
-    batch_size) are module constants.
+    quality disparity, at most MAX_KAPPA. seed drives
+    `timestep_histogram`'s draws. The shape floor (MIN_SHAPE) and the
+    rejection-attempt cap (ATTEMPTS_PER_SLOT x batch_size) are module
+    constants.
     """
 
     kappa_base: float = 2.0
@@ -63,6 +70,8 @@ class SamplerConfig:
         if not self.kappa_max >= self.kappa_base:
             raise DataError(
                 f"kappa_max ({self.kappa_max}) must be >= kappa_base ({self.kappa_base})")
+        if not self.kappa_max <= MAX_KAPPA:
+            raise DataError(f"kappa_max must be <= {MAX_KAPPA:g}, got {self.kappa_max}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be positive, got {self.batch_size}")
         if self.seed < 0:

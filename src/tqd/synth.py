@@ -30,6 +30,11 @@ SHAPE_SIZE = 3
 FOREGROUND = 0.9
 BACKGROUND = 0.1
 
+# largest blur radius DegradationSpec accepts, in pixels: the box filter's
+# buffers and time grow with the radius, and a box this wide spans a toy
+# clip's frame many times over
+MAX_BLUR_RADIUS = 1024
+
 
 @dataclass
 class ToyVideo:
@@ -45,10 +50,11 @@ class ToyVideo:
 class DegradationSpec:
     """One degradation: kind, strength, and the seed for its randomness.
 
-    strength means: blur -> box kernel radius; compression -> number of
-    quantization levels (>= 2); noise -> Gaussian std; shuffle -> fraction
-    of frames permuted (in [0, 1]). Zero strength (or zero fraction) is
-    the identity for every kind. seed must be >= 0. Construction rejects
+    strength means: blur -> box kernel radius (rounded, at most
+    MAX_BLUR_RADIUS); compression -> number of quantization levels
+    (>= 2); noise -> Gaussian std; shuffle -> fraction of frames permuted
+    (in [0, 1]). Zero strength (or zero fraction) is the identity for
+    every kind. seed must be >= 0. Construction rejects
     a strength outside its kind's range, so `degrade` never has to.
     """
 
@@ -65,6 +71,8 @@ class DegradationSpec:
             raise DataError(f"{self.kind} seed must be >= 0, got {self.seed}")
         if self.kind == "blur" and round(self.strength) < 0:
             raise DataError(f"blur radius must be >= 0, got {self.strength}")
+        if self.kind == "blur" and round(self.strength) > MAX_BLUR_RADIUS:
+            raise DataError(f"blur radius must be <= {MAX_BLUR_RADIUS}, got {self.strength}")
         if self.kind == "compression" and self.strength != 0 and int(self.strength) < 2:
             raise DataError(f"compression needs >= 2 levels, got {self.strength}")
         if self.kind == "noise" and self.strength < 0:

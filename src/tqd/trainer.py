@@ -40,6 +40,11 @@ FINAL_LOSS_WINDOW = 0.1
 # length (256 KiB together) stay in cache while a chunk is updated
 _ADAM_CHUNK = 16384
 
+# rows per block when gradient_distances forms W3 W3^T: the row count of
+# the probe's other products. One product over all H rows made BLAS touch
+# more of its work buffers, which showed as a higher peak RSS.
+_G3_ROWS = 16
+
 _LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
@@ -249,25 +254,38 @@ def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ np.swapaxes(y, -1, -2)
 
 
-def _layer_sq_dists(gram_dd, gram_dk, gram_kk, b: np.ndarray) -> np.ndarray:
+def _layer_sq_dists(gram_dd, gram_dk, gram_kk, b00, b0d, bdd) -> np.ndarray:
     """Squared distances between one layer's weight-and-bias gradients.
 
-    b stacks the layer's output-gradient rows per video, (1+K, n, width);
-    the gram_* arguments are the input-row Gram blocks of a_0 - a_k with
-    itself, with a_k, and of a_k with itself, broadcastable to (K, n, n).
-    Returns the K sums of the layer's 2n x 2n kernel (see
+    gram_dd, gram_dk and gram_kk are the input-row Gram blocks of
+    a_0 - a_k with itself, with a_k, and of a_k with itself; b00, b0d and
+    bdd are the output-gradient Gram blocks of b_0 with itself, of b_0
+    with b_0 - b_k, and of b_0 - b_k with itself. All broadcast to
+    (K, n, n). Returns the K sums of the layer's 2n x 2n kernel (see
     gradient_distances).
     """
+    return ((gram_dd * b00).sum(axis=(1, 2))
+            + 2.0 * (gram_dk * b0d).sum(axis=(1, 2))
+            + ((gram_kk + 1.0) * bdd).sum(axis=(1, 2)))
+
+
+def _stacked_sq_dists(gram_dd, gram_dk, gram_kk, b: np.ndarray) -> np.ndarray:
+    """_layer_sq_dists with the output-gradient rows stacked per video,
+    b (1+K, n, width), the original first."""
     b0, db = b[0], b[0] - b[1:]
-    return ((gram_dd * _gram(b0, b0)).sum(axis=(1, 2))
-            + 2.0 * (gram_dk * _gram(b0, db)).sum(axis=(1, 2))
-            + ((gram_kk + 1.0) * _gram(db, db)).sum(axis=(1, 2)))
+    return _layer_sq_dists(gram_dd, gram_dk, gram_kk, _gram(b0, b0), _gram(b0, db),
+                           _gram(db, db))
 
 
-def gradient_distances(model: VelocityModel, video: ToyVideo, copies, t: float,
-                       noise_seed: int, n_noise: int) -> np.ndarray:
-    """||g(video) - g(copy)|| for each copy, where g is grad_at_timestep
-    at (t, noise_seed, n_noise), without forming any gradient.
+def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds,
+                       n_noise: int) -> np.ndarray:
+    """||g(video) - g(copy)|| for every video, copy and timestep, where g
+    is grad_at_timestep at (t, seed, n_noise), without forming any
+    gradient.
+
+    copies[i] lists the K copies of videos[i], the same K for every
+    video, and noise_seeds[i][j] is the noise seed of videos[i] at
+    t_grid[j]. Returns an array (len(videos), K, len(t_grid)).
 
     Every layer's weight and bias gradient is sum_r [a_r; 1] b_r^T over
     the batch rows r, with a_r the layer's input row and b_r the loss
@@ -280,67 +298,115 @@ def gradient_distances(model: VelocityModel, video: ToyVideo, copies, t: float,
     difference, so the result is not the small difference of two large
     squared norms, and an identical copy gives exactly 0.
 
-    One forward and backward pass covers the video and all copies, under
-    the one noise draw x1. Every row shares t, so the first layer's
-    pre-activation is t (x1 W1x) + (1-t) (v W1x) + feats W1f + b1 and
-    its input Gram follows from x1 x1^T, x1 v^T, v . v' and ||feats||^2.
+    One forward and backward pass per (video, t) covers the video and
+    all its copies, under the one noise draw x1. Every row shares t, so
+    the first layer's pre-activation is t (x1 W1x) + (1-t) (v W1x) +
+    feats W1f + b1 and its input Gram follows from x1 x1^T, x1 v^T,
+    v . v' and ||feats||^2; v W1x and the v . v' products are taken once
+    per video.
+
+    The output layer is D wide, against H for the hidden ones, so only
+    the video's own output rows b0 = c (a2_0 W3 + b3 - x1 + v_0),
+    c = 2 / (n D), are formed. A copy's difference rows are
+    db = c (da W3 + delta), with da = a2_0 - a2_k and delta = v_0 - v_k
+    (x1 and b3 cancel), and they enter only through products with W3
+    folded into G3 = W3 W3^T, formed once per call:
+
+        b_k W3^T  = b0 W3^T - c (da G3 + delta W3^T)
+        b0 . db   = c (b0 W3^T da^T + b0 . delta)
+        db . db   = c^2 (da G3 da^T + da W3 delta^T + (da W3 delta^T)^T
+                         + delta . delta)
+
+    delta W3^T is taken once per video. An identical copy has da = 0 and
+    delta = 0, so every difference term is exactly 0 and its rows equal
+    the video's bit for bit.
     """
-    if not 0.0 < float(t) < 1.0:
-        raise DataError(f"t must be in the open interval (0, 1), got {t}")
+    t_grid = [float(t) for t in t_grid]
+    for t in t_grid:
+        if not 0.0 < t < 1.0:
+            raise DataError(f"t must be in the open interval (0, 1), got {t}")
     if n_noise < 1:
         raise DataError(f"n_noise must be >= 1, got {n_noise}")
-    for clip in (video, *copies):
+    for clip in (*videos, *(clip for clips in copies for clip in clips)):
         if clip.frames.shape != model.data_shape:
             raise DataError(f"video shape {clip.frames.shape} does not match model "
                             f"data shape {model.data_shape}")
-    t = float(t)
-    s = 1.0 - t
     d = model.data_dim
+    c = 2.0 / (n_noise * d)
     views = model.views()
-    w1x, w1f = views["W1"][:d], views["W1"][d:]
-    x1 = np.random.default_rng(noise_seed).standard_normal((n_noise, d))
-    v = np.stack([video.flat()] + [clip.flat() for clip in copies])  # (1+K, D)
-    feats = time_features(t, model.n_freqs)
+    w1x, w1f, w3 = views["W1"][:d], views["W1"][d:], views["W3"]
+    # G3 = W3 W3^T (H, H), in blocks of _G3_ROWS rows
+    g3 = np.concatenate([w3[i:i + _G3_ROWS] @ w3.T for i in range(0, len(w3), _G3_ROWS)])
 
-    # forward and backward for every video at once, (1+K, n, width) each.
-    # Stacked, not flattened: numpy multiplies each video's rows on their
-    # own, so identical videos give identical rows bit for bit, where one
-    # product over all rows may round a row by its position.
-    z1 = (t * (x1 @ w1x) + (s * (v[:, None, :] @ w1x)
-                            + (feats @ w1f + views["b1"])))
-    _check_finite(z1, 1, "W1")
-    a1 = np.tanh(z1)
-    z2 = a1 @ views["W2"] + views["b2"]
-    _check_finite(z2, 2, "W2")
-    a2 = np.tanh(z2)
-    out = a2 @ views["W3"]
-    out += views["b3"]
-    _check_finite(out, 3, "W3")
-    # d_out = (2 / (n D)) (out - target), target = x1 - v, in place
-    d_out = out
-    d_out -= x1
-    d_out += v[:, None, :]
-    d_out *= 2.0 / (n_noise * d)
-    d_z2 = (d_out @ views["W3"].T) * (1.0 - a2 * a2)
-    d_z1 = (d_z2 @ views["W2"].T) * (1.0 - a1 * a1)
+    dists = []
+    for video, clips, seeds in zip(videos, copies, noise_seeds):
+        v = np.stack([video.flat()] + [clip.flat() for clip in clips])  # (1+K, D)
+        vk = v[1:]
+        delta = v[0] - vk  # (K, D)
+        # Stacked, not flattened: numpy multiplies each video's rows on
+        # their own, so identical videos give identical rows bit for bit,
+        # where one product over all rows may round a row by its position.
+        v_w1 = v[:, None, :] @ w1x  # (1+K, 1, H)
+        delta_w3 = delta @ w3.T  # (K, H)
+        delta_sq = np.einsum("kd,kd->k", delta, delta)
+        delta_vk = np.einsum("kd,kd->k", delta, vk)
+        vk_sq = np.einsum("kd,kd->k", vk, vk)
 
-    # first-layer input Gram blocks, from x_r = [t x1_r + s v; feats]
-    vk = v[1:]
-    delta = v[0] - vk  # (K, D)
-    c = vk @ x1.T  # (K, n): x1_r . v_k
-    gram_dd = (s * s * np.einsum("kd,kd->k", delta, delta))[:, None, None]
-    gram_dk = s * (t * (delta @ x1.T)[:, None, :]
-                   + s * np.einsum("kd,kd->k", delta, vk)[:, None, None])
-    gram_kk = (t * t * _gram(x1, x1)
-               + t * s * (c[:, :, None] + c[:, None, :])
-               + (s * s * np.einsum("kd,kd->k", vk, vk) + feats @ feats)[:, None, None])
-    sq = _layer_sq_dists(gram_dd, gram_dk, gram_kk, d_z1)
-    for a, b in ((a1, d_z2), (a2, d_out)):
-        da = a[0] - a[1:]
-        sq += _layer_sq_dists(_gram(da, da), _gram(da, a[1:]), _gram(a[1:], a[1:]), b)
-    if not np.all(np.isfinite(sq)):
-        raise NumericError("non-finite gradient distance")
-    return np.sqrt(np.maximum(sq, 0.0))
+        sq = np.empty((len(clips), len(t_grid)))
+        for j, (t, seed) in enumerate(zip(t_grid, seeds)):
+            s = 1.0 - t
+            x1 = np.random.default_rng(seed).standard_normal((n_noise, d))
+            feats = time_features(t, model.n_freqs)
+
+            # forward for every video at once, (1+K, n, H) per layer
+            z1 = t * (x1 @ w1x) + (s * v_w1 + (feats @ w1f + views["b1"]))
+            _check_finite(z1, 1, "W1")
+            a1 = np.tanh(z1)
+            z2 = a1 @ views["W2"] + views["b2"]
+            _check_finite(z2, 2, "W2")
+            a2 = np.tanh(z2)
+            # the video's output gradient b0 = c (out - target), with
+            # target = x1 - v_0, in place
+            b0 = a2[0] @ w3
+            b0 += views["b3"]
+            _check_finite(b0, 3, "W3")
+            b0 -= x1
+            b0 += v[0]
+            b0 *= c
+
+            # backward: every video's b W3^T from b0 W3^T and G3
+            da2 = a2[0] - a2[1:]  # (K, n, H)
+            da2_g3 = da2 @ g3
+            b0_w3 = b0 @ w3.T  # (n, H)
+            d_a2 = np.empty_like(a2)
+            d_a2[0] = b0_w3
+            d_a2[1:] = b0_w3 - c * (da2_g3 + delta_w3[:, None, :])
+            d_z2 = d_a2 * (1.0 - a2 * a2)
+            d_z1 = (d_z2 @ views["W2"].T) * (1.0 - a1 * a1)
+
+            # first-layer input Gram blocks, from x_r = [t x1_r + s v; feats]
+            cx = vk @ x1.T  # (K, n): x1_r . v_k
+            gram_dd = (s * s * delta_sq)[:, None, None]
+            gram_dk = s * (t * (delta @ x1.T)[:, None, :] + s * delta_vk[:, None, None])
+            gram_kk = (t * t * _gram(x1, x1)
+                       + t * s * (cx[:, :, None] + cx[:, None, :])
+                       + (s * s * vk_sq + feats @ feats)[:, None, None])
+            sq_t = _stacked_sq_dists(gram_dd, gram_dk, gram_kk, d_z1)
+            da1 = a1[0] - a1[1:]
+            sq_t += _stacked_sq_dists(_gram(da1, da1), _gram(da1, a1[1:]),
+                                      _gram(a1[1:], a1[1:]), d_z2)
+            # output layer: b0 . db and db . db without the D-wide db rows
+            u = (da2 @ delta_w3[:, :, None])[..., 0]  # (K, n): da_r W3 delta^T
+            b0d = c * (_gram(b0_w3, da2) + (delta @ b0.T)[:, :, None])
+            bdd = c * c * (_gram(da2_g3, da2) + u[:, :, None] + u[:, None, :]
+                           + delta_sq[:, None, None])
+            sq_t += _layer_sq_dists(_gram(da2, da2), _gram(da2, a2[1:]),
+                                    _gram(a2[1:], a2[1:]), _gram(b0, b0), b0d, bdd)
+            sq[:, j] = sq_t
+        if not np.all(np.isfinite(sq)):
+            raise NumericError("non-finite gradient distance")
+        dists.append(np.sqrt(np.maximum(sq, 0.0)))
+    return np.stack(dists)
 
 
 # --- optimizer and training loop ---------------------------------------------

@@ -80,12 +80,12 @@ def _reference_probe(model, samples, degradations, t_grid, n_noise, noise_seed=0
     return sums / len(samples)
 
 
-def _trained_model(samples):
+def _trained_model(samples, hidden_width=16):
     """A small model fitted to samples by train; its gradients run some
     30 times smaller than an untrained zero_final=False model's."""
     records = [_norm_record(str(i), 0.5, 0.5) for i in range(len(samples))]
     return train(list(zip(records, samples)), SamplerConfig(batch_size=8),
-                 TrainerConfig(steps=300, learning_rate=3e-3, hidden_width=16,
+                 TrainerConfig(steps=300, learning_rate=3e-3, hidden_width=hidden_width,
                                seed=5)).model
 
 
@@ -103,6 +103,26 @@ def test_probe_matches_per_copy_gradients(trained):
         model = _trained_model(samples)
     else:
         model = VelocityModel.init((8, 16, 16), seed=5, hidden_width=16, zero_final=False)
+    t_grid = [0.1, 0.5, 0.9]
+    curves = gradient_probe(model, samples, _EQUIV_SPECS, t_grid=t_grid,
+                            n_noise=PROBE_N_NOISE, noise_seed=3)
+    expected = _reference_probe(model, samples, _EQUIV_SPECS, t_grid, PROBE_N_NOISE,
+                                noise_seed=3)
+    got = np.array([[d for _, d in curve.points] for curve in curves])
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+    assert np.all(got[-1] == 0.0) and np.all(got[:-1] > 0.0)
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+def test_probe_matches_per_copy_gradients_with_narrow_output(trained):
+    # D = 32 pixels under a width-64 hidden layer: W3 W3^T is 64 x 64 of
+    # rank at most 32, the opposite of the probe's default shape
+    samples = [_video(seed=s, speed=1.0 + 0.5 * s, tex=0.02, frames=2, height=4, width=4)
+               for s in range(2)]
+    if trained:
+        model = _trained_model(samples, hidden_width=64)
+    else:
+        model = VelocityModel.init((2, 4, 4), seed=5, hidden_width=64, zero_final=False)
     t_grid = [0.1, 0.5, 0.9]
     curves = gradient_probe(model, samples, _EQUIV_SPECS, t_grid=t_grid,
                             n_noise=PROBE_N_NOISE, noise_seed=3)

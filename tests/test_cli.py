@@ -230,6 +230,20 @@ def test_sample_stats_too_few_draws_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_stats_non_finite_statistic_is_numeric_error(tmp_path, capsys, monkeypatch):
+    # a NaN KS statistic must not read as a failed fit, nor reach
+    # stats.json, where NaN is not JSON
+    monkeypatch.setattr("tqd.analysis._ks_statistic", lambda *args: float("nan"))
+    manifest = tmp_path / "flat.jsonl"
+    _write_lines(manifest, [{"id": "r", "mq": 2.5, "vq": 2.5}])
+    code = main(["sample-stats", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: non-finite goodness-of-fit statistic")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 # --- train ---------------------------------------------------------------------
 
 
@@ -564,6 +578,8 @@ def test_probe_requires_model(tmp_path, capsys):
     ("train", b'{"steps": "\xff"}', None),
     ("train", {"noise_level": -0.5}, None),
     ("train", '{"steps": 1' + "0" * 5000 + "}", None),
+    ("probe", {"degradations": [{"kind": "blur", "strength": 1e300}]}, None),
+    ("sample-stats", {"kappa_max": 1e308}, None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
@@ -572,7 +588,7 @@ def test_probe_requires_model(tmp_path, capsys):
         "one-level-compression", "shuffle-fraction-two", "unknown-key",
         "other-command-key", "unknown-samples-key", "unknown-degradation-key",
         "degradation-without-kind", "zero-draws", "non-utf8", "negative-noise-level",
-        "over-long-int"])
+        "over-long-int", "huge-blur-radius", "huge-kappa-max"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
@@ -610,7 +626,7 @@ def _cli(args, out):
 
 
 @pytest.mark.parametrize("case", ["diverging-train", "overflowing-W2", "overflowing-W3",
-                                  "starved-sampler"])
+                                  "starved-sampler", "overflowing-W3-gram"])
 def test_numeric_failure_is_one_stderr_line(tmp_path, case):
     if case == "diverging-train":
         config = tmp_path / "config.json"
@@ -628,7 +644,9 @@ def test_numeric_failure_is_one_stderr_line(tmp_path, case):
     else:
         ckpt, config = _tiny_probe_setup(tmp_path, strength=1.0)
         model, _ = load_checkpoint(ckpt)
-        layer, value = ("W2", 1e308) if case == "overflowing-W2" else ("W3", 1e150)
+        # W3 at 1e200 keeps the output layer finite, but W3 W3^T overflows
+        layer, value = {"overflowing-W2": ("W2", 1e308), "overflowing-W3": ("W3", 1e150),
+                        "overflowing-W3-gram": ("W3", 1e200)}[case]
         model.views()[layer][...] = value
         save_checkpoint(model, ckpt, step=42)
         args = ["probe", "--model", str(ckpt), "--config", str(config)]
@@ -659,12 +677,14 @@ def test_curate_on_opposite_extreme_scores_is_silent_and_matches_scipy(tmp_path)
 @pytest.mark.parametrize("command, mq, expected", [
     ("curate", [1e308, 1e308, 0.0], "mq scores are too large"),
     ("sample-stats", [1e308, -1e308, 0.0], "mq score range"),
-], ids=["curate-mean-overflows", "sample-stats-range-overflows"])
+    ("train --noise-level 0.1", [1e308, -1e308, 0.0], "mq score range"),
+], ids=["curate-mean-overflows", "sample-stats-range-overflows",
+        "train-noise-range-overflows"])
 def test_overflowing_scores_are_one_line_data_error(tmp_path, command, mq, expected):
     manifest = tmp_path / "scores.jsonl"
     _write_lines(manifest, [{"id": f"r{i}", "mq": m, "vq": 1.0 + i} for i, m in enumerate(mq)])
     out = tmp_path / "out"
-    res = _cli([command, "--manifest", str(manifest)], out)
+    res = _cli([*command.split(), "--manifest", str(manifest)], out)
     assert res.returncode == 3
     assert res.stderr.startswith("data error: ") and res.stderr.count("\n") == 1
     assert expected in res.stderr

@@ -217,6 +217,15 @@ class TestInjectScoreNoise:
         with pytest.raises(DataError):
             inject_score_noise(_records([(1, 1)]), -0.1, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_data_error_without_warnings(self):
+        # max - min overflows: the same error normalize_scores raises
+        with pytest.raises(DataError, match="mq score range -1e\\+308 to 1e\\+308 overflows"):
+            inject_score_noise(_records([(1e308, 1), (-1e308, 2), (0, 3)]), 0.1, seed=0)
+        # a finite range whose noise is not
+        with pytest.raises(DataError, match="vq scores at noise level 10000000000.0 overflow"):
+            inject_score_noise(_records([(1, 1e300), (2, 0)]), 1e10, seed=0)
+
 
 class TestManifestIO:
     def test_round_trip_is_bit_exact(self, tmp_path):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from tqd.quality import QualityRecord
 from tqd.sampler import (
+    MAX_KAPPA,
     Batch,
     SamplerConfig,
     TimestepLaw,
@@ -36,10 +37,17 @@ class TestSamplerConfig:
         {"batch_size": 0},
         {"kappa_max": float("nan")},
         {"seed": -1},
+        {"kappa_max": float("inf")},
+        {"kappa_max": 1e308},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(DataError):
             SamplerConfig(**kwargs)
+
+    def test_kappa_max_is_capped(self):
+        SamplerConfig(kappa_max=MAX_KAPPA)
+        with pytest.raises(DataError, match="kappa_max must be <="):
+            SamplerConfig(kappa_max=MAX_KAPPA * (1 + 1e-15))
 
 
 class TestComputeMu:

@@ -7,6 +7,7 @@ import pytest
 
 from tqd.synth import (
     DEGRADATION_KINDS,
+    MAX_BLUR_RADIUS,
     DegradationSpec,
     ToyVideo,
     degrade,
@@ -117,6 +118,13 @@ class TestDegrade:
         # and a seed no generator accepts
         with pytest.raises(DataError, match="seed"):
             DegradationSpec("noise", 0.1, seed=-3)
+
+    def test_blur_radius_is_capped_after_rounding(self):
+        DegradationSpec("blur", MAX_BLUR_RADIUS + 0.4)
+        with pytest.raises(DataError, match=f"blur radius must be <= {MAX_BLUR_RADIUS}"):
+            DegradationSpec("blur", MAX_BLUR_RADIUS + 0.6)
+        with pytest.raises(DataError, match="blur radius"):
+            DegradationSpec("blur", 1e300)
 
     def test_zero_strength_is_identity_for_every_kind(self):
         video = generate_moving_shape(2.0, 0.1, seed=9)

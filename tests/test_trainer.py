@@ -277,14 +277,17 @@ def test_grad_at_timestep_validates_arguments():
         grad_at_timestep(model, ToyVideo(np.zeros((2, 2, 2))), 0.5, noise_seed=0, n_noise=4)
     # the probe's Gram path keeps the same checks, on the video and each copy
     with pytest.raises(DataError, match="open interval"):
-        gradient_distances(model, x0, [x0], 0.0, noise_seed=0, n_noise=4)
+        gradient_distances(model, [x0], [[x0]], [0.0], [[0]], n_noise=4)
     with pytest.raises(DataError, match="open interval"):
-        gradient_distances(model, x0, [x0], 1.0, noise_seed=0, n_noise=4)
+        gradient_distances(model, [x0], [[x0]], [1.0], [[0]], n_noise=4)
     with pytest.raises(DataError, match="n_noise"):
-        gradient_distances(model, x0, [x0], 0.5, noise_seed=0, n_noise=0)
+        gradient_distances(model, [x0], [[x0]], [0.5], [[0]], n_noise=0)
     with pytest.raises(DataError, match="does not match"):
-        gradient_distances(model, x0, [ToyVideo(np.zeros((2, 2, 2)))], 0.5,
-                           noise_seed=0, n_noise=4)
+        gradient_distances(model, [x0], [[ToyVideo(np.zeros((2, 2, 2)))]], [0.5], [[0]],
+                           n_noise=4)
+    with pytest.raises(DataError, match="does not match"):
+        gradient_distances(model, [ToyVideo(np.zeros((2, 2, 2)))], [[x0]], [0.5], [[0]],
+                           n_noise=4)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -296,7 +299,7 @@ def test_non_finite_layer_stops_both_gradient_paths(layer, name):
     with pytest.raises(NumericError, match=f"layer {layer}"):
         grad_at_timestep(model, x0, 0.5, noise_seed=0, n_noise=2)
     with pytest.raises(NumericError, match=f"layer {layer}"):
-        gradient_distances(model, x0, [x0], 0.5, noise_seed=0, n_noise=2)
+        gradient_distances(model, [x0], [[x0]], [0.5], [[0]], n_noise=2)
 
 
 # --- optimizer ----------------------------------------------------------------
