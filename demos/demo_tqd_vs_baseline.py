@@ -34,7 +34,7 @@ def build_dataset(video_seed=1000):
         videos.append(generate_moving_shape(
             0.2 + 0.3 * ui, 0.0, 100 + i, frames=2, height=10, width=10,
             start_x=float(rng.uniform(0.0, 10.0))))
-    normalized, _ = normalize_scores(records)
+    normalized = normalize_scores(records)
     return list(zip(normalized, videos))
 
 

@@ -235,10 +235,8 @@ def timestep_histogram(
         raise DataError(f"need at least 2 bins, got {n_bins}")
     rng = np.random.default_rng(sampler.config.seed)
     draws = []
-    batch_size = sampler.config.batch_size
     while len(draws) < n_draws:
-        batch = sampler.prepare_batch(batch_size, rng)
-        draws.extend(batch.timesteps.tolist())
+        draws.extend(sampler.prepare_batch(rng).timesteps.tolist())
     t = np.array(draws[:n_draws])
 
     edges = np.linspace(0.0, 1.0, n_bins + 1)
@@ -311,13 +309,13 @@ def robustness_sweep(
         raise DataError("noise levels must be >= 0")
     records = [rec for rec, _ in dataset]
     videos = [vid for _, vid in dataset]
-    clean_records, _ = normalize_scores(records)
+    clean_records = normalize_scores(records)
     clean_mu = np.array([compute_mu(r.mq_norm, r.vq_norm) for r in clean_records])
 
     rows = []
     for level in noise_levels:
         noisy = inject_score_noise(records, level, noise_seed)
-        noisy_records, _ = normalize_scores(noisy)
+        noisy_records = normalize_scores(noisy)
         mu = np.array([compute_mu(r.mq_norm, r.vq_norm) for r in noisy_records])
         shift = float(np.mean(np.abs(mu - clean_mu)))
         state = train(list(zip(noisy_records, videos)), sampler_config, trainer_config)

@@ -278,7 +278,7 @@ def cmd_sample_stats(args) -> int:
     config = _build(SamplerConfig, params)
 
     records = read_manifest(manifest)
-    normalized, _ = normalize_scores(records)
+    normalized = normalize_scores(records)
     sampler = TqdSampler(normalized, config)
     report = timestep_histogram(sampler, n_draws)
 
@@ -363,7 +363,7 @@ def cmd_train(args) -> int:
             raise DataError(f"no records left after filter quadrant={','.join(quads)}")
         records = kept
     records = inject_score_noise(records, params["noise_level"], trainer_cfg.seed)
-    normalized, _ = normalize_scores(records)
+    normalized = normalize_scores(records)
 
     base_dir = Path(manifest).parent
     dataset = []
@@ -482,7 +482,8 @@ def _build_parser() -> _Parser:
     tr.add_argument("--seed", type=_int_at_least(0))
     tr.add_argument("--steps", type=_int_at_least(0))
     tr.add_argument("--baseline", action="store_const", const=True,
-                    help="disable dropout and force the flat timestep law")
+                    help="disable dropout and draw every timestep from "
+                         "Beta(kappa_base/2, kappa_base/2), flat at kappa_base 2")
     tr.add_argument("--filter", dest="filter_quadrants", type=_parse_filter,
                     help="keep only listed quadrants, e.g. quadrant=HMLV,LMHV")
     tr.add_argument("--noise-level", type=_finite_float(0.0),

@@ -30,8 +30,7 @@ QUADRANTS = ("HMHV", "HMLV", "LMHV", "LMLV")
 class QualityRecord:
     """One sample's scores plus an opaque reference to its payload.
 
-    mq_norm/vq_norm stay None until `normalize_scores` (or
-    `NormalizationConstants.apply`) has run.
+    mq_norm/vq_norm stay None until `normalize_scores` has run.
     """
 
     id: str
@@ -44,38 +43,6 @@ class QualityRecord:
     @property
     def is_normalized(self) -> bool:
         return self.mq_norm is not None and self.vq_norm is not None
-
-
-@dataclass(frozen=True)
-class NormalizationConstants:
-    """Min/max constants frozen at normalization time."""
-
-    mq_min: float
-    mq_max: float
-    vq_min: float
-    vq_max: float
-
-    def apply(self, records: list[QualityRecord]) -> list[QualityRecord]:
-        """Normalize records with these stored constants.
-
-        Held-out scores outside the stored range are clipped to [0, 1] so
-        downstream mu/kappa formulas stay in-domain. A degenerate range
-        (min == max) maps every score to 0.5.
-        """
-        out = []
-        for rec in records:
-            out.append(replace(
-                rec,
-                mq_norm=_minmax(rec.mq_raw, self.mq_min, self.mq_max),
-                vq_norm=_minmax(rec.vq_raw, self.vq_min, self.vq_max),
-            ))
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "mq_min": self.mq_min, "mq_max": self.mq_max,
-            "vq_min": self.vq_min, "vq_max": self.vq_max,
-        }, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -94,21 +61,11 @@ class PopulationStats:
     p_value: float
 
 
-def _minmax(x: float, lo: float, hi: float) -> float:
-    # Degenerate range: keep the neutral midpoint so mu stays at 0.5.
-    if hi == lo:
-        return 0.5
-    return min(1.0, max(0.0, (x - lo) / (hi - lo)))
-
-
-def normalize_scores(
-    records: list[QualityRecord],
-) -> tuple[list[QualityRecord], NormalizationConstants]:
+def normalize_scores(records: list[QualityRecord]) -> list[QualityRecord]:
     """Min-max normalize raw MQ/VQ over the whole input population.
 
-    Returns the normalized records together with the constants used, so
-    the same normalization can be applied to held-out data later. When
-    all raw values of a metric are equal, every normalized value is 0.5.
+    When all raw values of a metric are equal, every normalized value of
+    it is 0.5.
 
     Raises DataError on empty input, any non-finite raw score, or a
     metric whose range max - min overflows a float.
@@ -120,10 +77,16 @@ def normalize_scores(
             raise DataError(f"non-finite score on record {rec.id!r}")
     mq = [r.mq_raw for r in records]
     vq = [r.vq_raw for r in records]
-    consts = NormalizationConstants(min(mq), max(mq), min(vq), max(vq))
-    _check_range("mq", consts.mq_min, consts.mq_max)
-    _check_range("vq", consts.vq_min, consts.vq_max)
-    return consts.apply(records), consts
+    mq_lo, mq_hi, vq_lo, vq_hi = min(mq), max(mq), min(vq), max(vq)
+    _check_range("mq", mq_lo, mq_hi)
+    _check_range("vq", vq_lo, vq_hi)
+    return [replace(rec, mq_norm=_minmax(rec.mq_raw, mq_lo, mq_hi),
+                    vq_norm=_minmax(rec.vq_raw, vq_lo, vq_hi)) for rec in records]
+
+
+def _minmax(x: float, lo: float, hi: float) -> float:
+    # Degenerate range: keep the neutral midpoint so mu stays at 0.5.
+    return 0.5 if hi == lo else (x - lo) / (hi - lo)
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:

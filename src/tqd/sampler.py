@@ -36,9 +36,12 @@ _OPEN_EPS = np.finfo(np.float64).eps  # nudge for the open interval (0,1)
 # otherwise give an ill-defined zero shape.
 MIN_SHAPE = 0.05
 
-# prepare_batch gives up after this many rejection attempts per batch slot
-# of the configured batch size.
+# prepare_batch gives up after this many rejection attempts per batch slot.
 ATTEMPTS_PER_SLOT = 1000
+
+# Largest batch_size SamplerConfig accepts: a batch's draws and their
+# clips must fit in memory. The largest batch in use is 10 000.
+MAX_BATCH_SIZE = 65536
 
 # Largest kappa_max SamplerConfig accepts. A Beta law this concentrated has
 # a standard deviation of at most 1/(2 sqrt(MAX_KAPPA)) = 5e-4, a fortieth
@@ -53,7 +56,8 @@ class SamplerConfig:
 
     kappa_base 2 reproduces uniform baseline sampling, 4 approximates a
     logit-normal-like centered law; kappa_max is the concentration at full
-    quality disparity, at most MAX_KAPPA. seed drives
+    quality disparity, at most MAX_KAPPA. batch_size, at most
+    MAX_BATCH_SIZE, is the size of every prepared batch. seed drives
     `timestep_histogram`'s draws. The shape floor (MIN_SHAPE) and the
     rejection-attempt cap (ATTEMPTS_PER_SLOT x batch_size) are module
     constants.
@@ -72,8 +76,9 @@ class SamplerConfig:
                 f"kappa_max ({self.kappa_max}) must be >= kappa_base ({self.kappa_base})")
         if not self.kappa_max <= MAX_KAPPA:
             raise DataError(f"kappa_max must be <= {MAX_KAPPA:g}, got {self.kappa_max}")
-        if self.batch_size < 1:
-            raise DataError(f"batch_size must be positive, got {self.batch_size}")
+        if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise DataError(f"batch_size must be in [1, {MAX_BATCH_SIZE}], "
+                            f"got {self.batch_size}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
@@ -221,19 +226,14 @@ class Batch:
     """A prepared batch: the retained records, as indices into the
     sampler's record list, with one drawn timestep each."""
 
-    records: list[QualityRecord]
     indices: np.ndarray
     timesteps: np.ndarray
     attempts: int
     accepted: int
 
     @property
-    def members(self) -> list[tuple[QualityRecord, float]]:
-        return [(self.records[i], float(t)) for i, t in zip(self.indices, self.timesteps)]
-
-    @property
     def acceptance_rate(self) -> float:
-        return self.accepted / self.attempts if self.attempts else float("nan")
+        return self.accepted / self.attempts
 
 
 class TqdSampler:
@@ -257,34 +257,29 @@ class TqdSampler:
         # the baseline arm's symmetric law Beta(shape, shape)
         self._baseline_shape = max(config.kappa_base / 2.0, MIN_SHAPE)
 
-    def prepare_batch(
-        self,
-        batch_size: int,
-        rng: np.random.Generator,
-        baseline: bool = False,
-    ) -> Batch:
-        """Rejection-sample records, then attach one timestep draw each.
+    def prepare_batch(self, rng: np.random.Generator, baseline: bool = False) -> Batch:
+        """Rejection-sample config.batch_size records, then attach one
+        timestep draw each.
 
         Records are drawn uniformly and kept with their retention
-        probability until batch_size members are accepted; each accepted
-        member then draws t from its own law. `baseline=True` disables
-        dropout and draws every timestep from the kappa_base-degenerate
-        law instead (the A/B control arm).
+        probability until the batch is full; each accepted member then
+        draws t from its own law. `baseline=True` disables dropout and
+        draws every timestep from the kappa_base-degenerate law instead
+        (the A/B control arm).
 
         Raises SamplingError when no record is retainable or when
-        ATTEMPTS_PER_SLOT x config.batch_size attempts are exhausted.
+        ATTEMPTS_PER_SLOT x batch_size attempts are exhausted.
         """
-        if batch_size < 1:
-            raise DataError(f"batch_size must be positive, got {batch_size}")
+        batch_size = self.config.batch_size
         n = len(self.records)
         if baseline:
             idx = rng.integers(0, n, batch_size)
             ts = beta_variates(self._baseline_shape, self._baseline_shape, rng, batch_size)
-            return Batch(self.records, idx, ts, attempts=batch_size, accepted=batch_size)
+            return Batch(idx, ts, attempts=batch_size, accepted=batch_size)
 
         if not np.any(self.retention > 0.0):
             raise SamplingError("no retainable samples (all retention probabilities are 0)")
-        cap = ATTEMPTS_PER_SLOT * self.config.batch_size
+        cap = ATTEMPTS_PER_SLOT * batch_size
         chosen: list[int] = []
         attempts = 0
         accepted_total = 0
@@ -303,4 +298,4 @@ class TqdSampler:
                 f"{attempts} attempts (acceptance rate {accepted_total / attempts:.4f})")
         idx = np.array(chosen[:batch_size])
         ts = beta_variates(self._alpha[idx], self._beta[idx], rng, batch_size)
-        return Batch(self.records, idx, ts, attempts=attempts, accepted=accepted_total)
+        return Batch(idx, ts, attempts=attempts, accepted=accepted_total)

@@ -36,6 +36,10 @@ ADAM_EPS = 1e-8
 # share of trailing steps that final_loss averages over
 FINAL_LOSS_WINDOW = 0.1
 
+# Largest hidden_width TrainerConfig accepts: W2 alone holds its square
+# in float64, 128 MiB at this width. The largest width in use is 1024.
+MAX_HIDDEN_WIDTH = 4096
+
 # elements per adam_update chunk: two float64 scratch buffers of this
 # length (256 KiB together) stay in cache while a chunk is updated
 _ADAM_CHUNK = 16384
@@ -413,7 +417,8 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Training-loop settings. seed covers model init and every loop draw.
+    """Training-loop settings. seed covers model init and every loop draw;
+    hidden_width is at most MAX_HIDDEN_WIDTH.
 
     The Adam constants (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) are fixed, and
     the model takes VelocityModel.init's defaults for its time features
@@ -431,19 +436,18 @@ class TrainerConfig:
             raise DataError(f"steps must be >= 0, got {self.steps}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.hidden_width < 1:
-            raise DataError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        if not 1 <= self.hidden_width <= MAX_HIDDEN_WIDTH:
+            raise DataError(f"hidden_width must be in [1, {MAX_HIDDEN_WIDTH}], "
+                            f"got {self.hidden_width}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class TrainState:
-    """Model plus optimizer moments and per-step history."""
+    """Model plus per-step history."""
 
     model: VelocityModel
-    m: np.ndarray
-    v: np.ndarray
     step: int
     loss_history: list = field(default_factory=list)
     mean_t_history: list = field(default_factory=list)
@@ -500,9 +504,10 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
 
     dataset is a list of (QualityRecord, ToyVideo) pairs; records must
     be normalized. Each step prepares a batch through the quality-aware
-    sampler (or, with trainer_config.baseline, the uniform arm that
-    skips dropout and forces the flat timestep law), draws fresh noise
-    endpoints, and applies one optimizer update. Deterministic given
+    sampler (or, with trainer_config.baseline, the arm that skips dropout
+    and draws every t from Beta(kappa_base/2, kappa_base/2), which is flat
+    only at the default kappa_base 2), draws fresh noise endpoints, and
+    applies one optimizer update. Deterministic given
     trainer_config.seed; the sampler config's own seed is not consulted
     here. A non-finite loss or parameter is NumericError; numpy's own
     overflow warnings are silenced, so that error is the one report.
@@ -528,23 +533,18 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
                                hidden_width=trainer_config.hidden_width)
     rng = np.random.default_rng(loop_seed)
 
-    state = TrainState(
-        model=model,
-        m=np.zeros_like(model.theta),
-        v=np.zeros_like(model.theta),
-        step=0,
-    )
+    state = TrainState(model=model, step=0)
+    m, v = np.zeros_like(model.theta), np.zeros_like(model.theta)
     with np.errstate(all="ignore"):
         for i in range(1, trainer_config.steps + 1):
-            batch = sampler.prepare_batch(sampler_config.batch_size, rng,
-                                          baseline=trainer_config.baseline)
+            batch = sampler.prepare_batch(rng, baseline=trainer_config.baseline)
             x0 = x_all[batch.indices]
             t_arr = batch.timesteps
             x1 = rng.standard_normal(x0.shape)
             loss, grad = loss_and_grad(model, x0, x1, t_arr)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {i}")
-            adam_update(model.theta, grad, state.m, state.v, i, trainer_config.learning_rate)
+            adam_update(model.theta, grad, m, v, i, trainer_config.learning_rate)
             if not np.all(np.isfinite(model.theta)):
                 raise NumericError(f"non-finite parameters after update at step {i}")
             state.step = i

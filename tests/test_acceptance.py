@@ -41,11 +41,13 @@ def _norm_record(rid, mq, vq):
 
 
 def _draw_members(records, config, n, rng_seed=0):
+    """The first n (record, t) pairs of whole batches drawn from rng_seed."""
     sampler = TqdSampler(records, config)
     rng = np.random.default_rng(rng_seed)
     members = []
     while len(members) < n:
-        members.extend(sampler.prepare_batch(config.batch_size, rng).members)
+        batch = sampler.prepare_batch(rng)
+        members.extend((records[i], t) for i, t in zip(batch.indices, batch.timesteps))
     return members[:n]
 
 
@@ -102,7 +104,7 @@ def test_dropout_rate_matches_retention_probability():
         rng = np.random.default_rng(int(rate * 100))
         attempts = accepted = 0
         while attempts < 10 ** 5:
-            batch = sampler.prepare_batch(config.batch_size, rng)
+            batch = sampler.prepare_batch(rng)
             attempts += batch.attempts
             accepted += batch.accepted
         observed = accepted / attempts
@@ -337,7 +339,7 @@ def test_scorer_noise_shift_is_monotone_and_zero_at_clean(tmp_path):
     tcfg = TrainerConfig(steps=100, hidden_width=64, seed=0)
     rows = robustness_sweep(dataset, [0.0, 0.1, 0.2], scfg, tcfg)
 
-    clean_records, _ = normalize_scores(records)
+    clean_records = normalize_scores(records)
     clean = train(list(zip(clean_records, videos)), scfg, tcfg)
     shifts = [row.mean_mu_shift for row in rows]
     elapsed = time.perf_counter() - t0

@@ -290,12 +290,12 @@ def _sampler_draws(sampler, n_draws):
     rng = np.random.default_rng(sampler.config.seed)
     draws = []
     while len(draws) < n_draws:
-        draws.extend(sampler.prepare_batch(sampler.config.batch_size, rng).timesteps.tolist())
+        draws.extend(sampler.prepare_batch(rng).timesteps.tolist())
     return np.array(draws[:n_draws])
 
 
 def _population_sampler(n_records, seed=0):
-    records, _ = normalize_scores(synth_population(n_records, -0.22, seed=17))
+    records = normalize_scores(synth_population(n_records, -0.22, seed=17))
     return TqdSampler(records, SamplerConfig(seed=seed))
 
 
@@ -396,7 +396,7 @@ def test_sweep_level_zero_is_the_clean_run():
     rows = robustness_sweep(dataset, [0.0, 0.1], scfg, tcfg)
     assert rows[0].noise_level == 0.0
     assert rows[0].mean_mu_shift == 0.0
-    clean_records, _ = normalize_scores([rec for rec, _ in dataset])
+    clean_records = normalize_scores([rec for rec, _ in dataset])
     clean = train(list(zip(clean_records, [v for _, v in dataset])), scfg, tcfg)
     assert rows[0].final_loss == final_loss(clean)
 

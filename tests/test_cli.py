@@ -580,6 +580,8 @@ def test_probe_requires_model(tmp_path, capsys):
     ("train", '{"steps": 1' + "0" * 5000 + "}", None),
     ("probe", {"degradations": [{"kind": "blur", "strength": 1e300}]}, None),
     ("sample-stats", {"kappa_max": 1e308}, None),
+    ("train", {"batch_size": 10**11}, None),
+    ("train", {"hidden_width": 10**15}, None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
@@ -588,7 +590,8 @@ def test_probe_requires_model(tmp_path, capsys):
         "one-level-compression", "shuffle-fraction-two", "unknown-key",
         "other-command-key", "unknown-samples-key", "unknown-degradation-key",
         "degradation-without-kind", "zero-draws", "non-utf8", "negative-noise-level",
-        "over-long-int", "huge-blur-radius", "huge-kappa-max"])
+        "over-long-int", "huge-blur-radius", "huge-kappa-max", "huge-batch-size",
+        "huge-hidden-width"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ import pytest
 from scipy import stats as scipy_stats
 
 from tqd.quality import (
-    NormalizationConstants,
     QualityRecord,
     inject_score_noise,
     normalize_scores,
@@ -24,37 +22,26 @@ from tqd.quality import (
 from tqd.errors import DataError
 
 
-def _records(pairs, prefix="r"):
+def _records(pairs):
     return [
-        QualityRecord(id=f"{prefix}{i}", mq_raw=float(m), vq_raw=float(v))
+        QualityRecord(id=f"r{i}", mq_raw=float(m), vq_raw=float(v))
         for i, (m, v) in enumerate(pairs)
     ]
 
 
 class TestNormalizeScores:
     def test_minmax_endpoints_and_midpoint(self):
-        recs, _ = normalize_scores(_records([(2, 0), (3, 0), (4, 0)]))
+        recs = normalize_scores(_records([(2, 0), (3, 0), (4, 0)]))
         assert [r.mq_norm for r in recs] == [0.0, 0.5, 1.0]
 
     def test_degenerate_range_maps_to_half(self):
-        recs, _ = normalize_scores(_records([(2.5, 1), (2.5, 2), (2.5, 3)]))
+        recs = normalize_scores(_records([(2.5, 1), (2.5, 2), (2.5, 3)]))
         assert all(r.mq_norm == 0.5 for r in recs)
 
     def test_hand_computed_quarters(self):
         # (x - 1) / 4 for raw values {1, 2, 2, 5}
-        recs, _ = normalize_scores(_records([(1, 0), (2, 0), (2, 0), (5, 0)]))
+        recs = normalize_scores(_records([(1, 0), (2, 0), (2, 0), (5, 0)]))
         assert [r.mq_norm for r in recs] == [0.0, 0.25, 0.25, 1.0]
-
-    def test_constants_reapply_to_held_out_with_clipping(self):
-        _, consts = normalize_scores(_records([(1, 1), (5, 3)]))
-        held_out = consts.apply(_records([(0, 2), (9, 9)], prefix="h"))
-        assert held_out[0].mq_norm == 0.0
-        assert held_out[1].mq_norm == 1.0
-        assert held_out[0].vq_norm == 0.5
-
-    def test_constants_json_round_trip(self):
-        _, consts = normalize_scores(_records([(1, 1.5), (5, 3)]))
-        assert NormalizationConstants(**json.loads(consts.to_json())) == consts
 
     def test_empty_input_raises(self):
         with pytest.raises(DataError):
@@ -186,7 +173,7 @@ class TestSynthPopulation:
 
 class TestInjectScoreNoise:
     def test_zero_level_is_identity(self):
-        recs, _ = normalize_scores(_records([(1, 1), (2, 3)]))
+        recs = normalize_scores(_records([(1, 1), (2, 3)]))
         noisy = inject_score_noise(recs, 0.0, seed=9)
         assert noisy == recs
 
@@ -209,7 +196,7 @@ class TestInjectScoreNoise:
         assert d2.std() / d1.std() == pytest.approx(2.0, rel=0.03)
 
     def test_positive_level_clears_normalization(self):
-        recs, _ = normalize_scores(_records([(1, 1), (2, 3)]))
+        recs = normalize_scores(_records([(1, 1), (2, 3)]))
         noisy = inject_score_noise(recs, 0.5, seed=15)
         assert all(not r.is_normalized for r in noisy)
 

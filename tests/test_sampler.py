@@ -8,8 +8,8 @@ from scipy import stats
 
 from tqd.quality import QualityRecord
 from tqd.sampler import (
+    MAX_BATCH_SIZE,
     MAX_KAPPA,
-    Batch,
     SamplerConfig,
     TimestepLaw,
     TqdSampler,
@@ -39,6 +39,7 @@ class TestSamplerConfig:
         {"seed": -1},
         {"kappa_max": float("inf")},
         {"kappa_max": 1e308},
+        {"batch_size": MAX_BATCH_SIZE + 1},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(DataError):
@@ -210,82 +211,85 @@ class TestBinMasses:
         assert bin_masses(law, edges).sum() == pytest.approx(1.0)
 
 
+def _ids(sampler, batch):
+    return [sampler.records[i].id for i in batch.indices]
+
+
 class TestPrepareBatch:
     def test_single_fully_retained_record_fills_batch(self):
-        sampler = TqdSampler([_rec(1.0, 1.0, "only")], SamplerConfig())
-        batch = sampler.prepare_batch(8, np.random.default_rng(51))
+        sampler = TqdSampler([_rec(1.0, 1.0, "only")], SamplerConfig(batch_size=8))
+        batch = sampler.prepare_batch(np.random.default_rng(51))
         assert len(batch.indices) == 8
         assert batch.acceptance_rate == 1.0
-        assert all(rec.id == "only" for rec, _ in batch.members)
+        assert set(_ids(sampler, batch)) == {"only"}
+
+    def test_large_batch_at_half_retention_fills(self):
+        # the attempt cap scales with the batch being drawn
+        records = [_rec(0.5, 0.5, f"r{i}") for i in range(10)]
+        sampler = TqdSampler(records, SamplerConfig(batch_size=2000))
+        batch = sampler.prepare_batch(np.random.default_rng(61))
+        assert len(batch.indices) == len(batch.timesteps) == 2000
+        assert batch.accepted >= 2000
 
     def test_acceptance_rate_matches_retention(self):
         records = [_rec(0.5, 0.5, f"r{i}") for i in range(10)]
-        sampler = TqdSampler(records, SamplerConfig())
+        sampler = TqdSampler(records, SamplerConfig(batch_size=16))
         rng = np.random.default_rng(52)
         attempts = accepted = 0
         while attempts < 100_000:
-            batch = sampler.prepare_batch(16, rng)
+            batch = sampler.prepare_batch(rng)
             attempts += batch.attempts
             accepted += batch.accepted
         assert abs(accepted / attempts - 0.5) < 0.01
 
     def test_zero_retention_record_never_appears(self):
         records = [_rec(1.0, 1.0, "keep"), _rec(0.0, 0.0, "drop")]
-        sampler = TqdSampler(records, SamplerConfig())
+        sampler = TqdSampler(records, SamplerConfig(batch_size=16))
         rng = np.random.default_rng(53)
         for _ in range(10):
-            batch = sampler.prepare_batch(16, rng)
-            assert all(rec.id == "keep" for rec, _ in batch.members)
+            assert set(_ids(sampler, sampler.prepare_batch(rng))) == {"keep"}
 
     def test_no_retainable_records_raises(self):
-        sampler = TqdSampler([_rec(0.0, 0.0)], SamplerConfig())
+        sampler = TqdSampler([_rec(0.0, 0.0)], SamplerConfig(batch_size=4))
         with pytest.raises(SamplingError, match="no retainable"):
-            sampler.prepare_batch(4, np.random.default_rng(54))
+            sampler.prepare_batch(np.random.default_rng(54))
 
     def test_attempt_cap_exhaustion_raises(self):
-        # the cap is 1000 attempts per slot of the configured batch size;
-        # at retention 1e-6, 16 acceptances in 16 000 attempts never happen
+        # the cap is 1000 attempts per batch slot; at retention 1e-6, 16
+        # acceptances in 16 000 attempts never happen
         sampler = TqdSampler([_rec(1e-6, 0.0)], SamplerConfig(batch_size=16))
         with pytest.raises(SamplingError, match="cap exhausted: .* in 16000 attempts"):
-            sampler.prepare_batch(16, np.random.default_rng(55))
+            sampler.prepare_batch(np.random.default_rng(55))
 
     def test_baseline_arm_disables_dropout(self):
         records = [_rec(0.9, 0.1, "a"), _rec(0.0, 0.0, "b")]
-        sampler = TqdSampler(records, SamplerConfig())
-        batch = sampler.prepare_batch(64, np.random.default_rng(56), baseline=True)
+        sampler = TqdSampler(records, SamplerConfig(batch_size=64))
+        batch = sampler.prepare_batch(np.random.default_rng(56), baseline=True)
         assert batch.attempts == batch.accepted == 64
-        assert {rec.id for rec, _ in batch.members} == {"a", "b"}
+        assert set(_ids(sampler, batch)) == {"a", "b"}
 
     def test_baseline_timesteps_are_uniform(self):
-        sampler = TqdSampler([_rec(0.9, 0.1)], SamplerConfig(kappa_base=2.0))
+        sampler = TqdSampler([_rec(0.9, 0.1)], SamplerConfig(kappa_base=2.0, batch_size=1000))
         rng = np.random.default_rng(57)
         draws = np.concatenate([
-            sampler.prepare_batch(1000, rng, baseline=True).timesteps
+            sampler.prepare_batch(rng, baseline=True).timesteps
             for _ in range(5)])
         assert stats.kstest(draws, "uniform").pvalue > 0.01
 
     def test_timesteps_follow_per_record_law(self):
         # strongly motion-dominant record: mass sits at high t
-        sampler = TqdSampler([_rec(1.0, 0.0)], SamplerConfig(kappa_max=20.0))
-        batch = sampler.prepare_batch(1000, np.random.default_rng(58))
+        sampler = TqdSampler([_rec(1.0, 0.0)], SamplerConfig(kappa_max=20.0, batch_size=1000))
+        batch = sampler.prepare_batch(np.random.default_rng(58))
         assert np.mean(batch.timesteps > 0.5) > 0.9
 
     def test_deterministic_for_generator_state(self):
         records = [_rec(0.8, 0.3, f"r{i}") for i in range(5)]
-        a = TqdSampler(records, SamplerConfig()).prepare_batch(32, np.random.default_rng(59))
-        b = TqdSampler(records, SamplerConfig()).prepare_batch(32, np.random.default_rng(59))
-        assert [(rec.id, t) for rec, t in a.members] == [
-            (rec.id, t) for rec, t in b.members]
+        config = SamplerConfig(batch_size=32)
+        a = TqdSampler(records, config).prepare_batch(np.random.default_rng(59))
+        b = TqdSampler(records, config).prepare_batch(np.random.default_rng(59))
+        assert a.indices.tolist() == b.indices.tolist()
+        assert a.timesteps.tolist() == b.timesteps.tolist()
 
     def test_empty_dataset_raises(self):
         with pytest.raises(DataError):
             TqdSampler([], SamplerConfig())
-
-    def test_nonpositive_batch_size_raises(self):
-        sampler = TqdSampler([_rec(1.0, 1.0)], SamplerConfig())
-        with pytest.raises(DataError):
-            sampler.prepare_batch(0, np.random.default_rng(60))
-
-    def test_acceptance_rate_nan_on_empty_batch_object(self):
-        batch = Batch([], np.array([], dtype=int), np.array([]), attempts=0, accepted=0)
-        assert np.isnan(batch.acceptance_rate)

@@ -12,6 +12,7 @@ from tqd.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    MAX_HIDDEN_WIDTH,
     TrainerConfig,
     VelocityModel,
     adam_update,
@@ -446,6 +447,9 @@ def test_trainer_config_validation():
         TrainerConfig(learning_rate=0.0)
     with pytest.raises(DataError, match="hidden_width"):
         TrainerConfig(hidden_width=0)
+    TrainerConfig(hidden_width=MAX_HIDDEN_WIDTH)
+    with pytest.raises(DataError, match="hidden_width"):
+        TrainerConfig(hidden_width=MAX_HIDDEN_WIDTH + 1)
     with pytest.raises(DataError, match="seed"):
         TrainerConfig(seed=-2)
 
