@@ -38,7 +38,6 @@ from .errors import (
     DataError,
     NumericError,
     SamplingError,
-    TqdError,
     UsageError,
 )
 from .quality import (
@@ -75,7 +74,8 @@ def _keys(cls) -> dict:
 # once. A None default makes a key optional; an ... default, required.
 _CURATE_KEYS = {  # a None threshold is the manifest's median raw score
     "manifest": (str, None), "mq_threshold": (float, None), "vq_threshold": (float, None)}
-_SAMPLE_STATS_KEYS = {"manifest": (str, None), **_keys(SamplerConfig), "n_draws": (int, 10000)}
+_SAMPLE_STATS_KEYS = {"manifest": (str, None), **_keys(SamplerConfig), "seed": (int, 0),
+                      "n_draws": (int, 10000)}
 _TRAIN_KEYS = {
     "manifest": (str, None), **_keys(SamplerConfig), **_keys(TrainerConfig),
     "noise_level": (float, 0.0), "filter_quadrants": (list, None),
@@ -98,6 +98,11 @@ _PROBE_SAMPLE_KEYS = {
     "texture_noise": (float, 0.02), "frames": (int, 8), "height": (int, 16), "width": (int, 16),
 }
 _DEGRADATION_KEYS = {"kind": (str, ...), "strength": (float, ...), "seed": (int, 0)}
+
+# Largest probe samples.n: every sample and its degraded copies are held at
+# once, 2.5 MiB per sample at synth.MAX_CLIP_PIXELS with four degradations.
+# The largest n in use is 40.
+MAX_PROBE_SAMPLES = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,7 +285,7 @@ def cmd_sample_stats(args) -> int:
     records = read_manifest(manifest)
     normalized = normalize_scores(records)
     sampler = TqdSampler(normalized, config)
-    report = timestep_histogram(sampler, n_draws)
+    report = timestep_histogram(sampler, n_draws, seed=params["seed"])
 
     # one row per distinct quality profile, first-appearance order; the
     # law and retention depend on the profile alone, so any member serves
@@ -392,8 +397,8 @@ def cmd_train(args) -> int:
 def _probe_samples(spec: dict, seed: int):
     """Render the probe's clean samples from its resolved samples block."""
     n = spec["n"]
-    if n < 1:
-        raise DataError(f"probe needs at least one sample, got n={n}")
+    if not 1 <= n <= MAX_PROBE_SAMPLES:
+        raise DataError(f"samples.n must be in [1, {MAX_PROBE_SAMPLES}], got {n}")
     if spec["speed_min"] > spec["speed_max"]:
         raise DataError(f"samples.speed_min ({spec['speed_min']}) must not exceed "
                         f"samples.speed_max ({spec['speed_max']})")
@@ -514,9 +519,6 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (DataError, SamplingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TqdError as exc:  # any future library error defaults to data
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         name = getattr(exc, "filename", None)

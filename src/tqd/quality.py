@@ -2,8 +2,8 @@
 
 Every training sample carries two raw scorer outputs, a motion-quality (MQ)
 and a visual-quality (VQ) score. This module turns raw score populations
-into the normalized [0, 1] values the sampler consumes, partitions
-populations into the four high/low quadrants, measures the MQ/VQ
+into the normalized [0, 1] values the sampler consumes, assigns each
+record one of the four high/low quadrants, measures the MQ/VQ
 correlation, and synthesizes score populations with a prescribed
 correlation so the whole pipeline runs without any external scorer.
 
@@ -43,14 +43,6 @@ class QualityRecord:
     @property
     def is_normalized(self) -> bool:
         return self.mq_norm is not None and self.vq_norm is not None
-
-
-@dataclass(frozen=True)
-class QuadrantPartition:
-    """Counts and fractions of records per quality quadrant."""
-
-    counts: dict[str, int]
-    fractions: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -103,23 +95,6 @@ def quadrant_of(record: QualityRecord, mq_threshold: float, vq_threshold: float)
     """
     return (("H" if record.mq_raw > mq_threshold else "L") + "M"
             + ("H" if record.vq_raw > vq_threshold else "L") + "V")
-
-
-def partition_quadrants(
-    records: list[QualityRecord],
-    mq_threshold: float,
-    vq_threshold: float,
-) -> QuadrantPartition:
-    """Assign every record to exactly one of the four quality quadrants
-    (see quadrant_of)."""
-    if not records:
-        raise DataError("empty dataset")
-    counts = dict.fromkeys(QUADRANTS, 0)
-    for rec in records:
-        counts[quadrant_of(rec, mq_threshold, vq_threshold)] += 1
-    n = len(records)
-    fractions = {k: counts[k] / n for k in QUADRANTS}
-    return QuadrantPartition(counts, fractions)
 
 
 def pearson_correlation(records: list[QualityRecord]) -> PopulationStats:

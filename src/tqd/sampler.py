@@ -57,16 +57,14 @@ class SamplerConfig:
     kappa_base 2 reproduces uniform baseline sampling, 4 approximates a
     logit-normal-like centered law; kappa_max is the concentration at full
     quality disparity, at most MAX_KAPPA. batch_size, at most
-    MAX_BATCH_SIZE, is the size of every prepared batch. seed drives
-    `timestep_histogram`'s draws. The shape floor (MIN_SHAPE) and the
-    rejection-attempt cap (ATTEMPTS_PER_SLOT x batch_size) are module
-    constants.
+    MAX_BATCH_SIZE, is the size of every prepared batch. The shape floor
+    (MIN_SHAPE) and the rejection-attempt cap (ATTEMPTS_PER_SLOT x
+    batch_size) are module constants.
     """
 
     kappa_base: float = 2.0
     kappa_max: float = 20.0
     batch_size: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if not self.kappa_base > 0:
@@ -79,8 +77,6 @@ class SamplerConfig:
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
             raise DataError(f"batch_size must be in [1, {MAX_BATCH_SIZE}], "
                             f"got {self.batch_size}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -103,35 +99,21 @@ class TimestepLaw:
         return self.alpha / (self.alpha + self.beta)
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DataError(f"{name} must be in [0, 1], got {value}")
-
-
-def compute_mu(mq_norm: float, vq_norm: float) -> float:
-    """Distribution center from relative quality: 0.5 + 0.5*(mq - vq)."""
-    _check_unit("mq_norm", mq_norm)
-    _check_unit("vq_norm", vq_norm)
-    return 0.5 + 0.5 * (mq_norm - vq_norm)
-
-
-def compute_kappa(mq_norm: float, vq_norm: float, config: SamplerConfig) -> float:
-    """Concentration from quality disparity, linear between kappa_base and kappa_max."""
-    _check_unit("mq_norm", mq_norm)
-    _check_unit("vq_norm", vq_norm)
-    return config.kappa_base + (config.kappa_max - config.kappa_base) * abs(mq_norm - vq_norm)
-
-
 def make_law(record: QualityRecord, config: SamplerConfig) -> TimestepLaw:
-    """Build the record's timestep law from its normalized scores.
+    """Build the record's timestep law (mu and kappa as in the module
+    docstring) from its normalized scores, each of which must be in [0, 1].
 
     Shapes are floored at MIN_SHAPE: mu of exactly 0 or 1 would otherwise
     give a zero shape parameter, which is not a distribution.
     """
     if not record.is_normalized:
         raise DataError(f"record {record.id!r} is not normalized")
-    mu = compute_mu(record.mq_norm, record.vq_norm)
-    kappa = compute_kappa(record.mq_norm, record.vq_norm, config)
+    mq, vq = record.mq_norm, record.vq_norm
+    for name, value in (("mq_norm", mq), ("vq_norm", vq)):
+        if not 0.0 <= value <= 1.0:
+            raise DataError(f"{name} must be in [0, 1], got {value}")
+    mu = 0.5 + 0.5 * (mq - vq)
+    kappa = config.kappa_base + (config.kappa_max - config.kappa_base) * abs(mq - vq)
     alpha = max(mu * kappa, MIN_SHAPE)
     beta = max((1.0 - mu) * kappa, MIN_SHAPE)
     return TimestepLaw(mu=mu, kappa=kappa, alpha=alpha, beta=beta)

@@ -35,6 +35,11 @@ BACKGROUND = 0.1
 # clip's frame many times over
 MAX_BLUR_RADIUS = 1024
 
+# largest clip in pixels (frames x height x width) that generate_moving_shape
+# and read_video accept: clips are held whole in float64, and the model's
+# first layer is this wide. The largest clip in use is 8x16x16 = 2048.
+MAX_CLIP_PIXELS = 65536
+
 
 @dataclass
 class ToyVideo:
@@ -96,7 +101,8 @@ def generate_moving_shape(
     The square wraps around the right edge when its trajectory leaves the
     frame (negative speeds move left and wrap the other way). Texture
     noise is additive Gaussian of the given std, clamped to [0, 1].
-    frames, height and width must be positive, seed must be >= 0.
+    frames, height and width must be positive with a product of at most
+    MAX_CLIP_PIXELS, seed must be >= 0.
     """
     if not np.isfinite(motion_speed):
         raise DataError(f"motion_speed must be finite, got {motion_speed}")
@@ -105,6 +111,7 @@ def generate_moving_shape(
     if min(frames, height, width) < 1:
         raise DataError(f"video dimensions must be positive, got frames={frames}, "
                         f"height={height}, width={width}")
+    _check_clip_size(frames, height, width)
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     # integer row placement: noise-free videos take only the two nominal
@@ -121,6 +128,11 @@ def generate_moving_shape(
         video += np.random.default_rng(seed).normal(0.0, texture_noise, size=video.shape)
     np.clip(video, 0.0, 1.0, out=video)
     return ToyVideo(frames=video)
+
+
+def _check_clip_size(frames: int, height: int, width: int) -> None:
+    if frames * height * width > MAX_CLIP_PIXELS:
+        raise DataError(f"a {frames}x{height}x{width} clip has more than {MAX_CLIP_PIXELS} pixels")
 
 
 def _interval_coverage(start: float, length: float, n: int, wrap: bool) -> np.ndarray:
@@ -202,8 +214,8 @@ def write_video(video: ToyVideo, path: str | Path) -> None:
 
 def read_video(path: str | Path) -> ToyVideo:
     """Read the flat binary format back (pixels land as float64).
-    DataError on a malformed file, a zero dimension or a non-finite
-    pixel. A `<path>.json` file next to it is not read."""
+    DataError on a malformed file, a zero dimension, over MAX_CLIP_PIXELS
+    pixels or a non-finite pixel. A `<path>.json` file next to it is not read."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:4] != VIDEO_MAGIC:
@@ -212,6 +224,7 @@ def read_video(path: str | Path) -> ToyVideo:
     if 0 in (f, h, w):
         raise DataError(f"toy-video file {path} has shape ({f}, {h}, {w}), "
                         f"every dimension must be positive")
+    _check_clip_size(f, h, w)
     expected = 16 + 4 * f * h * w
     if len(raw) != expected:
         raise DataError(f"truncated toy-video file {path}: {len(raw)} bytes, expected {expected}")

@@ -40,6 +40,11 @@ FINAL_LOSS_WINDOW = 0.1
 # in float64, 128 MiB at this width. The largest width in use is 1024.
 MAX_HIDDEN_WIDTH = 4096
 
+# Largest n_noise the probe's gradients accept: gradient_distances holds
+# (copies, n_noise, n_noise) Gram blocks, 32 MiB each for four copies at
+# this value, and (n_noise, pixels) noise. The largest n_noise in use is 16.
+MAX_N_NOISE = 1024
+
 # elements per adam_update chunk: two float64 scratch buffers of this
 # length (256 KiB together) stay in cache while a chunk is updated
 _ADAM_CHUNK = 16384
@@ -240,8 +245,8 @@ def grad_at_timestep(model: VelocityModel, video: ToyVideo, t: float, noise_seed
     """
     if not 0.0 < float(t) < 1.0:
         raise DataError(f"t must be in the open interval (0, 1), got {t}")
-    if n_noise < 1:
-        raise DataError(f"n_noise must be >= 1, got {n_noise}")
+    if not 1 <= n_noise <= MAX_N_NOISE:
+        raise DataError(f"n_noise must be in [1, {MAX_N_NOISE}], got {n_noise}")
     if video.frames.shape != model.data_shape:
         raise DataError(f"video shape {video.frames.shape} does not match model "
                         f"data shape {model.data_shape}")
@@ -329,8 +334,8 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
     for t in t_grid:
         if not 0.0 < t < 1.0:
             raise DataError(f"t must be in the open interval (0, 1), got {t}")
-    if n_noise < 1:
-        raise DataError(f"n_noise must be >= 1, got {n_noise}")
+    if not 1 <= n_noise <= MAX_N_NOISE:
+        raise DataError(f"n_noise must be in [1, {MAX_N_NOISE}], got {n_noise}")
     for clip in (*videos, *(clip for clips in copies for clip in clips)):
         if clip.frames.shape != model.data_shape:
             raise DataError(f"video shape {clip.frames.shape} does not match model "
@@ -507,10 +512,9 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     sampler (or, with trainer_config.baseline, the arm that skips dropout
     and draws every t from Beta(kappa_base/2, kappa_base/2), which is flat
     only at the default kappa_base 2), draws fresh noise endpoints, and
-    applies one optimizer update. Deterministic given
-    trainer_config.seed; the sampler config's own seed is not consulted
-    here. A non-finite loss or parameter is NumericError; numpy's own
-    overflow warnings are silenced, so that error is the one report.
+    applies one optimizer update. Deterministic given trainer_config.seed.
+    A non-finite loss or parameter is NumericError; numpy's own overflow
+    warnings are silenced, so that error is the one report.
     """
     if not dataset:
         raise DataError("dataset is empty")

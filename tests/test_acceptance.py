@@ -19,10 +19,9 @@ import numpy as np
 from scipy import stats
 from scipy.special import betainc
 
-from tqd.analysis import gradient_probe, robustness_sweep
+from tqd.analysis import gradient_probe, quadrant_report, robustness_sweep
 from tqd.cli import main as cli_main
-from tqd.quality import QualityRecord, normalize_scores, partition_quadrants, \
-    pearson_correlation, synth_population
+from tqd.quality import QualityRecord, normalize_scores, synth_population
 from tqd.sampler import SamplerConfig, TimestepLaw, TqdSampler, beta_variates, \
     bin_masses, make_law
 from tqd.synth import DegradationSpec, generate_moving_shape
@@ -358,18 +357,17 @@ def test_scorer_noise_shift_is_monotone_and_zero_at_clean(tmp_path):
 def test_dilemma_population_statistics():
     t0 = time.perf_counter()
     records = synth_population(100_000, target_r=-0.22, seed=17)
-    corr = pearson_correlation(records)
-    mq_med = float(np.median([r.mq_raw for r in records]))
-    vq_med = float(np.median([r.vq_raw for r in records]))
-    part = partition_quadrants(records, mq_med, vq_med)
+    # the report's thresholds default to the per-metric median raw scores
+    data = quadrant_report(records).data
+    r = data["pearson_r"]
     oracle = 0.25 + np.arcsin(-0.22) / (2.0 * np.pi)
-    hmhv = part.fractions["HMHV"]
+    hmhv = data["fractions"]["HMHV"]
     elapsed = time.perf_counter() - t0
-    ok = (-0.24 <= corr.pearson_r <= -0.20
+    ok = (-0.24 <= r <= -0.20
           and abs(hmhv - oracle) < 0.02
           and elapsed < 10.0)
     _verdict("dilemma statistics", ok,
-             f"r={corr.pearson_r:+.4f}, HMHV {hmhv:.4f} vs oracle {oracle:.4f}, "
+             f"r={r:+.4f}, HMHV {hmhv:.4f} vs oracle {oracle:.4f}, "
              f"{elapsed:.1f}s")
 
 

@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from tqd.cli import main
+from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
 from tqd.quality import read_manifest
-from tqd.synth import ToyVideo, generate_moving_shape, write_video
-from tqd.trainer import VelocityModel, load_checkpoint, param_count, save_checkpoint
+from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload, write_video
+from tqd.trainer import (
+    MAX_N_NOISE,
+    VelocityModel,
+    load_checkpoint,
+    param_count,
+    save_checkpoint,
+)
 
 
 def _write_lines(path, rows):
@@ -582,6 +588,16 @@ def test_probe_requires_model(tmp_path, capsys):
     ("sample-stats", {"kappa_max": 1e308}, None),
     ("train", {"batch_size": 10**11}, None),
     ("train", {"hidden_width": 10**15}, None),
+    ("train", {}, [{"id": "a", "payload": "synth:speed=1,frames=1000000000000000,"
+                                          "height=100000,width=100000"}, {"id": "b"}]),
+    ("train", {}, [{"id": "a", "payload": "synth:speed=1,frames=1,height=256,width=257"},
+                   {"id": "b"}]),
+    ("probe", {"samples": {"n": 1, "frames": 10**15, "height": 10**5, "width": 10**5}}, None),
+    ("probe", {"samples": {"frames": 1, "height": 256, "width": 257}}, None),
+    ("probe", {"n_noise": 10**18}, None),
+    ("probe", {"n_noise": MAX_N_NOISE + 1}, None),
+    ("probe", {"samples": {"n": MAX_PROBE_SAMPLES + 1}}, None),
+    ("sample-stats", {"seed": -1}, None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
@@ -591,15 +607,19 @@ def test_probe_requires_model(tmp_path, capsys):
         "other-command-key", "unknown-samples-key", "unknown-degradation-key",
         "degradation-without-kind", "zero-draws", "non-utf8", "negative-noise-level",
         "over-long-int", "huge-blur-radius", "huge-kappa-max", "huge-batch-size",
-        "huge-hidden-width"])
+        "huge-hidden-width", "huge-payload-clip", "payload-clip-over-limit",
+        "huge-probe-clip", "probe-clip-over-limit", "huge-n-noise", "n-noise-over-limit",
+        "probe-samples-over-limit", "negative-stats-seed"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
     if manifest_rows is not None:
         _write_lines(manifest, [{"mq": 2.0 + i, "vq": 2.0, "payload": _synth_ref(1.0, i),
                                  **row} for i, row in enumerate(manifest_rows)])
-        with pytest.raises(DataError, match="duplicate|payload"):
-            read_manifest(manifest)
+        # the manifest is bad in the library, before the CLI sees it
+        with pytest.raises(DataError, match="duplicate|payload|pixels"):
+            for rec in read_manifest(manifest):
+                resolve_payload(rec.payload_ref)
     ckpt, probe_config = _tiny_probe_setup(tmp_path)
     if command == "probe":
         # the bad value rides on a config that otherwise fits the checkpoint

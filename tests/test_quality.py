@@ -1,4 +1,4 @@
-"""Score normalization, quadrant partitioning, and population statistics."""
+"""Score normalization, quadrant counts, and population statistics."""
 
 from __future__ import annotations
 
@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from tqd.analysis import quadrant_report
 from tqd.quality import (
     QualityRecord,
     inject_score_noise,
     normalize_scores,
-    partition_quadrants,
     pearson_correlation,
+    quadrant_of,
     read_manifest,
     synth_population,
     write_manifest,
@@ -65,23 +66,26 @@ class TestNormalizeScores:
 
 
 class TestPartitionQuadrants:
+    """Quadrant counts, by quadrant_of, as quadrant_report gives them; the
+    report also correlates the scores, so it needs 3 non-constant records."""
+
     def test_one_record_per_quadrant(self):
-        part = partition_quadrants(
-            _records([(3, 3), (3, 2), (2, 3), (2, 2)]), 2.5, 2.7)
-        assert part.counts == {"HMHV": 1, "HMLV": 1, "LMHV": 1, "LMLV": 1}
-        assert sum(part.counts.values()) == 4
+        data = quadrant_report(
+            _records([(3, 3), (3, 2), (2, 3), (2, 2)]), 2.5, 2.7).data
+        assert data["counts"] == {"HMHV": 1, "HMLV": 1, "LMHV": 1, "LMLV": 1}
+        assert sum(data["counts"].values()) == 4
 
     def test_all_high_gives_full_hmhv_fraction(self):
-        part = partition_quadrants(_records([(5, 5), (4, 4)]), 2.5, 2.7)
-        assert part.fractions["HMHV"] == 1.0
+        data = quadrant_report(_records([(5, 5), (4, 4), (3, 6)]), 2.5, 2.7).data
+        assert data["fractions"]["HMHV"] == 1.0
 
     def test_exact_threshold_counts_as_low(self):
-        part = partition_quadrants(_records([(2.5, 2.7)]), 2.5, 2.7)
-        assert part.counts["LMLV"] == 1
+        (rec,) = _records([(2.5, 2.7)])
+        assert quadrant_of(rec, 2.5, 2.7) == "LMLV"
 
     def test_empty_input_raises(self):
         with pytest.raises(DataError):
-            partition_quadrants([], 0.5, 0.5)
+            quadrant_report([], 0.5, 0.5)
 
     def test_hmhv_fraction_matches_bivariate_normal_oracle(self):
         # independent oracle: direct bivariate-normal quadrant Monte Carlo
@@ -94,8 +98,8 @@ class TestPartitionQuadrants:
         recs = synth_population(100_000, target_r, seed=7)
         mq_med = float(np.median([r.mq_raw for r in recs]))
         vq_med = float(np.median([r.vq_raw for r in recs]))
-        part = partition_quadrants(recs, mq_med, vq_med)
-        assert abs(part.fractions["HMHV"] - oracle) < 0.02
+        data = quadrant_report(recs, mq_med, vq_med).data
+        assert abs(data["fractions"]["HMHV"] - oracle) < 0.02
 
 
 class TestPearsonCorrelation:

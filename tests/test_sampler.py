@@ -15,8 +15,6 @@ from tqd.sampler import (
     TqdSampler,
     beta_variates,
     bin_masses,
-    compute_kappa,
-    compute_mu,
     density_curve,
     gamma_variates,
     make_law,
@@ -36,7 +34,6 @@ class TestSamplerConfig:
         {"kappa_base": 4.0, "kappa_max": 2.0},
         {"batch_size": 0},
         {"kappa_max": float("nan")},
-        {"seed": -1},
         {"kappa_max": float("inf")},
         {"kappa_max": 1e308},
         {"batch_size": MAX_BATCH_SIZE + 1},
@@ -52,32 +49,38 @@ class TestSamplerConfig:
 
 
 class TestComputeMu:
+    """make_law's center, mu = 0.5 + 0.5*(mq - vq)."""
+
     def test_extreme_motion_advantage(self):
-        assert compute_mu(1.0, 0.0) == 1.0
+        assert make_law(_rec(1.0, 0.0), SamplerConfig()).mu == 1.0
 
     @pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0])
     def test_equal_quality_centers(self, x):
-        assert compute_mu(x, x) == 0.5
+        assert make_law(_rec(x, x), SamplerConfig()).mu == 0.5
 
     def test_direct_evaluation(self):
-        assert compute_mu(0.8, 0.3) == pytest.approx(0.75)
+        assert make_law(_rec(0.8, 0.3), SamplerConfig()).mu == pytest.approx(0.75)
 
     def test_out_of_range_raises(self):
-        with pytest.raises(DataError):
-            compute_mu(1.2, 0.5)
+        with pytest.raises(DataError, match="mq_norm must be in"):
+            make_law(_rec(1.2, 0.5), SamplerConfig())
+        with pytest.raises(DataError, match="vq_norm must be in"):
+            make_law(_rec(0.5, -0.1), SamplerConfig())
 
 
 class TestComputeKappa:
+    """make_law's concentration, linear in |mq - vq| from kappa_base to kappa_max."""
+
     def test_zero_disparity_gives_base(self):
-        assert compute_kappa(0.6, 0.6, SamplerConfig(kappa_base=4.0)) == 4.0
+        assert make_law(_rec(0.6, 0.6), SamplerConfig(kappa_base=4.0)).kappa == 4.0
 
     def test_full_disparity_gives_max(self):
         config = SamplerConfig(kappa_base=2.0, kappa_max=20.0)
-        assert compute_kappa(1.0, 0.0, config) == 20.0
+        assert make_law(_rec(1.0, 0.0), config).kappa == 20.0
 
     def test_linear_interpolation(self):
         config = SamplerConfig(kappa_base=2.0, kappa_max=30.0)
-        assert compute_kappa(0.5, 0.0, config) == pytest.approx(16.0)
+        assert make_law(_rec(0.5, 0.0), config).kappa == pytest.approx(16.0)
 
 
 class TestMakeLaw:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from tqd.synth import (
     DEGRADATION_KINDS,
     MAX_BLUR_RADIUS,
+    MAX_CLIP_PIXELS,
     DegradationSpec,
     ToyVideo,
     degrade,
@@ -106,6 +109,12 @@ class TestGenerateMovingShape:
     def test_non_positive_dimensions_raise(self, dims):
         with pytest.raises(DataError, match="dimensions must be positive"):
             generate_moving_shape(1.0, 0.0, seed=0, **dims)
+
+    def test_clip_over_the_pixel_limit_raises(self):
+        assert generate_moving_shape(1.0, 0.0, seed=0, frames=1, height=256,
+                                     width=256).frames.size == MAX_CLIP_PIXELS
+        with pytest.raises(DataError, match=f"more than {MAX_CLIP_PIXELS} pixels"):
+            generate_moving_shape(1.0, 0.0, seed=0, frames=1, height=256, width=257)
 
 
 class TestDegrade:
@@ -221,6 +230,13 @@ class TestVideoIO:
         path = tmp_path / "clip.tvid"
         path.write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(DataError, match="not a toy-video"):
+            read_video(path)
+
+    def test_header_over_the_pixel_limit_raises(self, tmp_path):
+        # checked from the header, before the pixels are sized
+        path = tmp_path / "clip.tvid"
+        path.write_bytes(b"TVID" + struct.pack("<III", 1, 256, 257))
+        with pytest.raises(DataError, match=f"more than {MAX_CLIP_PIXELS} pixels"):
             read_video(path)
 
     def test_truncated_file_raises(self, tmp_path):
