@@ -225,9 +225,11 @@ def timestep_histogram(
         raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     draws = []
-    while len(draws) < n_draws:
-        draws.extend(sampler.prepare_batch(rng).timesteps.tolist())
-    t = np.array(draws[:n_draws])
+    n_drawn = 0
+    while n_drawn < n_draws:
+        draws.append(sampler.prepare_batch(rng).timesteps)
+        n_drawn += draws[-1].size
+    t = np.concatenate(draws)[:n_draws]
 
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     observed = np.histogram(t, bins=edges)[0]

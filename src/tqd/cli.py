@@ -47,7 +47,7 @@ from .quality import (
     quadrant_of,
     read_manifest,
 )
-from .sampler import SamplerConfig, TqdSampler
+from .sampler import MAX_BATCH_SIZE, SamplerConfig, TqdSampler
 from .synth import DegradationSpec, generate_moving_shape, resolve_payload
 from .trainer import (
     TrainerConfig,
@@ -74,8 +74,10 @@ def _keys(cls) -> dict:
 # once. A None default makes a key optional; an ... default, required.
 _CURATE_KEYS = {  # a None threshold is the manifest's median raw score
     "manifest": (str, None), "mq_threshold": (float, None), "vq_threshold": (float, None)}
-_SAMPLE_STATS_KEYS = {"manifest": (str, None), **_keys(SamplerConfig), "seed": (int, 0),
-                      "n_draws": (int, 10000)}
+_SAMPLE_STATS_KEYS = {  # not batch_size: sample-stats sets it from n_draws
+    "manifest": (str, None),
+    **{key: entry for key, entry in _keys(SamplerConfig).items() if key != "batch_size"},
+    "seed": (int, 0), "n_draws": (int, 10000)}
 _TRAIN_KEYS = {
     "manifest": (str, None), **_keys(SamplerConfig), **_keys(TrainerConfig),
     "noise_level": (float, 0.0), "filter_quadrants": (list, None),
@@ -280,7 +282,10 @@ def cmd_sample_stats(args) -> int:
     params = _params(args, _SAMPLE_STATS_KEYS)
     manifest = _require(params.pop("manifest"), "--manifest")
     n_draws = params["n_draws"]
-    config = _build(SamplerConfig, params)
+    # all draws from one rejection batch, up to the largest batch;
+    # timestep_histogram owns the minimum number of draws
+    config = _build(SamplerConfig,
+                    {**params, "batch_size": max(1, min(n_draws, MAX_BATCH_SIZE))})
 
     records = read_manifest(manifest)
     normalized = normalize_scores(records)

@@ -262,22 +262,22 @@ class TqdSampler:
         if not np.any(self.retention > 0.0):
             raise SamplingError("no retainable samples (all retention probabilities are 0)")
         cap = ATTEMPTS_PER_SLOT * batch_size
-        chosen: list[int] = []
+        chosen: list[np.ndarray] = []
         attempts = 0
         accepted_total = 0
         # Chunked rejection loop: chunk size keeps the expected number of
         # rounds small without overshooting the attempt cap.
-        while len(chosen) < batch_size and attempts < cap:
+        while accepted_total < batch_size and attempts < cap:
             k = min(max(64, batch_size), cap - attempts)
             idx = rng.integers(0, n, k)
             keep = rng.random(k) < self.retention[idx]
             attempts += k
-            accepted_total += int(keep.sum())
-            chosen.extend(int(i) for i in idx[keep])
-        if len(chosen) < batch_size:
+            chosen.append(idx[keep])
+            accepted_total += chosen[-1].size
+        if accepted_total < batch_size:
             raise SamplingError(
                 f"rejection-attempt cap exhausted: {accepted_total} accepted in "
                 f"{attempts} attempts (acceptance rate {accepted_total / attempts:.4f})")
-        idx = np.array(chosen[:batch_size])
+        idx = np.concatenate(chosen)[:batch_size]
         ts = beta_variates(self._alpha[idx], self._beta[idx], rng, batch_size)
         return Batch(idx, ts, attempts=attempts, accepted=accepted_total)

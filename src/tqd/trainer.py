@@ -15,6 +15,7 @@ only has to be differentiable and shape-faithful.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import CheckpointError, DataError, NumericError
 from .quality import QualityRecord
 from .sampler import SamplerConfig, TqdSampler
-from .synth import ToyVideo
+from .synth import MAX_CLIP_PIXELS, ToyVideo
 
 CHECKPOINT_MAGIC = b"TQDC"
 
@@ -67,7 +68,7 @@ def _param_layout(in_dim: int, hidden: int, out_dim: int):
     layout = {}
     offset = 0
     for name in _LAYER_NAMES:
-        n = int(np.prod(shapes[name]))
+        n = math.prod(shapes[name])
         layout[name] = (shapes[name], slice(offset, offset + n))
         offset += n
     return layout, offset
@@ -103,7 +104,7 @@ class VelocityModel:
 
     @property
     def data_dim(self) -> int:
-        return int(np.prod(self.data_shape))
+        return math.prod(self.data_shape)
 
     @property
     def input_dim(self) -> int:
@@ -136,7 +137,7 @@ class VelocityModel:
         """
         data_shape = tuple(int(d) for d in data_shape)
         _check_architecture(data_shape, hidden_width, n_freqs)
-        data_dim = int(np.prod(data_shape))
+        data_dim = math.prod(data_shape)
         in_dim = data_dim + 2 * n_freqs
         layout, total = _param_layout(in_dim, hidden_width, data_dim)
         rng = np.random.default_rng(seed)
@@ -153,11 +154,20 @@ class VelocityModel:
 
 
 def _check_architecture(data_shape: tuple, hidden_width: int, n_freqs: int) -> None:
+    """DataError unless data_shape is three positive dims of at most
+    MAX_CLIP_PIXELS pixels in all (counted in Python integers, which do
+    not wrap), n_freqs >= 1 and hidden_width is in [1, MAX_HIDDEN_WIDTH]."""
     if len(data_shape) != 3 or any(d < 1 for d in data_shape):
         raise DataError(f"data_shape must be three positive dims, got {data_shape}")
     if hidden_width < 1 or n_freqs < 1:
         raise DataError(f"hidden_width and n_freqs must be >= 1, got {hidden_width} "
                         f"and {n_freqs}")
+    if math.prod(data_shape) > MAX_CLIP_PIXELS:
+        raise DataError(f"data_shape {list(data_shape)} has more than "
+                        f"{MAX_CLIP_PIXELS} pixels")
+    if hidden_width > MAX_HIDDEN_WIDTH:
+        raise DataError(f"hidden_width must be at most {MAX_HIDDEN_WIDTH}, "
+                        f"got {hidden_width}")
 
 
 def _check_finite(arr: np.ndarray, layer: int, name: str) -> None:
@@ -606,8 +616,9 @@ def load_checkpoint(path) -> tuple:
     Raises CheckpointError on bad magic, a malformed header, a header
     data_shape, hidden_width, n_freqs or param_count that is not a JSON
     integer (a bool is not), an architecture with a data dim,
-    hidden_width or n_freqs below 1, or a parameter payload that
-    disagrees with the header's architecture.
+    hidden_width or n_freqs below 1, a data_shape of more than
+    MAX_CLIP_PIXELS pixels, a hidden_width over MAX_HIDDEN_WIDTH, or a
+    parameter payload that disagrees with the header's architecture.
     """
     path = Path(path)
     try:
@@ -637,7 +648,7 @@ def load_checkpoint(path) -> tuple:
         _check_architecture(data_shape, hidden_width, n_freqs)
     except DataError as exc:
         raise CheckpointError(f"checkpoint {path} header: {exc}") from exc
-    expected = param_count(int(np.prod(data_shape)), hidden_width, n_freqs)
+    expected = param_count(math.prod(data_shape), hidden_width, n_freqs)
     body = raw[8 + hlen:]
     if len(body) != 8 * expected:
         raise CheckpointError(

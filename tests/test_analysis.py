@@ -24,7 +24,14 @@ from tqd.analysis import (
 )
 from tqd.errors import DataError
 from tqd.quality import QualityRecord, normalize_scores, synth_population
-from tqd.sampler import MIN_SHAPE, SamplerConfig, TimestepLaw, TqdSampler, make_law
+from tqd.sampler import (
+    MAX_BATCH_SIZE,
+    MIN_SHAPE,
+    SamplerConfig,
+    TimestepLaw,
+    TqdSampler,
+    make_law,
+)
 from tqd.synth import DegradationSpec, degrade, generate_moving_shape
 from tqd.trainer import (
     TrainerConfig,
@@ -354,6 +361,21 @@ def test_histogram_pvalue_matches_scipy_chi2(n_records, n_bins):
     report = timestep_histogram(_population_sampler(n_records), 5000, n_bins, seed=n_bins)
     expected = float(scipy_stats.chi2.sf(report.chi_square, report.dof))
     assert report.chi_square_pvalue == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_histogram_cuts_concatenated_batches_to_n_draws():
+    # one draw past the largest batch takes a second batch, of which only
+    # its first timestep is used
+    records = [_norm_record("a", 0.5, 0.5), _norm_record("b", 0.9, 0.3)]
+    sampler = TqdSampler(records, SamplerConfig(batch_size=MAX_BATCH_SIZE))
+    n_draws = MAX_BATCH_SIZE + 1
+    report = timestep_histogram(sampler, n_draws, n_bins=20, seed=7)
+    rng = np.random.default_rng(7)
+    t = np.concatenate([sampler.prepare_batch(rng).timesteps for _ in range(2)])[:n_draws]
+    observed = np.histogram(t, np.linspace(0.0, 1.0, 21))[0]
+    assert [obs for _, _, obs, _ in report.bins] == observed.tolist()
+    weights = sampler.retention / sampler.retention.sum()
+    assert report.ks_stat == _ks_statistic(t, sampler.laws, weights)
 
 
 def test_histogram_validates_arguments():

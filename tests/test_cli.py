@@ -12,9 +12,11 @@ from scipy import stats as scipy_stats
 
 from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
-from tqd.quality import read_manifest
+from tqd.quality import normalize_scores, read_manifest
+from tqd.sampler import SamplerConfig, TqdSampler
 from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload, write_video
 from tqd.trainer import (
+    MAX_HIDDEN_WIDTH,
     MAX_N_NOISE,
     VelocityModel,
     load_checkpoint,
@@ -216,6 +218,39 @@ def test_sample_stats_motion_skew_puts_mass_high(tmp_path, capsys):
     lo, hi = hist[:, :1], hist[:, 1:2]
     masses = scipy_stats.beta.cdf(hi, alpha, beta) - scipy_stats.beta.cdf(lo, alpha, beta)
     np.testing.assert_allclose(2000 * masses @ weights, hist[:, 3], rtol=1e-9)
+
+
+def test_sample_stats_draws_one_batch_of_n_draws(tmp_path, capsys):
+    # the observed counts are those of one prepare_batch of n_draws from
+    # default_rng(seed)
+    manifest = tmp_path / "scores.jsonl"
+    _write_lines(manifest, [{"id": f"r{i}", "mq": 1.0 + i, "vq": 3.0 - 0.5 * i}
+                            for i in range(4)])
+    out = tmp_path / "out"
+    code = main(["sample-stats", "--manifest", str(manifest), "--out", str(out),
+                 "--n-draws", "3000", "--seed", "5"])
+    assert code == 0
+    (run_dir,) = _run_dirs(out)
+    observed = np.loadtxt(run_dir / "histogram.csv", delimiter=",", skiprows=1)[:, 2]
+    sampler = TqdSampler(normalize_scores(read_manifest(manifest)),
+                         SamplerConfig(batch_size=3000))
+    t = sampler.prepare_batch(np.random.default_rng(5)).timesteps
+    np.testing.assert_array_equal(observed, np.histogram(t, np.linspace(0.0, 1.0, 51))[0])
+
+
+def test_sample_stats_starved_sampler_is_data_error(tmp_path, capsys):
+    # one retainable record among 2000: the one batch of 1000 runs out of
+    # attempts
+    manifest = tmp_path / "scores.jsonl"
+    _write_lines(manifest, [{"id": f"r{i}", "mq": 1.0 + (i == 0), "vq": 1.0 + (i == 0)}
+                            for i in range(2000)])
+    out = tmp_path / "out"
+    code = main(["sample-stats", "--manifest", str(manifest), "--out", str(out),
+                 "--n-draws", "1000"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "cap exhausted" in err
+    assert not out.exists()
 
 
 def test_sample_stats_rejects_zero_draws(tmp_path, capsys):
@@ -527,9 +562,13 @@ def _write_raw_checkpoint(path, data_shape, hidden_width, n_freqs, stated=None):
     ([2, 5, 5], 8, 2, {"param_count": [1]}), ([2, 5, 5], 8, 2, {"data_shape": [2.7, 5, 5]}),
     ([2, 5, 5], 8, 2, {"data_shape": "255"}), ([2, 5, 5], 1, 2, {"hidden_width": True}),
     ([2, 5, 5], 8, 2, {"n_freqs": 2.0}),
+    # sizes the parameters cannot match: a pixel count that wraps to 0 in
+    # int64, and a width over the limit
+    ([2, 5, 5], 8, 2, {"data_shape": [2**32, 2**32, 1]}),
+    ([2, 5, 5], 8, 2, {"hidden_width": MAX_HIDDEN_WIDTH + 1}),
 ], ids=["zero-width", "zero-freqs", "zero-height", "negative-width", "two-dims",
         "string-count", "null-count", "list-count", "float-dim", "string-shape",
-        "bool-width", "float-freqs"])
+        "bool-width", "float-freqs", "wrapping-pixel-count", "width-over-limit"])
 def test_probe_checkpoint_without_valid_architecture_is_artifact_error(
         tmp_path, capsys, data_shape, hidden_width, n_freqs, stated):
     _, config = _tiny_probe_setup(tmp_path)
@@ -598,6 +637,7 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"n_noise": MAX_N_NOISE + 1}, None),
     ("probe", {"samples": {"n": MAX_PROBE_SAMPLES + 1}}, None),
     ("sample-stats", {"seed": -1}, None),
+    ("sample-stats", {"batch_size": 16}, None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
@@ -609,7 +649,7 @@ def test_probe_requires_model(tmp_path, capsys):
         "over-long-int", "huge-blur-radius", "huge-kappa-max", "huge-batch-size",
         "huge-hidden-width", "huge-payload-clip", "payload-clip-over-limit",
         "huge-probe-clip", "probe-clip-over-limit", "huge-n-noise", "n-noise-over-limit",
-        "probe-samples-over-limit", "negative-stats-seed"])
+        "probe-samples-over-limit", "negative-stats-seed", "stats-batch-size"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")

@@ -293,6 +293,27 @@ class TestPrepareBatch:
         assert a.indices.tolist() == b.indices.tolist()
         assert a.timesteps.tolist() == b.timesteps.tolist()
 
+    @pytest.mark.parametrize("batch_size", [16, 1000])
+    def test_matches_per_draw_reference(self, batch_size):
+        # the rejection loop kept one accepted index at a time; the batch
+        # must hold the same indices, in the same order, from the same draws
+        records = [_rec(0.1 * i, 0.05 * i, f"r{i}") for i in range(10)]
+        sampler = TqdSampler(records, SamplerConfig(batch_size=batch_size))
+        rng = np.random.default_rng(60)
+        chosen, attempts = [], 0
+        while len(chosen) < batch_size:
+            k = max(64, batch_size)
+            idx = rng.integers(0, len(records), k)
+            keep = rng.random(k) < sampler.retention[idx]
+            attempts += k
+            chosen.extend(int(i) for i in idx[keep])
+        batch = sampler.prepare_batch(np.random.default_rng(60))
+        assert batch.indices.tolist() == chosen[:batch_size]
+        assert (batch.attempts, batch.accepted) == (attempts, len(chosen))
+        expected_t = beta_variates(sampler._alpha[chosen[:batch_size]],
+                                   sampler._beta[chosen[:batch_size]], rng, batch_size)
+        assert batch.timesteps.tolist() == expected_t.tolist()
+
     def test_empty_dataset_raises(self):
         with pytest.raises(DataError):
             TqdSampler([], SamplerConfig())

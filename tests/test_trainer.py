@@ -1,12 +1,15 @@
 """Tests for the toy flow-matching trainer and its hand-written gradients."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from tqd.errors import CheckpointError, DataError, NumericError
 from tqd.quality import QualityRecord
 from tqd.sampler import SamplerConfig
-from tqd.synth import ToyVideo, generate_moving_shape
+from tqd.synth import MAX_CLIP_PIXELS, ToyVideo, generate_moving_shape
 from tqd.trainer import (
     _ADAM_CHUNK,
     ADAM_BETA1,
@@ -103,6 +106,10 @@ def test_init_validates_shape_and_widths():
         VelocityModel.init((2, 0, 3), seed=0)
     with pytest.raises(DataError):
         VelocityModel.init((1, 2, 2), seed=0, hidden_width=0)
+    with pytest.raises(DataError, match=f"more than {MAX_CLIP_PIXELS} pixels"):
+        VelocityModel.init((1, 256, 257), seed=0)
+    with pytest.raises(DataError, match=f"at most {MAX_HIDDEN_WIDTH}"):
+        VelocityModel.init((1, 2, 2), seed=0, hidden_width=MAX_HIDDEN_WIDTH + 1)
 
 
 def test_non_finite_parameters_raise_numeric_error():
@@ -491,6 +498,24 @@ def test_checkpoint_rejects_truncation_and_param_mismatch(tmp_path):
         load_checkpoint(chopped)
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(tmp_path / "missing.bin")
+
+
+@pytest.mark.parametrize("data_shape, hidden_width, n_params, match", [
+    # the pixel count wraps to 0 in int64, where 5 parameters would fit
+    ([2**32, 2**32, 1], 1, 5, f"more than {MAX_CLIP_PIXELS} pixels"),
+    ([1, 256, 257], 1, 8, f"more than {MAX_CLIP_PIXELS} pixels"),
+    ([1, 1, 1], MAX_HIDDEN_WIDTH + 1, 8, f"at most {MAX_HIDDEN_WIDTH}"),
+], ids=["wrapping-pixel-count", "pixels-over-limit", "width-over-limit"])
+def test_checkpoint_rejects_oversized_architecture(tmp_path, data_shape, hidden_width,
+                                                   n_params, match):
+    # the size checks come before the payload-length check
+    header = json.dumps({"data_shape": data_shape, "hidden_width": hidden_width,
+                         "n_freqs": 1, "param_count": n_params}).encode()
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"TQDC" + struct.pack("<I", len(header)) + header
+                     + np.zeros(n_params).tobytes())
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
 
 
 def test_training_log_round_trips_floats(tmp_path):
