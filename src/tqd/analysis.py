@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, chdtrc
 
 from .errors import DataError, NumericError
 from .quality import (
@@ -40,11 +39,22 @@ PROBE_N_NOISE = 16
 # fewest timestep draws timestep_histogram accepts for stable statistics
 MIN_HISTOGRAM_DRAWS = 1000
 
-# _ks_statistic's anchor spacing in distinct draws, and how far below the
-# best exact gap a bound may sit and still be evaluated: far above the
-# rounding of the mixture CDF's sum
-_KS_STRIDE = 32
+# largest n_draws timestep_histogram accepts: its draws, their distinct
+# values and _ks_statistic's per-draw temporaries take about 210 bytes per
+# draw, and `sample-stats` at this limit on 1000 records peaks at 267 MB RSS
+MAX_HISTOGRAM_DRAWS = 1_000_000
+
+# _ks_statistic's coarse anchor spacing in distinct draws; how far below the
+# best exact gap a bound may sit and still be evaluated (far above the
+# rounding of the mixture CDF's sum); and how few candidate draws it
+# evaluates at once instead of bisecting their brackets
+_KS_STRIDE = 1024
 _KS_SLACK = 1e-9
+_KS_FEW = 8
+# relative widening of the mixture density bounds. At MAX_KAPPA,
+# gammaln(a + b) is about 1.3e7, so the log-density carries about 1e-9 of
+# rounding; the margin is far above that and costs almost no pruning.
+_KS_DENSITY_MARGIN = 1e-6
 
 
 def _derived_seed(*parts: int) -> int:
@@ -145,10 +155,48 @@ class HistogramReport:
 
 def _mixture_cdf(laws, weights, x: np.ndarray) -> np.ndarray:
     """The weighted mixture CDF at x, summed term by term in record order."""
+    from scipy.special import betainc
+
+    x = np.clip(x, 0.0, 1.0)
     cdf = np.zeros_like(x)
     for law, w in zip(laws, weights):
-        cdf += w * betainc(law.alpha, law.beta, np.clip(x, 0.0, 1.0))
+        cdf += w * betainc(law.alpha, law.beta, x)
     return cdf
+
+
+def _density_bounds(laws, weights, x_lo: np.ndarray, x_hi: np.ndarray):
+    """Lower and upper bounds on the mixture pdf over each [x_lo, x_hi]
+    in [0, 1].
+
+    The log-derivative (a-1)/x - (b-1)/(1-x) of a Beta(a, b) pdf is zero
+    at most once on (0, 1), at (a-1)/(a+b-2), so each law's pdf over a
+    bracket takes its extremes among the two ends and that point clipped
+    into the bracket. A shape below 1 makes the pdf infinite at 0 or 1
+    and huge near it; the upper bound then says nothing. Both bounds are
+    widened by _KS_DENSITY_MARGIN. Laws go in chunks of _KS_STRIDE, so a
+    temporary holds _KS_STRIDE values per bracket: with one bracket per
+    _KS_STRIDE distinct draws, about one value per draw.
+    """
+    from scipy.special import gammaln, xlog1py, xlogy
+
+    f_min = np.zeros_like(x_lo)
+    f_max = np.zeros_like(x_lo)
+    for start in range(0, len(laws), _KS_STRIDE):
+        w = np.asarray(weights[start:start + _KS_STRIDE], dtype=float)
+        # a weightless law adds nothing, and 0 * inf would be NaN
+        chunk = [law for law, wk in zip(laws[start:start + _KS_STRIDE], w) if wk > 0]
+        w = w[w > 0, None]
+        a = np.array([[law.alpha] for law in chunk])
+        b = np.array([[law.beta] for law in chunk])
+        log_norm = gammaln(a + b) - gammaln(a) - gammaln(b)
+        # at a + b == 2 the log-derivative has no zero, or is 0 throughout
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stationary = np.where(a + b != 2.0, (a - 1.0) / (a + b - 2.0), 0.5)
+        pdfs = [np.exp(log_norm + xlogy(a - 1.0, p) + xlog1py(b - 1.0, -p))
+                for p in (x_lo, x_hi, np.clip(stationary, x_lo, x_hi))]
+        f_min += (w * np.minimum.reduce(pdfs)).sum(axis=0)
+        f_max += (w * np.maximum.reduce(pdfs)).sum(axis=0)
+    return f_min * (1.0 - _KS_DENSITY_MARGIN), f_max * (1.0 + _KS_DENSITY_MARGIN)
 
 
 def _ks_statistic(t: np.ndarray, laws, weights) -> float:
@@ -161,18 +209,24 @@ def _ks_statistic(t: np.ndarray, laws, weights) -> float:
     CDF would report a spurious gap of up to eps^MIN_SHAPE per component.
 
     The mixture CDF F costs one betainc call per record and point, so it
-    is evaluated only where the maximum can be. First at the anchors,
-    every _KS_STRIDE-th distinct sorted draw and the last one. F is
-    monotone, so a draw between anchors a and b has F in [F(a), F(b)],
-    which bounds both of its one-sided gaps; the best anchor gap is a
-    lower bound on the statistic. Then at every draw whose bound comes
-    within _KS_SLACK of that, and at every draw on a censoring atom,
-    whose gaps follow other rules. Each F value is summed term by term
-    in record order, as on all draws, so the result is the same float as
-    evaluating F at every distinct draw.
+    is evaluated only where the maximum can be. First at the coarse
+    anchors: every _KS_STRIDE-th distinct sorted draw, the last one and
+    every draw on a censoring atom, whose gaps follow other rules. The
+    best anchor gap is a lower bound on the statistic. Between two
+    neighbouring spaced anchors the mixture pdf lies in [f_min, f_max]
+    (_density_bounds), so a draw at distance d_l above its nearest
+    evaluated draw l and d_h below its nearest evaluated draw h has F in
+    [max(F_l + d_l f_min, F_h - d_h f_max), min(F_l + d_l f_max,
+    F_h - d_h f_min)], inside the monotone bounds [F_l, F_h]. That
+    bounds both of its one-sided gaps. Bisection then evaluates the
+    midpoint of every bracket that holds a draw whose bound comes within
+    _KS_SLACK of the best gap so far, or every such draw once at most
+    _KS_FEW are left, until none is left. Each F value is summed term by
+    term in record order, as on all draws, so the result is the same
+    float as evaluating F at every distinct draw.
     """
     eps = float(np.finfo(np.float64).eps)
-    vals, counts = np.unique(np.sort(t), return_counts=True)
+    vals, counts = np.unique(t, return_counts=True)
     cum = np.cumsum(counts)
     n = len(t)
     after, before = cum / n, (cum - counts) / n  # empirical CDF at and below each draw
@@ -184,21 +238,41 @@ def _ks_statistic(t: np.ndarray, laws, weights) -> float:
 
     m = len(vals)
     cdf = np.empty(m)
-    is_anchor = np.zeros(m, dtype=bool)
-    is_anchor[::_KS_STRIDE] = True
-    is_anchor[-1] = True
-    cdf[is_anchor] = _mixture_cdf(laws, weights, vals[is_anchor])
-    best = gaps(is_anchor, cdf[is_anchor]).max()
+    known = (vals <= eps) | (vals >= 1.0 - eps)
+    known[::_KS_STRIDE] = True
+    known[-1] = True
+    anchors = np.flatnonzero(known)
+    cdf[anchors] = _mixture_cdf(laws, weights, vals[anchors])
+    best = gaps(anchors, cdf[anchors]).max()
 
-    lo = np.arange(m) // _KS_STRIDE * _KS_STRIDE
-    hi = np.minimum(lo + _KS_STRIDE, m - 1)
-    bound = np.maximum.reduce([np.abs(after - cdf[lo]), np.abs(after - cdf[hi]),
-                               np.abs(before - cdf[lo]), np.abs(before - cdf[hi])])
-    atom = (vals <= eps) | (vals >= 1.0 - eps)
-    rest = ~is_anchor & ((bound > best - _KS_SLACK) | atom)
-    cdf[rest] = _mixture_cdf(laws, weights, vals[rest])
-    exact = is_anchor | rest
-    return float(gaps(exact, cdf[exact]).max())
+    # density bounds over the brackets between spaced anchors; an atom
+    # inside one only splits it
+    x = np.clip(vals, 0.0, 1.0)  # where F is evaluated
+    ends = np.append(np.arange(0, m - 1, _KS_STRIDE), m - 1)
+    f_min, f_max = _density_bounds(laws, weights, x[ends[:-1]], x[ends[1:]])
+    live = np.flatnonzero(~known)
+    while live.size:
+        evaluated = np.flatnonzero(known)
+        k = np.searchsorted(evaluated, live)
+        lo, hi = evaluated[k - 1], evaluated[k]
+        bracket = live // _KS_STRIDE
+        d_lo, d_hi = x[live] - x[lo], x[hi] - x[live]
+        # valid density bounds keep these inside the monotone bounds
+        # [F_lo, F_hi], which they reach where f_min is 0 and f_max infinite
+        f_low = np.maximum(cdf[lo] + d_lo * f_min[bracket], cdf[hi] - d_hi * f_max[bracket])
+        f_high = np.minimum(cdf[lo] + d_lo * f_max[bracket], cdf[hi] - d_hi * f_min[bracket])
+        bound = np.maximum.reduce([np.abs(after[live] - f_low), np.abs(after[live] - f_high),
+                                   np.abs(before[live] - f_low), np.abs(before[live] - f_high)])
+        reach = bound > best - _KS_SLACK
+        live, lo, hi = live[reach], lo[reach], hi[reach]
+        if not live.size:
+            break
+        new = live if live.size <= _KS_FEW else np.unique((lo + hi) // 2)
+        cdf[new] = _mixture_cdf(laws, weights, vals[new])
+        known[new] = True
+        best = np.maximum(best, gaps(new, cdf[new]).max())  # keeps a NaN
+        live = live[~known[live]]
+    return float(best)
 
 
 def timestep_histogram(
@@ -216,9 +290,13 @@ def timestep_histogram(
     long-run record frequency the rejection loop produces. A chi-square or
     KS statistic that is not finite is NumericError.
     """
+    from scipy.special import chdtrc
+
     if n_draws < MIN_HISTOGRAM_DRAWS:
         raise DataError(f"need at least {MIN_HISTOGRAM_DRAWS} draws for stable "
                         f"statistics, got {n_draws}")
+    if n_draws > MAX_HISTOGRAM_DRAWS:
+        raise DataError(f"n_draws must be <= {MAX_HISTOGRAM_DRAWS}, got {n_draws}")
     if n_bins < 2:
         raise DataError(f"need at least 2 bins, got {n_bins}")
     if seed < 0:

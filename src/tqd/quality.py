@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError
 
@@ -105,6 +104,8 @@ def pearson_correlation(records: list[QualityRecord]) -> PopulationStats:
     so both numbers equal its own. DataError unless n >= 3 and both score
     sequences are non-constant with finite centred norms.
     """
+    from scipy import special
+
     n = len(records)
     if n < 3:
         raise DataError(f"need at least 3 records to correlate, got {n}")

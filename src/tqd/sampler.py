@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, SamplingError
 from .quality import QualityRecord
@@ -185,6 +184,8 @@ def density_curve(law: TimestepLaw, grid_points: int = 512) -> tuple[np.ndarray,
     put an integrable singularity at an endpoint, where any uniform grid
     underestimates the mass.
     """
+    from scipy import special
+
     if grid_points < 2:
         raise DataError(f"grid_points must be >= 2, got {grid_points}")
     t = (np.arange(grid_points) + 0.5) / grid_points
@@ -197,6 +198,8 @@ def density_curve(law: TimestepLaw, grid_points: int = 512) -> tuple[np.ndarray,
 
 def bin_masses(law: TimestepLaw, edges: np.ndarray) -> np.ndarray:
     """Exact Beta probability mass of each [edges[i], edges[i+1]) bin."""
+    from scipy import special
+
     cdf = special.betainc(law.alpha, law.beta, np.clip(edges, 0.0, 1.0))
     return np.diff(cdf)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DataError
 
@@ -163,6 +162,8 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
         if radius == 0:
             out = frames.copy()
         else:
+            from scipy import ndimage
+
             size = 2 * radius + 1
             # reflect padding keeps each frame's mean exactly
             out = ndimage.uniform_filter(frames, size=(1, size, size), mode="reflect")

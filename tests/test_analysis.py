@@ -6,10 +6,12 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.special import betainc
 
+from tqd import analysis
 from tqd.analysis import (
     _KS_STRIDE,
     _derived_seed,
     _ks_statistic,
+    MAX_HISTOGRAM_DRAWS,
     PROBE_N_NOISE,
     GradientProbeCurve,
     HistogramReport,
@@ -26,10 +28,12 @@ from tqd.errors import DataError
 from tqd.quality import QualityRecord, normalize_scores, synth_population
 from tqd.sampler import (
     MAX_BATCH_SIZE,
+    MAX_KAPPA,
     MIN_SHAPE,
     SamplerConfig,
     TimestepLaw,
     TqdSampler,
+    beta_variates,
     make_law,
 )
 from tqd.synth import DegradationSpec, degrade, generate_moving_shape
@@ -295,15 +299,22 @@ def _sampler_draws(sampler, n_draws, seed):
     return np.array(draws[:n_draws])
 
 
-def _population_sampler(n_records):
+def _population_sampler(n_records, config=SamplerConfig()):
     records = normalize_scores(synth_population(n_records, -0.22, seed=17))
-    return TqdSampler(records, SamplerConfig())
+    return TqdSampler(records, config)
+
+
+def _bench_sampler():
+    # the population and sampler of `sample-stats` on the benchmark's
+    # 300-record manifest at 20 000 draws: all draws in one batch
+    return _population_sampler(300, SamplerConfig(batch_size=20000))
 
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@pytest.mark.parametrize("case", ["clamped-both-atoms", "uniform", "max-between-anchors"])
+@pytest.mark.parametrize("case", ["clamped-both-atoms", "uniform", "max-between-anchors",
+                                  "max-kappa", "duplicated-records"])
 def test_histogram_ks_matches_full_loop(case):
     if case == "clamped-both-atoms":
         # mu of 1 and of 0 clamp one shape each to MIN_SHAPE
@@ -311,6 +322,13 @@ def test_histogram_ks_matches_full_loop(case):
         sampler, n_draws, seed = TqdSampler(records, SamplerConfig()), 5000, 3
     elif case == "uniform":
         sampler, n_draws, seed = TqdSampler([_norm_record("u", 0.5, 0.5)], SamplerConfig()), 2000, 3
+    elif case == "max-kappa":
+        # laws up to a standard deviation of 5e-4: the narrowest pdf
+        # spikes, and the density bounds' rounding margin at its largest
+        sampler, n_draws, seed = _population_sampler(40, SamplerConfig(kappa_max=MAX_KAPPA)), 5000, 1
+    elif case == "duplicated-records":
+        records = normalize_scores(synth_population(5, -0.22, seed=17))
+        sampler, n_draws, seed = TqdSampler(records + records[::-1], SamplerConfig()), 5000, 2
     else:
         sampler, n_draws, seed = _population_sampler(40), 3000, 0
     t = _sampler_draws(sampler, n_draws, seed)
@@ -319,6 +337,8 @@ def test_histogram_ks_matches_full_loop(case):
     if case == "clamped-both-atoms":
         assert t.min() == _EPS and t.max() == 1.0 - _EPS
     elif case == "max-between-anchors":
+        # the largest gap sits inside a coarse bracket, at a draw whose F
+        # only the bisection evaluates
         assert where % _KS_STRIDE != 0 and where != len(np.unique(t)) - 1
 
 
@@ -334,13 +354,18 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
     t = _sampler_draws(sampler, 5000, seed=4)
     quantiles = (np.arange(len(t)) + 0.5) / len(t)
     if case == "fewer-than-stride":
+        # every draw between the first and the last lies in one coarse
+        # bracket
         t = np.round(t, 1)
         assert len(np.unique(t)) < _KS_STRIDE
     elif case == "many-ties":
         t = np.round(t, 2)
     elif case == "atoms-below-clip":
-        # a MIN_SHAPE Beta law's quantiles, unclipped: some 8% lie below eps
+        # a MIN_SHAPE Beta law's quantiles, unclipped: some 8% lie below
+        # eps, so the bottom atom spans more distinct draws than the
+        # anchor spacing and holds some that are not spaced anchors
         laws, weights = [TimestepLaw(mu=0.5, kappa=0.1, alpha=MIN_SHAPE, beta=MIN_SHAPE)], [1.0]
+        quantiles = (np.arange(20000) + 0.5) / 20000
         t = scipy_stats.beta.ppf(quantiles, MIN_SHAPE, MIN_SHAPE)
         assert np.sum(np.unique(t) <= _EPS) > _KS_STRIDE
     else:
@@ -354,6 +379,63 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
         else:
             t[1001:3000:2] = t[1000]
     assert _ks_statistic(t, laws, weights) == _full_loop_ks(t, laws, weights)[0]
+
+
+@pytest.mark.parametrize("alpha, beta, drawn_from, n_draws, seed", [
+    (MIN_SHAPE, MIN_SHAPE, None, 20000, 5), (0.5, 3.0, None, 20000, 5),
+    (3.0, 0.5, None, 20000, 5), (1.0, 1.0, None, 20000, 5), (16.0, 30.0, (14.0, 50.0), 6000, 13),
+], ids=["u-shaped", "decreasing", "increasing", "uniform", "misfit"])
+def test_pruned_ks_matches_full_loop_on_single_laws(alpha, beta, drawn_from, n_draws, seed):
+    # one law whose pdf is infinite at both ends, at one end, or constant
+    # (its stationary point is 0/0); and draws from another law, a KS of
+    # about 0.76 whose largest gaps lie in the coarse bracket around the
+    # law's mode, where only the stationary point gives the pdf maximum
+    law = TimestepLaw(mu=alpha / (alpha + beta), kappa=alpha + beta, alpha=alpha, beta=beta)
+    t = beta_variates(*(drawn_from or (alpha, beta)), np.random.default_rng(seed), n_draws)
+    assert _ks_statistic(t, [law], [1.0]) == _full_loop_ks(t, [law], [1.0])[0]
+
+
+def test_density_bounds_hold_the_mixture_pdf():
+    # U-shaped, one-sided, uniform, peaked and MAX_KAPPA-narrow laws, over
+    # brackets that hold a mode, touch an end or are narrow
+    shapes = [(MIN_SHAPE, MIN_SHAPE), (0.5, 3.0), (1.0, 1.0), (1.0, 4.0), (30.0, 12.0),
+              (5e5, 5e5)]
+    laws = [TimestepLaw(mu=a / (a + b), kappa=a + b, alpha=a, beta=b) for a, b in shapes]
+    weights = np.full(len(laws), 1.0 / len(laws))
+    x_lo = np.array([0.0, 0.01, 0.3, 0.4999, 0.5, 0.7, 0.2])
+    x_hi = np.array([0.05, 0.9, 0.8, 0.5001, 0.5, 1.0, 0.2 + 1e-9])
+    f_min, f_max = analysis._density_bounds(laws, weights, x_lo, x_hi)
+    for lo, hi, fmin, fmax in zip(x_lo, x_hi, f_min, f_max):
+        x = np.linspace(lo, hi, 401)
+        x = x[(x > 0.0) & (x < 1.0)]
+        pdf = sum(w * scipy_stats.beta.pdf(x, law.alpha, law.beta) for law, w in zip(laws, weights))
+        assert np.all(fmin <= pdf) and np.all(pdf <= fmax)
+        assert 0.0 <= fmin <= fmax
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_histogram_ks_matches_full_loop_on_bench_population(seed):
+    sampler = _bench_sampler()
+    t = _sampler_draws(sampler, 20000, seed)
+    expected, _ = _full_loop_ks(t, sampler.laws, sampler.retention / sampler.retention.sum())
+    assert timestep_histogram(sampler, 20000, seed=seed).ks_stat == expected
+
+
+def test_ks_evaluates_the_mixture_cdf_at_few_draws(monkeypatch):
+    # a bound by monotonicity alone needs F at about 1000 of these draws,
+    # the density bounds at about 60
+    points = []
+    mixture_cdf = analysis._mixture_cdf
+
+    def counting(laws, weights, x):
+        points.append(len(x))
+        return mixture_cdf(laws, weights, x)
+
+    monkeypatch.setattr(analysis, "_mixture_cdf", counting)
+    sampler = _bench_sampler()
+    t = _sampler_draws(sampler, 20000, seed=0)
+    _ks_statistic(t, sampler.laws, sampler.retention / sampler.retention.sum())
+    assert sum(points) <= 150
 
 
 @pytest.mark.parametrize("n_records, n_bins", [(1, 20), (40, 20), (40, 50), (300, 100)])
@@ -382,6 +464,8 @@ def test_histogram_validates_arguments():
     sampler = TqdSampler([_norm_record("r", 0.5, 0.5)], SamplerConfig())
     with pytest.raises(DataError, match="1000"):
         timestep_histogram(sampler, n_draws=10)
+    with pytest.raises(DataError, match=f"n_draws must be <= {MAX_HISTOGRAM_DRAWS}"):
+        timestep_histogram(sampler, n_draws=MAX_HISTOGRAM_DRAWS + 1)
     with pytest.raises(DataError, match="2 bins"):
         timestep_histogram(sampler, n_draws=2000, n_bins=1)
     with pytest.raises(DataError, match="seed must be >= 0, got -1"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from tqd.analysis import MAX_HISTOGRAM_DRAWS
 from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
 from tqd.quality import normalize_scores, read_manifest
@@ -638,6 +639,8 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"samples": {"n": MAX_PROBE_SAMPLES + 1}}, None),
     ("sample-stats", {"seed": -1}, None),
     ("sample-stats", {"batch_size": 16}, None),
+    ("sample-stats", {"n_draws": 10**12}, None),
+    ("sample-stats", {"n_draws": MAX_HISTOGRAM_DRAWS + 1}, None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
@@ -649,7 +652,8 @@ def test_probe_requires_model(tmp_path, capsys):
         "over-long-int", "huge-blur-radius", "huge-kappa-max", "huge-batch-size",
         "huge-hidden-width", "huge-payload-clip", "payload-clip-over-limit",
         "huge-probe-clip", "probe-clip-over-limit", "huge-n-noise", "n-noise-over-limit",
-        "probe-samples-over-limit", "negative-stats-seed", "stats-batch-size"])
+        "probe-samples-over-limit", "negative-stats-seed", "stats-batch-size",
+        "huge-draws", "draws-over-limit"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
@@ -792,6 +796,15 @@ def test_cli_import_leaves_out_scipy_stats():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_cli_import_leaves_out_scipy_special_and_ndimage():
+    # each command imports the scipy module it uses when it runs
+    code = ("import sys, tqd.cli; "
+            "print([m for m in ('scipy.special', 'scipy.ndimage') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_package_import_loads_no_submodule():
