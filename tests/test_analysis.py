@@ -343,7 +343,7 @@ def test_histogram_ks_matches_full_loop(case):
 
 
 @pytest.mark.parametrize("case", ["fewer-than-stride", "many-ties", "atoms-below-clip",
-                                  "tie-after-deficit", "tie-before-surplus"])
+                                  "tie-after-deficit", "tie-before-surplus", "weightless-laws"])
 def test_pruned_ks_matches_full_loop_on_other_draws(case):
     # draws the sampler does not produce: heavy ties, values below the clip
     # that make the bottom atom span many distinct draws, and a tie that
@@ -368,6 +368,14 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
         quantiles = (np.arange(20000) + 0.5) / 20000
         t = scipy_stats.beta.ppf(quantiles, MIN_SHAPE, MIN_SHAPE)
         assert np.sum(np.unique(t) <= _EPS) > _KS_STRIDE
+    elif case == "weightless-laws":
+        # records at the minimum of both raw scores have retention 0: more
+        # than _KS_STRIDE leading laws of weight 0, flat ones as such
+        # records get and MIN_SHAPE ones whose pdf is infinite at both ends
+        flat = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
+        clamped = TimestepLaw(mu=0.5, kappa=0.1, alpha=MIN_SHAPE, beta=MIN_SHAPE)
+        laws = [flat] * 1000 + [clamped] * 100 + laws
+        weights = np.concatenate([np.zeros(1100), weights])
     else:
         # Beta(2, 3) quantiles with every other one of 1000..2999 moved onto
         # quantile 3000 (a deficit) or onto quantile 1000 (a surplus); the

@@ -254,6 +254,21 @@ def test_sample_stats_starved_sampler_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_stats_with_many_weightless_records(tmp_path, capsys):
+    # 1100 records tied at the minimum of both raw scores have retention
+    # 0, so their laws carry no weight in the KS reference mixture
+    manifest = tmp_path / "scores.jsonl"
+    _write_lines(manifest, [{"id": f"z{i}", "mq": 1.0, "vq": 1.0} for i in range(1100)]
+                 + [{"id": "a", "mq": 3.0, "vq": 1.5}, {"id": "b", "mq": 2.0, "vq": 3.0}])
+    out = tmp_path / "out"
+    code = main(["sample-stats", "--manifest", str(manifest), "--out", str(out),
+                 "--n-draws", "2000", "--seed", "0"])
+    assert code == 0, capsys.readouterr().err
+    (run_dir,) = _run_dirs(out)
+    stats = json.loads((run_dir / "stats.json").read_text())
+    assert stats["ks_pass"] is True and 0.0 < stats["ks_stat"] < stats["ks_critical_1pct"]
+
+
 def test_sample_stats_rejects_zero_draws(tmp_path, capsys):
     manifest = tmp_path / "flat.jsonl"
     _write_lines(manifest, [{"id": "r", "mq": 2.5, "vq": 2.5}])
