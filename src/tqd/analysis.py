@@ -40,8 +40,8 @@ PROBE_N_NOISE = 16
 MIN_HISTOGRAM_DRAWS = 1000
 
 # largest n_draws timestep_histogram accepts: its draws, their distinct
-# values and _ks_statistic's per-draw temporaries take about 210 bytes per
-# draw, and `sample-stats` at this limit on 1000 records peaks at 267 MB RSS
+# values and _ks_statistic's per-draw arrays take about 80 bytes per draw,
+# and `sample-stats` at this limit on 1000 records peaks at 140 MB RSS
 MAX_HISTOGRAM_DRAWS = 1_000_000
 
 # _ks_statistic's coarse anchor spacing in distinct draws; how far below the
@@ -58,6 +58,10 @@ _KS_FEW = 8
 # gammaln(a + b) is about 1.3e7, so the log-density carries about 1e-9 of
 # rounding; the margin is far above that and costs almost no pruning.
 _KS_DENSITY_MARGIN = 1e-6
+# draws per block of _ks_statistic's first bound pass, which holds about a
+# dozen temporaries per draw: a block keeps them to a few MB however many
+# draws there are, and the benchmark's 20 000 draws stay one block
+_KS_BLOCK = 32768
 
 
 def _derived_seed(*parts: int) -> int:
@@ -177,8 +181,7 @@ def _density_bounds(laws, weights, x_lo: np.ndarray, x_hi: np.ndarray):
     into the bracket. A shape below 1 makes the pdf infinite at 0 or 1
     and huge near it; the upper bound then says nothing. Both bounds are
     widened by _KS_DENSITY_MARGIN. Laws go in blocks sized so that a
-    temporary holds at most MAX_HISTOGRAM_DRAWS values, no more than the
-    draws themselves at that limit.
+    temporary holds at most _KS_BLOCK values, as in the first bound pass.
     """
     from scipy.special import gammaln, xlog1py, xlogy
 
@@ -189,7 +192,7 @@ def _density_bounds(laws, weights, x_lo: np.ndarray, x_hi: np.ndarray):
     b = np.array([law.beta for law in laws])[keep, None]
     f_min = np.zeros_like(x_lo)
     f_max = np.zeros_like(x_lo)
-    rows = max(1, MAX_HISTOGRAM_DRAWS // max(1, len(x_lo)))
+    rows = max(1, _KS_BLOCK // max(1, len(x_lo)))
     for start in range(0, len(w), rows):
         wk, ak, bk = w[start:start + rows], a[start:start + rows], b[start:start + rows]
         log_norm = gammaln(ak + bk) - gammaln(ak) - gammaln(bk)
@@ -254,8 +257,10 @@ def _ks_statistic(t: np.ndarray, laws, weights) -> float:
     x = np.clip(vals, 0.0, 1.0)  # where F is evaluated
     ends = np.append(np.arange(0, m - 1, _KS_STRIDE), m - 1)
     f_min, f_max = _density_bounds(laws, weights, x[ends[:-1]], x[ends[1:]])
-    live = np.flatnonzero(~known)
-    while live.size:
+
+    def reaching(live):
+        """The draws of live whose bounds come within _KS_SLACK of the best
+        gap, with their nearest evaluated draws below and above."""
         evaluated = np.flatnonzero(known)
         k = np.searchsorted(evaluated, live)
         lo, hi = evaluated[k - 1], evaluated[k]
@@ -268,14 +273,20 @@ def _ks_statistic(t: np.ndarray, laws, weights) -> float:
         bound = np.maximum.reduce([np.abs(after[live] - f_low), np.abs(after[live] - f_high),
                                    np.abs(before[live] - f_low), np.abs(before[live] - f_high)])
         reach = bound > best - _KS_SLACK
-        live, lo, hi = live[reach], lo[reach], hi[reach]
-        if not live.size:
-            break
+        return live[reach], lo[reach], hi[reach]
+
+    # the first pass bounds every draw that is not an anchor, a block at a
+    # time; each draw's bound depends on the anchors alone, so the blocks
+    # keep the same draws as one pass over all of them
+    live = np.flatnonzero(~known)
+    blocks = [reaching(live[i:i + _KS_BLOCK]) for i in range(0, live.size or 1, _KS_BLOCK)]
+    live, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
+    while live.size:
         new = live if live.size <= _KS_FEW else np.unique((lo + hi) // 2)
         cdf[new] = _mixture_cdf(laws, weights, vals[new])
         known[new] = True
         best = np.maximum(best, gaps(new, cdf[new]).max())  # keeps a NaN
-        live = live[~known[live]]
+        live, lo, hi = reaching(live[~known[live]])
     return float(best)
 
 

@@ -39,6 +39,7 @@ from .errors import (
     NumericError,
     SamplingError,
     UsageError,
+    regular_file_size,
 )
 from .quality import (
     QUADRANTS,
@@ -144,9 +145,11 @@ def _canonical(obj) -> str:
 
 def _load_params(config_path, command: str) -> dict:
     """Read a config file: either a flat user config or an echoed
-    resolved_config.json (recognized by its command/params envelope)."""
+    resolved_config.json (recognized by its command/params envelope).
+    A path that is not a regular file is OSError, before it is opened."""
     if config_path is None:
         return {}
+    regular_file_size(config_path, "config file")
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

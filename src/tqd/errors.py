@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the file-type check
+every reader makes before it opens an input.
 
 The CLI maps these onto stable exit codes; library callers can catch
 the base class or the specific failure they care about.
 """
+
+import os
+import stat
 
 
 class TqdError(Exception):
@@ -29,3 +33,16 @@ class CheckpointError(TqdError):
 
 class UsageError(TqdError):
     """Bad command-line arguments or flag combinations."""
+
+
+def regular_file_size(path, what: str, error: type[Exception] = OSError) -> int:
+    """The size in bytes of the regular file at path.
+
+    A directory, device or FIFO raises error before anything opens it:
+    reading /dev/zero never ends, and opening a FIFO blocks until a
+    writer comes. A path os.stat cannot follow raises its OSError.
+    """
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise error(f"{what} {path} is not a regular file")
+    return info.st_size

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, regular_file_size
 
 QUADRANTS = ("HMHV", "HMLV", "LMHV", "LMLV")
 
@@ -211,8 +211,10 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
     Raises DataError on bytes that are not UTF-8, naming the line number
     on malformed lines and on values of the wrong JSON type, and the
     record id on a payload that is not a string or null, on non-finite
-    scores or on an id seen before.
+    scores or on an id seen before. A path that is not a regular file is
+    OSError, raised before it is opened.
     """
+    regular_file_size(path, "manifest")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()

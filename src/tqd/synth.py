@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, regular_file_size
 
 VIDEO_MAGIC = b"TVID"
 DEGRADATION_KINDS = ("blur", "compression", "noise", "shuffle")
@@ -210,26 +210,34 @@ def write_video(video: ToyVideo, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(VIDEO_MAGIC)
         fh.write(struct.pack("<III", f, h, w))
-        fh.write(video.frames.astype("<f4").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(video.frames, dtype="<f4"))
 
 
 def read_video(path: str | Path) -> ToyVideo:
     """Read the flat binary format back (pixels land as float64).
-    DataError on a malformed file, a zero dimension, over MAX_CLIP_PIXELS
-    pixels or a non-finite pixel. A `<path>.json` file next to it is not read."""
+    DataError on a path that is not a regular file, a malformed file, a
+    zero dimension, over MAX_CLIP_PIXELS pixels or a non-finite pixel,
+    each checked before the pixels are read. A `<path>.json` file next to
+    it is not read."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != VIDEO_MAGIC:
-        raise DataError(f"not a toy-video file: {path}")
-    f, h, w = struct.unpack("<III", raw[4:16])
-    if 0 in (f, h, w):
-        raise DataError(f"toy-video file {path} has shape ({f}, {h}, {w}), "
-                        f"every dimension must be positive")
-    _check_clip_size(f, h, w)
-    expected = 16 + 4 * f * h * w
-    if len(raw) != expected:
-        raise DataError(f"truncated toy-video file {path}: {len(raw)} bytes, expected {expected}")
-    frames = np.frombuffer(raw[16:], dtype="<f4").reshape(f, h, w).astype(np.float64)
+    size = regular_file_size(path, "toy-video file", DataError)
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != VIDEO_MAGIC:
+            raise DataError(f"not a toy-video file: {path}")
+        f, h, w = struct.unpack("<III", head[4:])
+        if 0 in (f, h, w):
+            raise DataError(f"toy-video file {path} has shape ({f}, {h}, {w}), "
+                            f"every dimension must be positive")
+        _check_clip_size(f, h, w)
+        expected = 16 + 4 * f * h * w
+        if size != expected:
+            raise DataError(f"truncated toy-video file {path}: {size} bytes, "
+                            f"expected {expected}")
+        pixels = np.empty((f, h, w), dtype="<f4")
+        if fh.readinto(pixels) != pixels.nbytes:  # the file shrank after os.stat
+            raise DataError(f"truncated toy-video file {path}: it ended inside its pixels")
+    frames = pixels.astype(np.float64)
     if not np.isfinite(frames).all():
         raise DataError(f"toy-video file {path} holds non-finite pixels")
     return ToyVideo(frames=frames)

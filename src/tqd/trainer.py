@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, NumericError
+from .errors import CheckpointError, DataError, NumericError, regular_file_size
 from .quality import QualityRecord
 from .sampler import SamplerConfig, TqdSampler
 from .synth import MAX_CLIP_PIXELS, ToyVideo
@@ -559,6 +559,8 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {i}")
             adam_update(model.theta, grad, m, v, i, trainer_config.learning_rate)
+            # the next loss_and_grad then runs with one gradient alive, not two
+            del grad
             if not np.all(np.isfinite(model.theta)):
                 raise NumericError(f"non-finite parameters after update at step {i}")
             state.step = i
@@ -607,31 +609,41 @@ def save_checkpoint(model: VelocityModel, path, step: int = 0, seed=None) -> Non
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(model.theta.astype("<f8").tobytes())
+        # theta's own buffer on a little-endian machine: no copy
+        fh.write(np.ascontiguousarray(model.theta, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint back; returns (model, header).
 
-    Raises CheckpointError on bad magic, a malformed header, a header
-    data_shape, hidden_width, n_freqs or param_count that is not a JSON
-    integer (a bool is not), an architecture with a data dim,
-    hidden_width or n_freqs below 1, a data_shape of more than
-    MAX_CLIP_PIXELS pixels, a hidden_width over MAX_HIDDEN_WIDTH, or a
-    parameter payload that disagrees with the header's architecture.
+    Raises CheckpointError on a path that is not a regular file, bad
+    magic, a malformed header, a header data_shape, hidden_width, n_freqs
+    or param_count that is not a JSON integer (a bool is not), an
+    architecture with a data dim, hidden_width or n_freqs below 1, a
+    data_shape of more than MAX_CLIP_PIXELS pixels, a hidden_width over
+    MAX_HIDDEN_WIDTH, or a parameter payload that disagrees with the
+    header's architecture. Every size is checked against the file's
+    before the parameters are read, straight into theta.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        size = regular_file_size(path, "checkpoint", CheckpointError)
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, size, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(raw) < 8 or raw[:4] != CHECKPOINT_MAGIC:
+
+
+def _read_checkpoint(fh, size: int, path: Path) -> tuple:
+    """load_checkpoint's checks and reads on the open file fh of size bytes."""
+    preamble = fh.read(8)
+    if len(preamble) < 8 or preamble[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + hlen:
+    (hlen,) = struct.unpack("<I", preamble[4:])
+    if size < 8 + hlen:
         raise CheckpointError(f"truncated checkpoint header in {path}")
     try:
-        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
         dims = header["data_shape"]
         hidden_width, n_freqs = header["hidden_width"], header["n_freqs"]
     except (ValueError, KeyError, TypeError) as exc:
@@ -649,14 +661,16 @@ def load_checkpoint(path) -> tuple:
     except DataError as exc:
         raise CheckpointError(f"checkpoint {path} header: {exc}") from exc
     expected = param_count(math.prod(data_shape), hidden_width, n_freqs)
-    body = raw[8 + hlen:]
-    if len(body) != 8 * expected:
+    body = size - 8 - hlen
+    if body != 8 * expected:
         raise CheckpointError(
-            f"checkpoint {path} carries {len(body) // 8} parameters, "
+            f"checkpoint {path} carries {body // 8} parameters, "
             f"architecture needs {expected}")
-    theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    theta = np.empty(expected, dtype="<f8")
+    if fh.readinto(theta) != body:  # the file shrank after os.stat
+        raise CheckpointError(f"checkpoint {path} ended inside its parameters")
     model = VelocityModel(data_shape=data_shape, hidden_width=hidden_width,
-                          n_freqs=n_freqs, theta=theta)
+                          n_freqs=n_freqs, theta=theta.astype(np.float64, copy=False))
     if header.get("param_count", expected) != expected:
         raise CheckpointError(
             f"checkpoint {path} header param_count {header.get('param_count')} "

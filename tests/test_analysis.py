@@ -8,6 +8,7 @@ from scipy.special import betainc
 
 from tqd import analysis
 from tqd.analysis import (
+    _KS_BLOCK,
     _KS_STRIDE,
     _derived_seed,
     _ks_statistic,
@@ -401,6 +402,30 @@ def test_pruned_ks_matches_full_loop_on_single_laws(alpha, beta, drawn_from, n_d
     law = TimestepLaw(mu=alpha / (alpha + beta), kappa=alpha + beta, alpha=alpha, beta=beta)
     t = beta_variates(*(drawn_from or (alpha, beta)), np.random.default_rng(seed), n_draws)
     assert _ks_statistic(t, [law], [1.0]) == _full_loop_ks(t, [law], [1.0])[0]
+
+
+def test_pruned_ks_matches_full_loop_past_one_block():
+    # more distinct draws than one block of the first bound pass holds,
+    # with the largest gap in a later block
+    law = TimestepLaw(mu=0.4, kappa=5.0, alpha=2.0, beta=3.0)
+    t = beta_variates(2.2, 3.0, np.random.default_rng(6), 3 * _KS_BLOCK)
+    expected, where = _full_loop_ks(t, [law], [1.0])
+    assert where >= _KS_BLOCK
+    assert _ks_statistic(t, [law], [1.0]) == expected
+
+
+@pytest.mark.parametrize("block", [16, 1000])
+def test_pruned_ks_is_the_same_float_in_any_block_size(monkeypatch, block):
+    # a block size sets how many draws the first bound pass and how many
+    # law pdfs the density bounds hold at once, not the statistic; at 16
+    # the 40 laws take eight blocks of the density bounds over the three
+    # coarse brackets
+    sampler = _population_sampler(40)
+    laws, weights = sampler.laws, sampler.retention / sampler.retention.sum()
+    t = _sampler_draws(sampler, 3000, seed=0)
+    expected, _ = _full_loop_ks(t, laws, weights)
+    monkeypatch.setattr(analysis, "_KS_BLOCK", block)
+    assert _ks_statistic(t, laws, weights) == expected
 
 
 def test_density_bounds_hold_the_mixture_pdf():

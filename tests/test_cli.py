@@ -2,6 +2,8 @@
 directories, echoed configs, and artifact contents."""
 
 import json
+import os
+import signal
 import struct
 import subprocess
 import sys
@@ -555,6 +557,49 @@ def test_probe_corrupt_checkpoint_is_artifact_error(tmp_path, capsys):
     code = main(["probe", "--model", str(ckpt), "--out", str(tmp_path / "out")])
     assert code == 5
     assert "not a checkpoint" in capsys.readouterr().err
+
+
+def _fail_if_blocked(signum, frame):
+    pytest.fail("a reader opened a FIFO and blocked")
+
+
+@pytest.mark.parametrize("kind", ["dev-zero", "fifo"])
+@pytest.mark.parametrize("reader, code, prefix", [
+    ("checkpoint", 5, "artifact error: "),
+    ("payload", 3, "data error: "),
+    ("manifest", 2, "io error: "),
+    ("config", 2, "io error: "),
+], ids=["checkpoint", "payload", "manifest", "config"])
+def test_input_that_is_not_a_regular_file_is_one_line(tmp_path, capsys, kind, reader,
+                                                      code, prefix):
+    # refused from os.stat, before it is opened: /dev/zero would be read
+    # until memory runs out, and opening a FIFO blocks
+    if kind == "dev-zero":
+        special = "/dev/zero"
+    else:
+        special = str(tmp_path / "pipe")
+        os.mkfifo(special)
+    manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
+    out = tmp_path / "out"
+    argv = {
+        "checkpoint": ["probe", "--model", special],
+        "payload": ["train", "--manifest", str(manifest), "--steps", "1"],
+        "manifest": ["curate", "--manifest", special],
+        "config": ["curate", "--manifest", str(manifest), "--config", special],
+    }[reader]
+    if reader == "payload":
+        _write_lines(manifest, [{"id": "a", "mq": 2.0, "vq": 2.1, "payload": special}])
+    previous = signal.signal(signal.SIGALRM, _fail_if_blocked)
+    signal.alarm(20)
+    try:
+        assert main([*argv, "--out", str(out)]) == code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err and "not a regular file" in err and special in err
+    assert not out.exists()
 
 
 def _write_raw_checkpoint(path, data_shape, hidden_width, n_freqs, stated=None):

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,6 +499,66 @@ def test_checkpoint_rejects_truncation_and_param_mismatch(tmp_path):
         load_checkpoint(chopped)
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(tmp_path / "missing.bin")
+
+
+@pytest.mark.parametrize("case, match", [
+    ("trailing-bytes", "parameters"),
+    ("header-past-eof", "truncated"),
+    ("one-double-short", "parameters"),
+])
+def test_checkpoint_rejects_a_payload_off_its_header(tmp_path, case, match):
+    # every size is compared with the file's before the parameters are read
+    model = VelocityModel.init((1, 3, 3), seed=0, hidden_width=8)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    if case == "trailing-bytes":
+        raw += bytes(8)
+    elif case == "header-past-eof":
+        raw = raw[:4] + struct.pack("<I", len(raw)) + raw[8:]
+    else:
+        raw = raw[:-8]
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes that fn allocates at its peak, above what it found allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_checkpoint_copies_no_parameters(tmp_path):
+    # save writes theta's own buffer
+    model = VelocityModel.init((2, 10, 10), seed=0, hidden_width=512)
+    peak = _traced_peak(lambda: save_checkpoint(model, tmp_path / "model.bin"))
+    assert peak < 0.01 * model.theta.nbytes
+
+
+def test_load_checkpoint_holds_theta_once(tmp_path):
+    # load reads straight into the one array it returns
+    model = VelocityModel.init((2, 10, 10), seed=0, hidden_width=512)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    assert _traced_peak(lambda: load_checkpoint(path)) < 1.05 * model.theta.nbytes
+
+
+def test_train_holds_one_gradient_per_step():
+    # theta, the two Adam moments and one gradient make 4 parameter-sized
+    # arrays; the last step's gradient kept alive through the next
+    # loss_and_grad would make 5
+    dataset = [(_record(f"r{i}", mq=0.05 * i, vq=1.0 - 0.05 * i),
+                _video(seed=i, frames=2, height=10, width=10)) for i in range(20)]
+    size = 8 * param_count(200, 512, 8)
+    peak = _traced_peak(lambda: train(dataset, SamplerConfig(batch_size=16),
+                                      TrainerConfig(steps=3, hidden_width=512)))
+    assert peak < 4.5 * size
 
 
 @pytest.mark.parametrize("data_shape, hidden_width, n_params, match", [
