@@ -25,7 +25,7 @@ from .quality import (
     pearson_correlation,
     quadrant_of,
 )
-from .sampler import SamplerConfig, TqdSampler, bin_masses, make_law
+from .sampler import SamplerConfig, TqdSampler, make_law
 from .synth import DegradationSpec, ToyVideo, degrade
 from .trainer import TrainerConfig, VelocityModel, final_loss, gradient_distances, train
 # the per-copy reference path, kept under this module's name because the
@@ -160,15 +160,28 @@ class HistogramReport:
     n_draws: int
 
 
+def _mixture_sum(laws, weights, x: np.ndarray, f):
+    """Sum of weight * f(alpha, beta, x) over the laws, added in record
+    order as a loop of += would: a cumulative sum down each block's (laws x
+    points) table, which carries the sum so far into its first row (a
+    reduce sums one point pairwise). A block holds at most _KS_BLOCK values."""
+    w = np.asarray(weights, dtype=float)[:, None]
+    a = np.array([law.alpha for law in laws])[:, None]
+    b = np.array([law.beta for law in laws])[:, None]
+    total = 0.0
+    rows = max(1, _KS_BLOCK // max(1, x.size))
+    for start in range(0, len(w), rows):
+        terms = w[start:start + rows] * f(a[start:start + rows], b[start:start + rows], x)
+        terms[0] += total
+        total = np.cumsum(terms, axis=0)[-1]
+    return total
+
+
 def _mixture_cdf(laws, weights, x: np.ndarray) -> np.ndarray:
     """The weighted mixture CDF at x, summed term by term in record order."""
     from scipy.special import betainc
 
-    x = np.clip(x, 0.0, 1.0)
-    cdf = np.zeros_like(x)
-    for law, w in zip(laws, weights):
-        cdf += w * betainc(law.alpha, law.beta, x)
-    return cdf
+    return _mixture_sum(laws, weights, np.clip(x, 0.0, 1.0), betainc)
 
 
 def _density_bounds(laws, weights, x_lo: np.ndarray, x_hi: np.ndarray):
@@ -215,10 +228,10 @@ def _ks_statistic(t: np.ndarray, laws, weights) -> float:
     atoms at the clip boundaries; comparing against the raw continuous
     CDF would report a spurious gap of up to eps^MIN_SHAPE per component.
 
-    The mixture CDF F costs one betainc call per record and point, so it
-    is evaluated only where the maximum can be. First at the coarse
-    anchors: every _KS_STRIDE-th distinct sorted draw, the last one and
-    every draw on a censoring atom, whose gaps follow other rules. The
+    The mixture CDF F costs one incomplete-beta value per record and
+    point, so it is evaluated only where the maximum can be. First at the
+    coarse anchors: every _KS_STRIDE-th distinct sorted draw, the last one
+    and every draw on a censoring atom, whose gaps follow other rules. The
     best anchor gap is a lower bound on the statistic. Between two
     neighbouring spaced anchors the mixture pdf lies in [f_min, f_max]
     (_density_bounds), so a draw at distance d_l above its nearest
@@ -305,7 +318,7 @@ def timestep_histogram(
     long-run record frequency the rejection loop produces. A chi-square or
     KS statistic that is not finite is NumericError.
     """
-    from scipy.special import chdtrc
+    from scipy.special import betainc, chdtrc
 
     if n_draws < MIN_HISTOGRAM_DRAWS:
         raise DataError(f"need at least {MIN_HISTOGRAM_DRAWS} draws for stable "
@@ -328,9 +341,9 @@ def timestep_histogram(
     observed = np.histogram(t, bins=edges)[0]
 
     weights = sampler.retention / sampler.retention.sum()
-    masses = np.zeros(n_bins)
-    for law, w in zip(sampler.laws, weights):
-        masses += w * bin_masses(law, edges)
+    # each row differences one law's CDF at the edges, as bin_masses does
+    masses = _mixture_sum(sampler.laws, weights, edges,
+                          lambda a, b, x: np.diff(betainc(a, b, x)))
     # per-record Beta mass over (0,1) integrates to 1, so no renormalization
     expected = n_draws * masses
 

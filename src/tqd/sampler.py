@@ -149,10 +149,11 @@ def gamma_variates(shape, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(todo.size)
         v = (1.0 + c[todo] * x) ** 3
         pos = v > 0.0
-        squeeze = u < 1.0 - 0.0331 * x**4
         with np.errstate(invalid="ignore", divide="ignore"):
-            slow = np.log(u) < 0.5 * x**2 + d[todo] * (1.0 - v + np.log(np.where(pos, v, 1.0)))
-        accept = pos & (squeeze | slow)
+            accept = np.log(u) < 0.5 * x**2 + d[todo] * (1.0 - v + np.log(np.where(pos, v, 1.0)))
+        rest = ~accept  # the squeeze decides only these, so the costly x**4 runs on them alone
+        accept[rest] = u[rest] < 1.0 - 0.0331 * x[rest] ** 4
+        accept &= pos
         idx = todo[accept]
         out[idx] = d[idx] * v[accept]
         todo = todo[~accept]
@@ -197,7 +198,8 @@ def density_curve(law: TimestepLaw, grid_points: int = 512) -> tuple[np.ndarray,
 
 
 def bin_masses(law: TimestepLaw, edges: np.ndarray) -> np.ndarray:
-    """Exact Beta probability mass of each [edges[i], edges[i+1]) bin."""
+    """Exact Beta probability mass of each [edges[i], edges[i+1]) bin: the
+    per-law form of the table analysis.timestep_histogram forms for all laws."""
     from scipy import special
 
     cdf = special.betainc(law.alpha, law.beta, np.clip(edges, 0.0, 1.0))

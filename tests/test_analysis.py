@@ -471,6 +471,34 @@ def test_ks_evaluates_the_mixture_cdf_at_few_draws(monkeypatch):
     assert sum(points) <= 150
 
 
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("n_points", [1, 2, 3, 5000])
+def test_mixture_cdf_sums_laws_in_record_order(monkeypatch, n_points, block):
+    # the bench population with weightless flat laws and MIN_SHAPE laws
+    # mixed in, under random weights; at block 7 the laws span many blocks
+    # at any number of points. The KS bisection evaluates single points,
+    # where a reduce down the laws sums pairwise, not in record order.
+    sampler = _bench_sampler()
+    flat = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
+    clamped = [TimestepLaw(mu=0.5, kappa=0.1, alpha=MIN_SHAPE, beta=MIN_SHAPE)] + [
+        make_law(_norm_record(rid, mq, vq), SamplerConfig())
+        for rid, mq, vq in [("hi", 1.0, 0.0), ("lo", 0.0, 1.0)]]
+    laws = [flat, *clamped] * 7 + sampler.laws + [*clamped, flat]
+    rng = np.random.default_rng(n_points)
+    weights = rng.random(len(laws))
+    weights[:21:3] = weights[-1] = 0.0
+    weights /= weights.sum()
+    pool = np.concatenate([[0.0, _EPS, 0.5, 1.0 - _EPS, 1.0, -0.1, 1.1], rng.random(4993)])
+    if block is not None:
+        monkeypatch.setattr(analysis, "_KS_BLOCK", block)
+    for start in range(0, min(len(pool), 20 * n_points), n_points):
+        x = pool[start:start + n_points]
+        expected = np.zeros_like(x)
+        for law, w in zip(laws, weights):
+            expected += w * betainc(law.alpha, law.beta, np.clip(x, 0.0, 1.0))
+        assert np.array_equal(analysis._mixture_cdf(laws, weights, x), expected)
+
+
 @pytest.mark.parametrize("n_records, n_bins", [(1, 20), (40, 20), (40, 50), (300, 100)])
 def test_histogram_pvalue_matches_scipy_chi2(n_records, n_bins):
     report = timestep_histogram(_population_sampler(n_records), 5000, n_bins, seed=n_bins)

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from tqd import analysis
 from tqd.analysis import MAX_HISTOGRAM_DRAWS
 from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
-from tqd.quality import normalize_scores, read_manifest
-from tqd.sampler import SamplerConfig, TqdSampler
+from tqd.quality import normalize_scores, read_manifest, synth_population
+from tqd.sampler import MIN_SHAPE, SamplerConfig, TqdSampler, bin_masses
 from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload, write_video
 from tqd.trainer import (
     MAX_HIDDEN_WIDTH,
@@ -239,6 +240,37 @@ def test_sample_stats_draws_one_batch_of_n_draws(tmp_path, capsys):
                          SamplerConfig(batch_size=3000))
     t = sampler.prepare_batch(np.random.default_rng(5)).timesteps
     np.testing.assert_array_equal(observed, np.histogram(t, np.linspace(0.0, 1.0, 51))[0])
+
+
+@pytest.mark.parametrize("block", [None, 120])
+def test_sample_stats_expected_counts_sum_bin_masses_in_record_order(tmp_path, capsys,
+                                                                     monkeypatch, block):
+    # the bench population with a third of its records at the score
+    # corners (one shape clamped to MIN_SHAPE) and one weightless record at
+    # both score minima; at block 120 the laws' table spans 150 blocks
+    records = synth_population(300, -0.22, seed=17)
+    rows = [{"id": r.id, "mq": r.mq_raw, "vq": r.vq_raw} for r in records]
+    for k, row in enumerate(rows[::3]):
+        row["mq"], row["vq"] = (4.5, 0.9) if k % 2 else (0.5, 4.5)
+    rows.append({"id": "floor", "mq": 0.5, "vq": 0.9})
+    manifest = tmp_path / "scores.jsonl"
+    _write_lines(manifest, rows)
+    if block is not None:
+        monkeypatch.setattr(analysis, "_KS_BLOCK", block)
+    out = tmp_path / "out"
+    assert main(["sample-stats", "--manifest", str(manifest), "--out", str(out),
+                 "--n-draws", "5000"]) in (0, 4)
+    (run_dir,) = _run_dirs(out)
+    expected = np.loadtxt(run_dir / "histogram.csv", delimiter=",", skiprows=1)[:, 3]
+    sampler = TqdSampler(normalize_scores(read_manifest(manifest)), SamplerConfig())
+    assert sampler.retention[-1] == 0.0
+    assert sum(min(law.alpha, law.beta) == MIN_SHAPE for law in sampler.laws) >= 100
+    weights = sampler.retention / sampler.retention.sum()
+    edges = np.linspace(0.0, 1.0, 51)
+    masses = np.zeros(50)
+    for law, w in zip(sampler.laws, weights):
+        masses += w * bin_masses(law, edges)
+    assert np.array_equal(expected, 5000 * masses)
 
 
 def test_sample_stats_starved_sampler_is_data_error(tmp_path, capsys):

@@ -148,6 +148,36 @@ class TestGammaVariates:
         b = gamma_variates(2.0, np.random.default_rng(33), 16)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("shape", [0.05, 0.7, 1.0, 2.5, 40.0, 5e5, "mixed"])
+    def test_matches_the_squeeze_first_rounds_bit_for_bit(self, shape):
+        # the reference takes both Marsaglia-Tsang tests on every draw of
+        # a round; gamma_variates takes the squeeze only where the exact
+        # test rejects, and must accept the same draws
+        size = 20000
+        rng = np.random.default_rng(34)
+        if shape == "mixed":
+            shape = 10.0 ** rng.uniform(-1.3, 3.0, size)
+        a = np.broadcast_to(np.asarray(shape, dtype=float), (size,))
+        boost = a < 1.0
+        d = np.where(boost, a + 1.0, a) - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9.0 * d)
+        expected = np.empty(size)
+        todo = np.arange(size)
+        ref = np.random.default_rng(35)
+        while todo.size:
+            x, u = ref.standard_normal(todo.size), ref.random(todo.size)
+            v = (1.0 + c[todo] * x) ** 3
+            pos = v > 0.0
+            squeeze = u < 1.0 - 0.0331 * x**4
+            with np.errstate(invalid="ignore", divide="ignore"):
+                slow = np.log(u) < 0.5 * x**2 + d[todo] * (1.0 - v + np.log(np.where(pos, v, 1.0)))
+            accept = pos & (squeeze | slow)
+            expected[todo[accept]] = d[todo[accept]] * v[accept]
+            todo = todo[~accept]
+        if boost.any():
+            expected[boost] *= ref.random(int(boost.sum())) ** (1.0 / a[boost])
+        assert np.array_equal(gamma_variates(shape, np.random.default_rng(35), size), expected)
+
 
 class TestBetaVariates:
     def test_uniform_degenerate_moments_and_ks(self):

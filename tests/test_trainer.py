@@ -395,6 +395,20 @@ def test_train_is_deterministic_in_seed():
     assert a.loss_history != c.loss_history
 
 
+def test_train_is_prefix_deterministic():
+    # a run of k steps is the first k steps of a longer run with the same
+    # seed, so snapshots at step k can be taken by training for k steps
+    dataset = [(_record(f"r{i}", mq=0.2 + 0.2 * i, vq=0.8 - 0.15 * i), _video(seed=i))
+               for i in range(4)]
+    short, long = (train(dataset, SamplerConfig(batch_size=4),
+                         TrainerConfig(steps=steps, hidden_width=16, seed=3))
+                   for steps in (7, 20))
+    assert short.loss_history == long.loss_history[:7]
+    assert short.mean_t_history == long.mean_t_history[:7]
+    assert short.acceptance_history == long.acceptance_history[:7]
+    assert min(long.acceptance_history) < 1.0
+
+
 def test_train_single_sample_reduces_loss():
     state = train([(_record(), _video())], SamplerConfig(batch_size=8),
                   TrainerConfig(steps=400, learning_rate=5e-3, hidden_width=64, seed=0))
