@@ -160,14 +160,12 @@ class HistogramReport:
     n_draws: int
 
 
-def _mixture_sum(laws, weights, x: np.ndarray, f):
+def _mixture_sum(alpha, beta, weights, x: np.ndarray, f):
     """Sum of weight * f(alpha, beta, x) over the laws, added in record
     order as a loop of += would: a cumulative sum down each block's (laws x
     points) table, which carries the sum so far into its first row (a
     reduce sums one point pairwise). A block holds at most _KS_BLOCK values."""
-    w = np.asarray(weights, dtype=float)[:, None]
-    a = np.array([law.alpha for law in laws])[:, None]
-    b = np.array([law.beta for law in laws])[:, None]
+    w, a, b = (np.asarray(v, dtype=float)[:, None] for v in (weights, alpha, beta))
     total = 0.0
     rows = max(1, _KS_BLOCK // max(1, x.size))
     for start in range(0, len(w), rows):
@@ -177,14 +175,14 @@ def _mixture_sum(laws, weights, x: np.ndarray, f):
     return total
 
 
-def _mixture_cdf(laws, weights, x: np.ndarray) -> np.ndarray:
+def _mixture_cdf(alpha, beta, weights, x: np.ndarray) -> np.ndarray:
     """The weighted mixture CDF at x, summed term by term in record order."""
     from scipy.special import betainc
 
-    return _mixture_sum(laws, weights, np.clip(x, 0.0, 1.0), betainc)
+    return _mixture_sum(alpha, beta, weights, np.clip(x, 0.0, 1.0), betainc)
 
 
-def _density_bounds(laws, weights, x_lo: np.ndarray, x_hi: np.ndarray):
+def _density_bounds(alpha, beta, weights, x_lo: np.ndarray, x_hi: np.ndarray):
     """Lower and upper bounds on the mixture pdf over each [x_lo, x_hi]
     in [0, 1].
 
@@ -200,9 +198,7 @@ def _density_bounds(laws, weights, x_lo: np.ndarray, x_hi: np.ndarray):
 
     w = np.asarray(weights, dtype=float)
     keep = w > 0  # a weightless law adds nothing, and 0 * inf would be NaN
-    w = w[keep, None]
-    a = np.array([law.alpha for law in laws])[keep, None]
-    b = np.array([law.beta for law in laws])[keep, None]
+    w, a, b = (np.asarray(v, dtype=float)[keep, None] for v in (w, alpha, beta))
     f_min = np.zeros_like(x_lo)
     f_max = np.zeros_like(x_lo)
     rows = max(1, _KS_BLOCK // max(1, len(x_lo)))
@@ -219,7 +215,7 @@ def _density_bounds(laws, weights, x_lo: np.ndarray, x_hi: np.ndarray):
     return f_min * (1.0 - _KS_DENSITY_MARGIN), f_max * (1.0 + _KS_DENSITY_MARGIN)
 
 
-def _ks_statistic(t: np.ndarray, laws, weights) -> float:
+def _ks_statistic(t: np.ndarray, alpha, beta, weights) -> float:
     """One-sample KS statistic of the draws t against the mixture law.
 
     Draws are clipped into the open unit interval at float eps, and
@@ -262,14 +258,14 @@ def _ks_statistic(t: np.ndarray, laws, weights) -> float:
     known[::_KS_STRIDE] = True
     known[-1] = True
     anchors = np.flatnonzero(known)
-    cdf[anchors] = _mixture_cdf(laws, weights, vals[anchors])
+    cdf[anchors] = _mixture_cdf(alpha, beta, weights, vals[anchors])
     best = gaps(anchors, cdf[anchors]).max()
 
     # density bounds over the brackets between spaced anchors; an atom
     # inside one only splits it
     x = np.clip(vals, 0.0, 1.0)  # where F is evaluated
     ends = np.append(np.arange(0, m - 1, _KS_STRIDE), m - 1)
-    f_min, f_max = _density_bounds(laws, weights, x[ends[:-1]], x[ends[1:]])
+    f_min, f_max = _density_bounds(alpha, beta, weights, x[ends[:-1]], x[ends[1:]])
 
     def reaching(live):
         """The draws of live whose bounds come within _KS_SLACK of the best
@@ -296,7 +292,7 @@ def _ks_statistic(t: np.ndarray, laws, weights) -> float:
     live, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
     while live.size:
         new = live if live.size <= _KS_FEW else np.unique((lo + hi) // 2)
-        cdf[new] = _mixture_cdf(laws, weights, vals[new])
+        cdf[new] = _mixture_cdf(alpha, beta, weights, vals[new])
         known[new] = True
         best = np.maximum(best, gaps(new, cdf[new]).max())  # keeps a NaN
         live, lo, hi = reaching(live[~known[live]])
@@ -310,12 +306,12 @@ def timestep_histogram(
     seed: int = 0,
 ) -> HistogramReport:
     """Draw timesteps through the sampler's batch-preparation path and
-    compare against the analytic mixture law.
+    compare against the analytic mixture of its law table, in either arm.
 
     The draws use `seed` (>= 0) and the batch size of `sampler.config`.
     The mixture weights each record's timestep law by its retention
     probability (renormalized over the dataset), which is exactly the
-    long-run record frequency the rejection loop produces. A chi-square or
+    long-run record frequency the sampler produces. A chi-square or
     KS statistic that is not finite is NumericError.
     """
     from scipy.special import betainc, chdtrc
@@ -342,7 +338,7 @@ def timestep_histogram(
 
     weights = sampler.retention / sampler.retention.sum()
     # each row differences one law's CDF at the edges, as bin_masses does
-    masses = _mixture_sum(sampler.laws, weights, edges,
+    masses = _mixture_sum(sampler.alpha, sampler.beta, weights, edges,
                           lambda a, b, x: np.diff(betainc(a, b, x)))
     # per-record Beta mass over (0,1) integrates to 1, so no renormalization
     expected = n_draws * masses
@@ -365,7 +361,7 @@ def timestep_histogram(
     dof = max(1, len(groups) - 1)
     pvalue = float(chdtrc(dof, chi_square))
 
-    ks_stat = _ks_statistic(t, sampler.laws, weights)
+    ks_stat = _ks_statistic(t, sampler.alpha, sampler.beta, weights)
     if not (np.isfinite(chi_square) and np.isfinite(ks_stat)):
         raise NumericError(f"non-finite goodness-of-fit statistic: chi-square "
                            f"{chi_square}, KS {ks_stat}")

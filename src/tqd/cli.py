@@ -49,7 +49,7 @@ from .quality import (
     read_manifest,
 )
 from .sampler import MAX_BATCH_SIZE, SamplerConfig, TqdSampler
-from .synth import DegradationSpec, generate_moving_shape, resolve_payload
+from .synth import MAX_CLIP_PIXELS, DegradationSpec, generate_moving_shape, resolve_payload
 from .trainer import (
     TrainerConfig,
     final_loss,
@@ -302,9 +302,9 @@ def cmd_sample_stats(args) -> int:
     member = {key: i for i, key in enumerate(profiles)}
     law_lines = ["profile,mq_norm,vq_norm,n_records,retention,alpha,beta"]
     for k, ((mq, vq), i) in enumerate(member.items()):
-        law = sampler.laws[i]
         law_lines.append(f"{k},{mq!r},{vq!r},{n_records[mq, vq]},"
-                         f"{float(sampler.retention[i])!r},{law.alpha!r},{law.beta!r}")
+                         f"{float(sampler.retention[i])!r},{float(sampler.alpha[i])!r},"
+                         f"{float(sampler.beta[i])!r}")
 
     # fixed 1% level: chi-square p-value plus the asymptotic KS bound
     ks_critical = float(1.6276 / np.sqrt(n_draws))
@@ -410,6 +410,14 @@ def _probe_samples(spec: dict, seed: int):
     if spec["speed_min"] > spec["speed_max"]:
         raise DataError(f"samples.speed_min ({spec['speed_min']}) must not exceed "
                         f"samples.speed_max ({spec['speed_max']})")
+    # the draws below need a finite speed range and a width that fits a clip
+    if not math.isfinite(spec["speed_max"] - spec["speed_min"]):
+        raise DataError(f"samples.speed_min ({spec['speed_min']}) and samples.speed_max "
+                        f"({spec['speed_max']}) must span a finite range")
+    pixels = spec["frames"] * spec["height"] * spec["width"]
+    if not 1 <= pixels <= MAX_CLIP_PIXELS:
+        raise DataError(f"a {spec['frames']}x{spec['height']}x{spec['width']} probe clip "
+                        f"must have 1 to {MAX_CLIP_PIXELS} pixels")
     rng = np.random.default_rng([seed, 101])
     speeds = rng.uniform(spec["speed_min"], spec["speed_max"], n)
     starts = rng.uniform(0.0, spec["width"], n)

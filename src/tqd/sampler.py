@@ -12,7 +12,9 @@ The two-level mechanism implemented here:
    low t) and kappa = kappa_base + (kappa_max - kappa_base)*|mq - vq|
    sharpens it with the quality disparity. Equal scores degenerate to
    the baseline law Beta(kappa_base/2, kappa_base/2): uniform for
-   kappa_base = 2.
+   kappa_base = 2. A sampler holds one arm as a table of each record's
+   law and retention; the baseline arm has every record at that law and
+   no dropout.
 
 Beta draws are built from scratch out of two Gamma variates via the
 Marsaglia-Tsang squeeze method; only uniform/normal primitives of the
@@ -22,7 +24,7 @@ from the seed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,65 +226,65 @@ class Batch:
 
 
 class TqdSampler:
-    """Immutable batch sampler over a normalized dataset.
+    """Immutable batch sampler over a normalized dataset, for one arm.
 
-    Retention probabilities and per-record Beta shapes are precomputed at
-    construction; every `prepare_batch` call takes an explicit Generator,
-    so concurrent preparation is safe when each thread owns its own
-    stream.
+    The arm's law table is built once: record i draws t from
+    Beta(alpha[i], beta[i]) and, when dropout runs, is kept with
+    probability retention[i] (1 in the baseline arm). Every
+    `prepare_batch` call takes an explicit Generator, so concurrent
+    preparation is safe when each thread owns its own stream.
     """
 
-    def __init__(self, records: list[QualityRecord], config: SamplerConfig):
+    def __init__(self, records: list[QualityRecord], config: SamplerConfig,
+                 baseline: bool = False):
         if not records:
             raise DataError("empty dataset")
         self.records = list(records)
         self.config = config
-        self.laws = [make_law(rec, config) for rec in self.records]
-        self.retention = np.array([retention_probability(r) for r in self.records])
-        self._alpha = np.array([law.alpha for law in self.laws])
-        self._beta = np.array([law.beta for law in self.laws])
-        # the baseline arm's symmetric law Beta(shape, shape)
-        self._baseline_shape = max(config.kappa_base / 2.0, MIN_SHAPE)
+        self.dropout = not baseline
+        # the baseline arm puts every record at the equal-score law
+        laws = [make_law(replace(rec, vq_norm=rec.mq_norm) if baseline else rec, config)
+                for rec in self.records]
+        self.alpha = np.array([law.alpha for law in laws])
+        self.beta = np.array([law.beta for law in laws])
+        self.retention = np.array([retention_probability(rec) if self.dropout else 1.0
+                                   for rec in self.records])
 
-    def prepare_batch(self, rng: np.random.Generator, baseline: bool = False) -> Batch:
-        """Rejection-sample config.batch_size records, then attach one
-        timestep draw each.
+    def prepare_batch(self, rng: np.random.Generator) -> Batch:
+        """Pick config.batch_size records, then draw one timestep each
+        from its own law.
 
-        Records are drawn uniformly and kept with their retention
-        probability until the batch is full; each accepted member then
-        draws t from its own law. `baseline=True` disables dropout and
-        draws every timestep from the kappa_base-degenerate law instead
-        (the A/B control arm).
+        Records are drawn uniformly; with dropout, each is kept with its
+        retention probability until the batch is full.
 
         Raises SamplingError when no record is retainable or when
         ATTEMPTS_PER_SLOT x batch_size attempts are exhausted.
         """
         batch_size = self.config.batch_size
         n = len(self.records)
-        if baseline:
+        if not self.dropout:
             idx = rng.integers(0, n, batch_size)
-            ts = beta_variates(self._baseline_shape, self._baseline_shape, rng, batch_size)
-            return Batch(idx, ts, attempts=batch_size, accepted=batch_size)
-
-        if not np.any(self.retention > 0.0):
-            raise SamplingError("no retainable samples (all retention probabilities are 0)")
-        cap = ATTEMPTS_PER_SLOT * batch_size
-        chosen: list[np.ndarray] = []
-        attempts = 0
-        accepted_total = 0
-        # Chunked rejection loop: chunk size keeps the expected number of
-        # rounds small without overshooting the attempt cap.
-        while accepted_total < batch_size and attempts < cap:
-            k = min(max(64, batch_size), cap - attempts)
-            idx = rng.integers(0, n, k)
-            keep = rng.random(k) < self.retention[idx]
-            attempts += k
-            chosen.append(idx[keep])
-            accepted_total += chosen[-1].size
-        if accepted_total < batch_size:
-            raise SamplingError(
-                f"rejection-attempt cap exhausted: {accepted_total} accepted in "
-                f"{attempts} attempts (acceptance rate {accepted_total / attempts:.4f})")
-        idx = np.concatenate(chosen)[:batch_size]
-        ts = beta_variates(self._alpha[idx], self._beta[idx], rng, batch_size)
+            attempts = accepted_total = batch_size
+        else:
+            if not np.any(self.retention > 0.0):
+                raise SamplingError("no retainable samples (all retention probabilities are 0)")
+            cap = ATTEMPTS_PER_SLOT * batch_size
+            chosen: list[np.ndarray] = []
+            attempts = 0
+            accepted_total = 0
+            # Chunked rejection loop: chunk size keeps the expected number of
+            # rounds small without overshooting the attempt cap.
+            while accepted_total < batch_size and attempts < cap:
+                k = min(max(64, batch_size), cap - attempts)
+                idx = rng.integers(0, n, k)
+                keep = rng.random(k) < self.retention[idx]
+                attempts += k
+                chosen.append(idx[keep])
+                accepted_total += chosen[-1].size
+            if accepted_total < batch_size:
+                raise SamplingError(
+                    f"rejection-attempt cap exhausted: {accepted_total} accepted in "
+                    f"{attempts} attempts (acceptance rate {accepted_total / attempts:.4f})")
+            idx = np.concatenate(chosen)[:batch_size]
+        ts = beta_variates(self.alpha[idx], self.beta[idx], rng, batch_size)
         return Batch(idx, ts, attempts=attempts, accepted=accepted_total)

@@ -101,7 +101,8 @@ def generate_moving_shape(
     frame (negative speeds move left and wrap the other way). Texture
     noise is additive Gaussian of the given std, clamped to [0, 1].
     frames, height and width must be positive with a product of at most
-    MAX_CLIP_PIXELS, seed must be >= 0.
+    MAX_CLIP_PIXELS, the path start_x + f*motion_speed must stay finite
+    and seed must be >= 0.
     """
     if not np.isfinite(motion_speed):
         raise DataError(f"motion_speed must be finite, got {motion_speed}")
@@ -111,6 +112,9 @@ def generate_moving_shape(
         raise DataError(f"video dimensions must be positive, got frames={frames}, "
                         f"height={height}, width={width}")
     _check_clip_size(frames, height, width)
+    if not (np.isfinite(start_x) and np.isfinite(start_x + (frames - 1) * motion_speed)):
+        raise DataError(f"the square's path from start_x {start_x} at motion_speed "
+                        f"{motion_speed} is not finite over {frames} frames: no pixels to draw")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     # integer row placement: noise-free videos take only the two nominal

@@ -518,10 +518,8 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     """Run the full quality-aware loop and return the final state.
 
     dataset is a list of (QualityRecord, ToyVideo) pairs; records must
-    be normalized. Each step prepares a batch through the quality-aware
-    sampler (or, with trainer_config.baseline, the arm that skips dropout
-    and draws every t from Beta(kappa_base/2, kappa_base/2), which is flat
-    only at the default kappa_base 2), draws fresh noise endpoints, and
+    be normalized. Each step prepares a batch through the sampler of the
+    arm trainer_config.baseline picks, draws fresh noise endpoints, and
     applies one optimizer update. Deterministic given trainer_config.seed.
     A non-finite loss or parameter is NumericError; numpy's own overflow
     warnings are silenced, so that error is the one report.
@@ -540,7 +538,7 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     # row i is records[i]'s video; batches gather rows by index
     x_all = np.stack([video.flat() for _, video in dataset])
 
-    sampler = TqdSampler(records, sampler_config)
+    sampler = TqdSampler(records, sampler_config, baseline=trainer_config.baseline)
     seed_seq = np.random.SeedSequence(trainer_config.seed)
     model_seed, loop_seed = seed_seq.spawn(2)
     model = VelocityModel.init(data_shape, seed=model_seed,
@@ -551,7 +549,7 @@ def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig)
     m, v = np.zeros_like(model.theta), np.zeros_like(model.theta)
     with np.errstate(all="ignore"):
         for i in range(1, trainer_config.steps + 1):
-            batch = sampler.prepare_batch(rng, baseline=trainer_config.baseline)
+            batch = sampler.prepare_batch(rng)
             x0 = x_all[batch.indices]
             t_arr = batch.timesteps
             x1 = rng.standard_normal(x0.shape)

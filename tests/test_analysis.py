@@ -32,7 +32,6 @@ from tqd.sampler import (
     MAX_KAPPA,
     MIN_SHAPE,
     SamplerConfig,
-    TimestepLaw,
     TqdSampler,
     beta_variates,
     make_law,
@@ -232,6 +231,21 @@ def test_uniform_degenerate_histogram_passes_both_tests():
         np.testing.assert_allclose(exp, 5000 / 20, rtol=1e-9)
 
 
+@pytest.mark.parametrize("kappa_base", [0.5, 2.0, 4.0])
+def test_baseline_arm_histogram_passes_both_tests(kappa_base):
+    # the baseline arm's table holds every record at the equal-score law
+    # Beta(kappa_base/2, kappa_base/2) with equal weight, whatever its
+    # scores; its draws must pass both 1% checks against that table
+    records = normalize_scores(synth_population(40, -0.22, seed=17))
+    config = SamplerConfig(kappa_base=kappa_base, batch_size=1000)
+    report = timestep_histogram(TqdSampler(records, config, baseline=True), 20000, seed=0)
+    s = kappa_base / 2.0
+    expected = 20000 * np.diff(betainc(s, s, np.linspace(0.0, 1.0, 51)))
+    np.testing.assert_allclose([exp for *_, exp in report.bins], expected, rtol=1e-9)
+    assert report.chi_square_pvalue > 0.01
+    assert report.ks_stat < 1.6276 / np.sqrt(20000)
+
+
 def test_high_motion_record_concentrates_mass_high():
     # observed draw mass above one half against the analytic Beta tail,
     # reached through a different code path than the sampler itself
@@ -270,7 +284,7 @@ def test_clamped_extreme_law_keeps_censored_ks_small():
     assert report.ks_stat < 0.05
 
 
-def _full_loop_ks(t, laws, weights):
+def _full_loop_ks(t, alpha, beta, weights):
     """The KS statistic the unpruned way, with the mixture CDF at every
     distinct draw. Returns it and the index of the distinct draw where
     the largest gap sits."""
@@ -279,8 +293,8 @@ def _full_loop_ks(t, laws, weights):
     cum = np.cumsum(counts)
     n = len(t)
     cdf = np.zeros_like(vals)
-    for law, w in zip(laws, weights):
-        cdf += w * betainc(law.alpha, law.beta, np.clip(vals, 0.0, 1.0))
+    for a, b, w in zip(alpha, beta, weights):
+        cdf += w * betainc(a, b, np.clip(vals, 0.0, 1.0))
     post_jump = cdf.copy()
     post_jump[vals >= 1.0 - eps] = 1.0
     left_limit = cdf.copy()
@@ -303,6 +317,11 @@ def _sampler_draws(sampler, n_draws, seed):
 def _population_sampler(n_records, config=SamplerConfig()):
     records = normalize_scores(synth_population(n_records, -0.22, seed=17))
     return TqdSampler(records, config)
+
+
+def _table(sampler):
+    """The sampler's law shapes and their mixture weights."""
+    return sampler.alpha, sampler.beta, sampler.retention / sampler.retention.sum()
 
 
 def _bench_sampler():
@@ -333,7 +352,7 @@ def test_histogram_ks_matches_full_loop(case):
     else:
         sampler, n_draws, seed = _population_sampler(40), 3000, 0
     t = _sampler_draws(sampler, n_draws, seed)
-    expected, where = _full_loop_ks(t, sampler.laws, sampler.retention / sampler.retention.sum())
+    expected, where = _full_loop_ks(t, *_table(sampler))
     assert timestep_histogram(sampler, n_draws, seed=seed).ks_stat == expected
     if case == "clamped-both-atoms":
         assert t.min() == _EPS and t.max() == 1.0 - _EPS
@@ -351,7 +370,7 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
     # carries the largest gap next to a long deficit or surplus, so that
     # only one of its two one-sided bounds reaches it
     sampler = _population_sampler(5)
-    laws, weights = sampler.laws, sampler.retention / sampler.retention.sum()
+    alpha, beta, weights = _table(sampler)
     t = _sampler_draws(sampler, 5000, seed=4)
     quantiles = (np.arange(len(t)) + 0.5) / len(t)
     if case == "fewer-than-stride":
@@ -365,7 +384,7 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
         # a MIN_SHAPE Beta law's quantiles, unclipped: some 8% lie below
         # eps, so the bottom atom spans more distinct draws than the
         # anchor spacing and holds some that are not spaced anchors
-        laws, weights = [TimestepLaw(mu=0.5, kappa=0.1, alpha=MIN_SHAPE, beta=MIN_SHAPE)], [1.0]
+        alpha, beta, weights = [MIN_SHAPE], [MIN_SHAPE], [1.0]
         quantiles = (np.arange(20000) + 0.5) / 20000
         t = scipy_stats.beta.ppf(quantiles, MIN_SHAPE, MIN_SHAPE)
         assert np.sum(np.unique(t) <= _EPS) > _KS_STRIDE
@@ -373,21 +392,20 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
         # records at the minimum of both raw scores have retention 0: more
         # than _KS_STRIDE leading laws of weight 0, flat ones as such
         # records get and MIN_SHAPE ones whose pdf is infinite at both ends
-        flat = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
-        clamped = TimestepLaw(mu=0.5, kappa=0.1, alpha=MIN_SHAPE, beta=MIN_SHAPE)
-        laws = [flat] * 1000 + [clamped] * 100 + laws
+        alpha, beta = (np.concatenate([np.ones(1000), np.full(100, MIN_SHAPE), shapes])
+                       for shapes in (alpha, beta))
         weights = np.concatenate([np.zeros(1100), weights])
     else:
         # Beta(2, 3) quantiles with every other one of 1000..2999 moved onto
         # quantile 3000 (a deficit) or onto quantile 1000 (a surplus); the
         # tie is distinct draw 2000 or 1000, not an anchor
-        laws, weights = [TimestepLaw(mu=0.4, kappa=5.0, alpha=2.0, beta=3.0)], [1.0]
+        alpha, beta, weights = [2.0], [3.0], [1.0]
         t = scipy_stats.beta.ppf(quantiles, 2.0, 3.0)
         if case == "tie-after-deficit":
             t[1000:3000:2] = t[3000]
         else:
             t[1001:3000:2] = t[1000]
-    assert _ks_statistic(t, laws, weights) == _full_loop_ks(t, laws, weights)[0]
+    assert _ks_statistic(t, alpha, beta, weights) == _full_loop_ks(t, alpha, beta, weights)[0]
 
 
 @pytest.mark.parametrize("alpha, beta, drawn_from, n_draws, seed", [
@@ -399,19 +417,17 @@ def test_pruned_ks_matches_full_loop_on_single_laws(alpha, beta, drawn_from, n_d
     # (its stationary point is 0/0); and draws from another law, a KS of
     # about 0.76 whose largest gaps lie in the coarse bracket around the
     # law's mode, where only the stationary point gives the pdf maximum
-    law = TimestepLaw(mu=alpha / (alpha + beta), kappa=alpha + beta, alpha=alpha, beta=beta)
     t = beta_variates(*(drawn_from or (alpha, beta)), np.random.default_rng(seed), n_draws)
-    assert _ks_statistic(t, [law], [1.0]) == _full_loop_ks(t, [law], [1.0])[0]
+    assert _ks_statistic(t, [alpha], [beta], [1.0]) == _full_loop_ks(t, [alpha], [beta], [1.0])[0]
 
 
 def test_pruned_ks_matches_full_loop_past_one_block():
     # more distinct draws than one block of the first bound pass holds,
     # with the largest gap in a later block
-    law = TimestepLaw(mu=0.4, kappa=5.0, alpha=2.0, beta=3.0)
     t = beta_variates(2.2, 3.0, np.random.default_rng(6), 3 * _KS_BLOCK)
-    expected, where = _full_loop_ks(t, [law], [1.0])
+    expected, where = _full_loop_ks(t, [2.0], [3.0], [1.0])
     assert where >= _KS_BLOCK
-    assert _ks_statistic(t, [law], [1.0]) == expected
+    assert _ks_statistic(t, [2.0], [3.0], [1.0]) == expected
 
 
 @pytest.mark.parametrize("block", [16, 1000])
@@ -421,11 +437,11 @@ def test_pruned_ks_is_the_same_float_in_any_block_size(monkeypatch, block):
     # the 40 laws take eight blocks of the density bounds over the three
     # coarse brackets
     sampler = _population_sampler(40)
-    laws, weights = sampler.laws, sampler.retention / sampler.retention.sum()
+    table = _table(sampler)
     t = _sampler_draws(sampler, 3000, seed=0)
-    expected, _ = _full_loop_ks(t, laws, weights)
+    expected, _ = _full_loop_ks(t, *table)
     monkeypatch.setattr(analysis, "_KS_BLOCK", block)
-    assert _ks_statistic(t, laws, weights) == expected
+    assert _ks_statistic(t, *table) == expected
 
 
 def test_density_bounds_hold_the_mixture_pdf():
@@ -433,15 +449,15 @@ def test_density_bounds_hold_the_mixture_pdf():
     # brackets that hold a mode, touch an end or are narrow
     shapes = [(MIN_SHAPE, MIN_SHAPE), (0.5, 3.0), (1.0, 1.0), (1.0, 4.0), (30.0, 12.0),
               (5e5, 5e5)]
-    laws = [TimestepLaw(mu=a / (a + b), kappa=a + b, alpha=a, beta=b) for a, b in shapes]
-    weights = np.full(len(laws), 1.0 / len(laws))
+    alpha, beta = np.array(shapes).T
+    weights = np.full(len(shapes), 1.0 / len(shapes))
     x_lo = np.array([0.0, 0.01, 0.3, 0.4999, 0.5, 0.7, 0.2])
     x_hi = np.array([0.05, 0.9, 0.8, 0.5001, 0.5, 1.0, 0.2 + 1e-9])
-    f_min, f_max = analysis._density_bounds(laws, weights, x_lo, x_hi)
+    f_min, f_max = analysis._density_bounds(alpha, beta, weights, x_lo, x_hi)
     for lo, hi, fmin, fmax in zip(x_lo, x_hi, f_min, f_max):
         x = np.linspace(lo, hi, 401)
         x = x[(x > 0.0) & (x < 1.0)]
-        pdf = sum(w * scipy_stats.beta.pdf(x, law.alpha, law.beta) for law, w in zip(laws, weights))
+        pdf = sum(w * scipy_stats.beta.pdf(x, a, b) for a, b, w in zip(alpha, beta, weights))
         assert np.all(fmin <= pdf) and np.all(pdf <= fmax)
         assert 0.0 <= fmin <= fmax
 
@@ -450,7 +466,7 @@ def test_density_bounds_hold_the_mixture_pdf():
 def test_histogram_ks_matches_full_loop_on_bench_population(seed):
     sampler = _bench_sampler()
     t = _sampler_draws(sampler, 20000, seed)
-    expected, _ = _full_loop_ks(t, sampler.laws, sampler.retention / sampler.retention.sum())
+    expected, _ = _full_loop_ks(t, *_table(sampler))
     assert timestep_histogram(sampler, 20000, seed=seed).ks_stat == expected
 
 
@@ -460,14 +476,14 @@ def test_ks_evaluates_the_mixture_cdf_at_few_draws(monkeypatch):
     points = []
     mixture_cdf = analysis._mixture_cdf
 
-    def counting(laws, weights, x):
+    def counting(alpha, beta, weights, x):
         points.append(len(x))
-        return mixture_cdf(laws, weights, x)
+        return mixture_cdf(alpha, beta, weights, x)
 
     monkeypatch.setattr(analysis, "_mixture_cdf", counting)
     sampler = _bench_sampler()
     t = _sampler_draws(sampler, 20000, seed=0)
-    _ks_statistic(t, sampler.laws, sampler.retention / sampler.retention.sum())
+    _ks_statistic(t, *_table(sampler))
     assert sum(points) <= 150
 
 
@@ -479,13 +495,14 @@ def test_mixture_cdf_sums_laws_in_record_order(monkeypatch, n_points, block):
     # at any number of points. The KS bisection evaluates single points,
     # where a reduce down the laws sums pairwise, not in record order.
     sampler = _bench_sampler()
-    flat = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
-    clamped = [TimestepLaw(mu=0.5, kappa=0.1, alpha=MIN_SHAPE, beta=MIN_SHAPE)] + [
-        make_law(_norm_record(rid, mq, vq), SamplerConfig())
-        for rid, mq, vq in [("hi", 1.0, 0.0), ("lo", 0.0, 1.0)]]
-    laws = [flat, *clamped] * 7 + sampler.laws + [*clamped, flat]
+    flat = [(1.0, 1.0)]
+    corners = [make_law(_norm_record(rid, mq, vq), SamplerConfig())
+               for rid, mq, vq in [("hi", 1.0, 0.0), ("lo", 0.0, 1.0)]]
+    clamped = [(MIN_SHAPE, MIN_SHAPE)] + [(law.alpha, law.beta) for law in corners]
+    shapes = (flat + clamped) * 7 + list(zip(sampler.alpha, sampler.beta)) + clamped + flat
+    alpha, beta = np.array(shapes).T
     rng = np.random.default_rng(n_points)
-    weights = rng.random(len(laws))
+    weights = rng.random(len(alpha))
     weights[:21:3] = weights[-1] = 0.0
     weights /= weights.sum()
     pool = np.concatenate([[0.0, _EPS, 0.5, 1.0 - _EPS, 1.0, -0.1, 1.1], rng.random(4993)])
@@ -494,9 +511,9 @@ def test_mixture_cdf_sums_laws_in_record_order(monkeypatch, n_points, block):
     for start in range(0, min(len(pool), 20 * n_points), n_points):
         x = pool[start:start + n_points]
         expected = np.zeros_like(x)
-        for law, w in zip(laws, weights):
-            expected += w * betainc(law.alpha, law.beta, np.clip(x, 0.0, 1.0))
-        assert np.array_equal(analysis._mixture_cdf(laws, weights, x), expected)
+        for a, b, w in zip(alpha, beta, weights):
+            expected += w * betainc(a, b, np.clip(x, 0.0, 1.0))
+        assert np.array_equal(analysis._mixture_cdf(alpha, beta, weights, x), expected)
 
 
 @pytest.mark.parametrize("n_records, n_bins", [(1, 20), (40, 20), (40, 50), (300, 100)])
@@ -518,7 +535,7 @@ def test_histogram_cuts_concatenated_batches_to_n_draws():
     observed = np.histogram(t, np.linspace(0.0, 1.0, 21))[0]
     assert [obs for _, _, obs, _ in report.bins] == observed.tolist()
     weights = sampler.retention / sampler.retention.sum()
-    assert report.ks_stat == _ks_statistic(t, sampler.laws, weights)
+    assert report.ks_stat == _ks_statistic(t, sampler.alpha, sampler.beta, weights)
 
 
 def test_histogram_validates_arguments():

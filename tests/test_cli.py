@@ -17,7 +17,7 @@ from tqd.analysis import MAX_HISTOGRAM_DRAWS
 from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
 from tqd.quality import normalize_scores, read_manifest, synth_population
-from tqd.sampler import MIN_SHAPE, SamplerConfig, TqdSampler, bin_masses
+from tqd.sampler import MIN_SHAPE, SamplerConfig, TqdSampler, bin_masses, make_law
 from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload, write_video
 from tqd.trainer import (
     MAX_HIDDEN_WIDTH,
@@ -264,12 +264,12 @@ def test_sample_stats_expected_counts_sum_bin_masses_in_record_order(tmp_path, c
     expected = np.loadtxt(run_dir / "histogram.csv", delimiter=",", skiprows=1)[:, 3]
     sampler = TqdSampler(normalize_scores(read_manifest(manifest)), SamplerConfig())
     assert sampler.retention[-1] == 0.0
-    assert sum(min(law.alpha, law.beta) == MIN_SHAPE for law in sampler.laws) >= 100
+    assert np.sum(np.minimum(sampler.alpha, sampler.beta) == MIN_SHAPE) >= 100
     weights = sampler.retention / sampler.retention.sum()
     edges = np.linspace(0.0, 1.0, 51)
     masses = np.zeros(50)
-    for law, w in zip(sampler.laws, weights):
-        masses += w * bin_masses(law, edges)
+    for rec, w in zip(sampler.records, weights):
+        masses += w * bin_masses(make_law(rec, sampler.config), edges)
     assert np.array_equal(expected, 5000 * masses)
 
 
@@ -733,6 +733,11 @@ def test_probe_requires_model(tmp_path, capsys):
     ("sample-stats", {"batch_size": 16}, None),
     ("sample-stats", {"n_draws": 10**12}, None),
     ("sample-stats", {"n_draws": MAX_HISTOGRAM_DRAWS + 1}, None),
+    ("train", {}, [{"id": "a", "payload": "synth:speed=1,start=nan,frames=2,height=5,width=5"},
+                   {"id": "b"}]),
+    ("probe", {"samples": {"speed_min": 1e308, "speed_max": 1e308, "frames": 8}}, None),
+    ("probe", {"samples": {"speed_min": -1e308, "speed_max": 1e308}}, None),
+    ("probe", {"samples": {"frames": 1, "height": 1, "width": 10**400}}, None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
         "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
@@ -745,7 +750,8 @@ def test_probe_requires_model(tmp_path, capsys):
         "huge-hidden-width", "huge-payload-clip", "payload-clip-over-limit",
         "huge-probe-clip", "probe-clip-over-limit", "huge-n-noise", "n-noise-over-limit",
         "probe-samples-over-limit", "negative-stats-seed", "stats-batch-size",
-        "huge-draws", "draws-over-limit"])
+        "huge-draws", "draws-over-limit", "nan-payload-start", "overflowing-probe-path",
+        "infinite-speed-range", "huge-probe-width"])
 def test_bad_config_or_manifest_is_one_line_data_error(
         tmp_path, capsys, command, config, manifest_rows):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")

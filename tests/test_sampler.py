@@ -10,6 +10,7 @@ from tqd.quality import QualityRecord
 from tqd.sampler import (
     MAX_BATCH_SIZE,
     MAX_KAPPA,
+    MIN_SHAPE,
     SamplerConfig,
     TimestepLaw,
     TqdSampler,
@@ -296,17 +297,16 @@ class TestPrepareBatch:
 
     def test_baseline_arm_disables_dropout(self):
         records = [_rec(0.9, 0.1, "a"), _rec(0.0, 0.0, "b")]
-        sampler = TqdSampler(records, SamplerConfig(batch_size=64))
-        batch = sampler.prepare_batch(np.random.default_rng(56), baseline=True)
+        sampler = TqdSampler(records, SamplerConfig(batch_size=64), baseline=True)
+        batch = sampler.prepare_batch(np.random.default_rng(56))
         assert batch.attempts == batch.accepted == 64
         assert set(_ids(sampler, batch)) == {"a", "b"}
 
     def test_baseline_timesteps_are_uniform(self):
-        sampler = TqdSampler([_rec(0.9, 0.1)], SamplerConfig(kappa_base=2.0, batch_size=1000))
+        sampler = TqdSampler([_rec(0.9, 0.1)], SamplerConfig(kappa_base=2.0, batch_size=1000),
+                             baseline=True)
         rng = np.random.default_rng(57)
-        draws = np.concatenate([
-            sampler.prepare_batch(rng, baseline=True).timesteps
-            for _ in range(5)])
+        draws = np.concatenate([sampler.prepare_batch(rng).timesteps for _ in range(5)])
         assert stats.kstest(draws, "uniform").pvalue > 0.01
 
     def test_timesteps_follow_per_record_law(self):
@@ -340,9 +340,43 @@ class TestPrepareBatch:
         batch = sampler.prepare_batch(np.random.default_rng(60))
         assert batch.indices.tolist() == chosen[:batch_size]
         assert (batch.attempts, batch.accepted) == (attempts, len(chosen))
-        expected_t = beta_variates(sampler._alpha[chosen[:batch_size]],
-                                   sampler._beta[chosen[:batch_size]], rng, batch_size)
+        expected_t = beta_variates(sampler.alpha[chosen[:batch_size]],
+                                   sampler.beta[chosen[:batch_size]], rng, batch_size)
         assert batch.timesteps.tolist() == expected_t.tolist()
+
+    @pytest.mark.parametrize("kappa_base", [1e-300, 0.05, 0.3, 2.0, 4.0, 7.3e5])
+    def test_baseline_matches_symmetric_law_reference(self, kappa_base):
+        # the baseline arm picks records uniformly, then draws every t from
+        # the one scalar law Beta(s, s) of equal scores
+        records = [_rec(0.1 * i, 0.05 * i, f"r{i}") for i in range(10)]
+        config = SamplerConfig(kappa_base=kappa_base, kappa_max=max(20.0, kappa_base),
+                               batch_size=500)
+        rng = np.random.default_rng(62)
+        idx = rng.integers(0, len(records), 500)
+        s = max(kappa_base / 2.0, MIN_SHAPE)
+        expected_t = beta_variates(s, s, rng, 500)
+        batch = TqdSampler(records, config, baseline=True).prepare_batch(
+            np.random.default_rng(62))
+        assert batch.indices.tolist() == idx.tolist()
+        assert batch.timesteps.tolist() == expected_t.tolist()
+        assert batch.attempts == batch.accepted == 500
+
+    def test_full_retention_still_runs_the_rejection_loop(self):
+        # opposite scores give both records retention 1, yet the quality-
+        # aware arm draws its keep/drop uniforms all the same
+        records = [_rec(1.0, 0.0, "hi"), _rec(0.0, 1.0, "lo")]
+        config = SamplerConfig(batch_size=16)
+        laws = [make_law(rec, config) for rec in records]
+        assert [retention_probability(rec) for rec in records] == [1.0, 1.0]
+        rng = np.random.default_rng(63)
+        idx = rng.integers(0, 2, 64)[:16]
+        rng.random(64)  # the keep/drop uniforms, all below retention 1
+        expected_t = beta_variates(np.array([laws[i].alpha for i in idx]),
+                                   np.array([laws[i].beta for i in idx]), rng, 16)
+        batch = TqdSampler(records, config).prepare_batch(np.random.default_rng(63))
+        assert batch.indices.tolist() == idx.tolist()
+        assert batch.timesteps.tolist() == expected_t.tolist()
+        assert (batch.attempts, batch.accepted) == (64, 64)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(DataError):
