@@ -3,8 +3,9 @@
 Perturbs raw scores with growing Gaussian noise (scaled by each metric's
 range), re-normalizes, retrains, and reports how far the law centers
 moved and what happened to the final loss. The same underlying noise
-draw is scaled at every level, so the center shift must grow with the
-level; level 0 is bit-identical to the clean run.
+draw is scaled at every level; renormalization does not guarantee that
+the center shift grows with the level, so the sweep checks it before
+training. Level 0 is bit-identical to the clean run.
 """
 
 import numpy as np

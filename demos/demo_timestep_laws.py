@@ -7,8 +7,7 @@ visual quality pushes it low. Equal scores give the flat law back.
 
 import numpy as np
 
-from tqd.quality import QualityRecord
-from tqd.sampler import SamplerConfig, density_curve, make_law, retention_probability
+from tqd.sampler import SamplerConfig, density_curve, law_table
 
 PROFILES = [
     ("high motion, low visual", 0.9, 0.2),
@@ -25,14 +24,14 @@ def bar(value, scale=18.0):
     return "#" * int(round(value * scale / 4.0))
 
 
-for name, mq, vq in PROFILES:
-    rec = QualityRecord(id=name, mq_raw=0.0, vq_raw=0.0, mq_norm=mq, vq_norm=vq)
-    law = make_law(rec, config)
-    keep = retention_probability(rec)
+names, mqs, vqs = zip(*PROFILES)
+table = law_table(mqs, vqs, config)
+keeps = np.maximum(mqs, vqs)
+for name, mq, vq, keep, mu, kappa, alpha, beta in zip(names, mqs, vqs, keeps, *table):
     print(f"{name}  (mq {mq}, vq {vq})")
-    print(f"  retention {keep:.2f}, center {law.mu:.2f}, concentration {law.kappa:.1f}"
-          f" -> Beta({law.alpha:.2f}, {law.beta:.2f}), mean t {law.mean:.3f}")
-    ts, pdf = density_curve(law, grid_points=9)
+    print(f"  retention {keep:.2f}, center {mu:.2f}, concentration {kappa:.1f}"
+          f" -> Beta({alpha:.2f}, {beta:.2f}), mean t {alpha / (alpha + beta):.3f}")
+    ts, pdf = density_curve(alpha, beta, grid_points=9)
     for t, p in zip(ts, pdf):
         print(f"    t={t:.2f} |{bar(p)}")
     print()

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from tqd.quality import QualityRecord, normalize_scores
-from tqd.sampler import SamplerConfig, make_law
+from tqd.sampler import SamplerConfig, law_table
 from tqd.synth import generate_moving_shape
 from tqd.trainer import TrainerConfig, final_loss, train
 
@@ -43,10 +43,11 @@ def main():
     scfg = SamplerConfig(batch_size=16)
 
     print("per-family timestep laws after normalization:")
-    for rec, _ in (dataset[0], dataset[10]):
-        law = make_law(rec, scfg)
-        print(f"  {rec.id}: center {law.mu:.3f}, concentration {law.kappa:.1f}"
-              f" -> Beta({law.alpha:.2f}, {law.beta:.2f})")
+    firsts = [dataset[0][0], dataset[10][0]]
+    table = law_table([r.mq_norm for r in firsts], [r.vq_norm for r in firsts], scfg)
+    for rec, mu, kappa, alpha, beta in zip(firsts, *table):
+        print(f"  {rec.id}: center {mu:.3f}, concentration {kappa:.1f}"
+              f" -> Beta({alpha:.2f}, {beta:.2f})")
     print()
 
     for seed in (0, 1):

@@ -25,7 +25,7 @@ from .quality import (
     pearson_correlation,
     quadrant_of,
 )
-from .sampler import SamplerConfig, TqdSampler, make_law
+from .sampler import SamplerConfig, TqdSampler, law_table
 from .synth import DegradationSpec, ToyVideo, degrade
 from .trainer import TrainerConfig, VelocityModel, final_loss, gradient_distances, train
 # the per-copy reference path, kept under this module's name because the
@@ -337,7 +337,7 @@ def timestep_histogram(
     observed = np.histogram(t, bins=edges)[0]
 
     weights = sampler.retention / sampler.retention.sum()
-    # each row differences one law's CDF at the edges, as bin_masses does
+    # each row differences one law's CDF at the edges
     masses = _mixture_sum(sampler.alpha, sampler.beta, weights, edges,
                           lambda a, b, x: np.diff(betainc(a, b, x)))
     # per-record Beta mass over (0,1) integrates to 1, so no renormalization
@@ -394,34 +394,39 @@ def robustness_sweep(
 
     dataset pairs QualityRecords (raw scores; normalization is redone
     here) with their videos. Every level perturbs the same underlying
-    noise draw scaled up (common random numbers), so the mean |delta mu|
-    must be non-decreasing in the level; a violation raises NumericError
-    rather than returning a silently inconsistent table. Level 0 is the
-    clean run itself, bit-identical to training on the input records.
+    noise draw scaled up (common random numbers). The mean |delta mu| is
+    checked to be non-decreasing in the level before any training:
+    min-max renormalization can break that order, and a violation raises
+    NumericError rather than returning a silently inconsistent table.
+    Level 0 is the clean run itself, bit-identical to training on the
+    input records.
     """
     if any(lv < 0 for lv in noise_levels):
         raise DataError("noise levels must be >= 0")
     records = [rec for rec, _ in dataset]
     videos = [vid for _, vid in dataset]
-    clean_records = normalize_scores(records)
-    clean_mu = np.array([make_law(r, sampler_config).mu for r in clean_records])
 
-    rows = []
+    def centers(recs):
+        return law_table([r.mq_norm for r in recs], [r.vq_norm for r in recs],
+                         sampler_config)[0]
+
+    clean_mu = centers(normalize_scores(records))
+    levels = []
     for level in noise_levels:
-        noisy = inject_score_noise(records, level, noise_seed)
-        noisy_records = normalize_scores(noisy)
-        mu = np.array([make_law(r, sampler_config).mu for r in noisy_records])
-        shift = float(np.mean(np.abs(mu - clean_mu)))
-        state = train(list(zip(noisy_records, videos)), sampler_config, trainer_config)
-        rows.append(SweepRow(noise_level=float(level), final_loss=final_loss(state),
-                             mean_mu_shift=shift))
+        noisy_records = normalize_scores(inject_score_noise(records, level, noise_seed))
+        shift = float(np.mean(np.abs(centers(noisy_records) - clean_mu)))
+        levels.append((float(level), noisy_records, shift))
 
-    by_level = sorted(rows, key=lambda r: r.noise_level)
-    for a, b in zip(by_level, by_level[1:]):
-        if b.mean_mu_shift < a.mean_mu_shift - 1e-12:
+    by_level = sorted(levels, key=lambda lv: lv[0])
+    for (lo, _, a), (hi, _, b) in zip(by_level, by_level[1:]):
+        if b < a - 1e-12:
             raise NumericError(
-                f"mu shift decreased between noise levels {a.noise_level} and "
-                f"{b.noise_level} ({a.mean_mu_shift} -> {b.mean_mu_shift})")
+                f"mu shift decreased between noise levels {lo} and {hi} ({a} -> {b})")
+    rows = []
+    for level, noisy_records, shift in levels:
+        state = train(list(zip(noisy_records, videos)), sampler_config, trainer_config)
+        rows.append(SweepRow(noise_level=level, final_loss=final_loss(state),
+                             mean_mu_shift=shift))
     return rows
 
 

@@ -12,9 +12,12 @@ The two-level mechanism implemented here:
    low t) and kappa = kappa_base + (kappa_max - kappa_base)*|mq - vq|
    sharpens it with the quality disparity. Equal scores degenerate to
    the baseline law Beta(kappa_base/2, kappa_base/2): uniform for
-   kappa_base = 2. A sampler holds one arm as a table of each record's
-   law and retention; the baseline arm has every record at that law and
-   no dropout.
+   kappa_base = 2.
+
+`law_table` is the one place that maps scores to laws, over arrays of
+records. A sampler holds one arm as a table of each record's law and
+retention; the baseline arm has every record at the equal-score law and
+no dropout.
 
 Beta draws are built from scratch out of two Gamma variates via the
 Marsaglia-Tsang squeeze method; only uniform/normal primitives of the
@@ -24,7 +27,7 @@ from the seed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,51 +83,27 @@ class SamplerConfig:
                             f"got {self.batch_size}")
 
 
-@dataclass(frozen=True)
-class TimestepLaw:
-    """Per-sample Beta(alpha, beta) timestep distribution.
+def law_table(mq, vq, config: SamplerConfig) -> tuple[np.ndarray, ...]:
+    """Each record's timestep law from its normalized scores, as the arrays
+    (mu, kappa, alpha, beta); mu and kappa are as in the module docstring.
 
-    mu and kappa are the pre-clamp values (alpha + beta == kappa exactly
-    before the MIN_SHAPE floor); alpha/beta carry the clamped shapes used
-    for drawing.
+    The shapes alpha = mu*kappa and beta = (1-mu)*kappa are floored at
+    MIN_SHAPE: mu of exactly 0 or 1 would otherwise give a zero shape
+    parameter, which is not a distribution. A score outside [0, 1], or
+    NaN, is a DataError.
     """
-
-    mu: float
-    kappa: float
-    alpha: float
-    beta: float
-
-    @property
-    def mean(self) -> float:
-        """Analytical mean of the clamped law."""
-        return self.alpha / (self.alpha + self.beta)
-
-
-def make_law(record: QualityRecord, config: SamplerConfig) -> TimestepLaw:
-    """Build the record's timestep law (mu and kappa as in the module
-    docstring) from its normalized scores, each of which must be in [0, 1].
-
-    Shapes are floored at MIN_SHAPE: mu of exactly 0 or 1 would otherwise
-    give a zero shape parameter, which is not a distribution.
-    """
-    if not record.is_normalized:
-        raise DataError(f"record {record.id!r} is not normalized")
-    mq, vq = record.mq_norm, record.vq_norm
-    for name, value in (("mq_norm", mq), ("vq_norm", vq)):
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"{name} must be in [0, 1], got {value}")
+    mq = np.asarray(mq, dtype=np.float64)
+    vq = np.asarray(vq, dtype=np.float64)
+    for name, scores in (("mq_norm", mq), ("vq_norm", vq)):
+        bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+        if bad.size:
+            raise DataError(f"{name} must be in [0, 1], got {scores.flat[bad[0]]} "
+                            f"at index {bad[0]}")
     mu = 0.5 + 0.5 * (mq - vq)
-    kappa = config.kappa_base + (config.kappa_max - config.kappa_base) * abs(mq - vq)
-    alpha = max(mu * kappa, MIN_SHAPE)
-    beta = max((1.0 - mu) * kappa, MIN_SHAPE)
-    return TimestepLaw(mu=mu, kappa=kappa, alpha=alpha, beta=beta)
-
-
-def retention_probability(record: QualityRecord) -> float:
-    """Dropout survival probability: the record's best normalized quality."""
-    if not record.is_normalized:
-        raise DataError(f"record {record.id!r} is not normalized")
-    return max(record.vq_norm, record.mq_norm)
+    kappa = config.kappa_base + (config.kappa_max - config.kappa_base) * np.abs(mq - vq)
+    alpha = np.maximum(mu * kappa, MIN_SHAPE)
+    beta = np.maximum((1.0 - mu) * kappa, MIN_SHAPE)
+    return mu, kappa, alpha, beta
 
 
 # --- Beta sampling via Marsaglia-Tsang Gamma variates -----------------------
@@ -177,8 +156,9 @@ def beta_variates(alpha, beta, rng: np.random.Generator, size: int) -> np.ndarra
     return np.clip(t, _OPEN_EPS, 1.0 - _OPEN_EPS)
 
 
-def density_curve(law: TimestepLaw, grid_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Beta pdf of the law on the midpoint grid t_i = (i + 0.5)/G over (0, 1).
+def density_curve(alpha: float, beta: float,
+                  grid_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Beta(alpha, beta) pdf on the midpoint grid t_i = (i + 0.5)/G over (0, 1).
 
     The normalizing constant is computed through the log-gamma function
     for stability at large shapes. For laws with alpha, beta >= 1 the
@@ -192,20 +172,9 @@ def density_curve(law: TimestepLaw, grid_points: int = 512) -> tuple[np.ndarray,
     if grid_points < 2:
         raise DataError(f"grid_points must be >= 2, got {grid_points}")
     t = (np.arange(grid_points) + 0.5) / grid_points
-    log_norm = (special.gammaln(law.alpha + law.beta)
-                - special.gammaln(law.alpha) - special.gammaln(law.beta))
-    pdf = np.exp(log_norm + (law.alpha - 1.0) * np.log(t)
-                 + (law.beta - 1.0) * np.log1p(-t))
+    log_norm = special.gammaln(alpha + beta) - special.gammaln(alpha) - special.gammaln(beta)
+    pdf = np.exp(log_norm + (alpha - 1.0) * np.log(t) + (beta - 1.0) * np.log1p(-t))
     return t, pdf
-
-
-def bin_masses(law: TimestepLaw, edges: np.ndarray) -> np.ndarray:
-    """Exact Beta probability mass of each [edges[i], edges[i+1]) bin: the
-    per-law form of the table analysis.timestep_histogram forms for all laws."""
-    from scipy import special
-
-    cdf = special.betainc(law.alpha, law.beta, np.clip(edges, 0.0, 1.0))
-    return np.diff(cdf)
 
 
 # --- batch preparation -------------------------------------------------------
@@ -240,15 +209,16 @@ class TqdSampler:
         if not records:
             raise DataError("empty dataset")
         self.records = list(records)
+        unnormalized = next((rec for rec in self.records if not rec.is_normalized), None)
+        if unnormalized is not None:
+            raise DataError(f"record {unnormalized.id!r} is not normalized")
         self.config = config
         self.dropout = not baseline
-        # the baseline arm puts every record at the equal-score law
-        laws = [make_law(replace(rec, vq_norm=rec.mq_norm) if baseline else rec, config)
-                for rec in self.records]
-        self.alpha = np.array([law.alpha for law in laws])
-        self.beta = np.array([law.beta for law in laws])
-        self.retention = np.array([retention_probability(rec) if self.dropout else 1.0
-                                   for rec in self.records])
+        mq = np.array([rec.mq_norm for rec in self.records], dtype=np.float64)
+        vq = np.array([rec.vq_norm for rec in self.records], dtype=np.float64)
+        # the baseline arm puts every record at its equal-score law, always kept
+        _, _, self.alpha, self.beta = law_table(mq, mq if baseline else vq, config)
+        self.retention = np.ones(len(mq)) if baseline else np.maximum(mq, vq)
 
     def prepare_batch(self, rng: np.random.Generator) -> Batch:
         """Pick config.batch_size records, then draw one timestep each

@@ -25,7 +25,7 @@ from tqd.analysis import (
     sweep_csv,
     timestep_histogram,
 )
-from tqd.errors import DataError
+from tqd.errors import DataError, NumericError
 from tqd.quality import QualityRecord, normalize_scores, synth_population
 from tqd.sampler import (
     MAX_BATCH_SIZE,
@@ -34,7 +34,7 @@ from tqd.sampler import (
     SamplerConfig,
     TqdSampler,
     beta_variates,
-    make_law,
+    law_table,
 )
 from tqd.synth import DegradationSpec, degrade, generate_moving_shape
 from tqd.trainer import (
@@ -253,8 +253,8 @@ def test_high_motion_record_concentrates_mass_high():
     cfg = SamplerConfig()
     report = timestep_histogram(TqdSampler([rec], cfg), n_draws=5000, n_bins=20, seed=1)
     observed_hi = sum(obs for lo, _, obs, _ in report.bins if lo >= 0.5) / 5000
-    law = make_law(rec, cfg)
-    analytic_hi = 1.0 - betainc(law.alpha, law.beta, 0.5)
+    _, _, alpha, beta = law_table([rec.mq_norm], [rec.vq_norm], cfg)
+    analytic_hi = 1.0 - betainc(alpha[0], beta[0], 0.5)
     assert observed_hi > 0.9
     assert abs(observed_hi - analytic_hi) < 0.015
     assert report.chi_square_pvalue > 0.001
@@ -265,10 +265,9 @@ def test_low_motion_record_mirrors_high_motion():
     hm = _norm_record("hm", 1.0, 0.2)
     lm = _norm_record("lm", 0.2, 1.0)
     cfg = SamplerConfig()
-    law_h = make_law(hm, cfg)
-    law_l = make_law(lm, cfg)
-    np.testing.assert_allclose(law_h.alpha, law_l.beta, rtol=1e-12)
-    np.testing.assert_allclose(law_h.beta, law_l.alpha, rtol=1e-12)
+    _, _, alpha, beta = law_table([hm.mq_norm, lm.mq_norm], [hm.vq_norm, lm.vq_norm], cfg)
+    np.testing.assert_allclose(alpha[0], beta[1], rtol=1e-12)
+    np.testing.assert_allclose(beta[0], alpha[1], rtol=1e-12)
     report = timestep_histogram(TqdSampler([lm], cfg), n_draws=5000, n_bins=20, seed=2)
     observed_lo = sum(obs for _, hi, obs, _ in report.bins if hi <= 0.5) / 5000
     assert observed_lo > 0.9
@@ -496,9 +495,8 @@ def test_mixture_cdf_sums_laws_in_record_order(monkeypatch, n_points, block):
     # where a reduce down the laws sums pairwise, not in record order.
     sampler = _bench_sampler()
     flat = [(1.0, 1.0)]
-    corners = [make_law(_norm_record(rid, mq, vq), SamplerConfig())
-               for rid, mq, vq in [("hi", 1.0, 0.0), ("lo", 0.0, 1.0)]]
-    clamped = [(MIN_SHAPE, MIN_SHAPE)] + [(law.alpha, law.beta) for law in corners]
+    _, _, corner_alpha, corner_beta = law_table([1.0, 0.0], [0.0, 1.0], SamplerConfig())
+    clamped = [(MIN_SHAPE, MIN_SHAPE)] + list(zip(corner_alpha, corner_beta))
     shapes = (flat + clamped) * 7 + list(zip(sampler.alpha, sampler.beta)) + clamped + flat
     alpha, beta = np.array(shapes).T
     rng = np.random.default_rng(n_points)
@@ -581,6 +579,23 @@ def test_sweep_mu_shift_grows_with_noise_level():
     shifts = [row.mean_mu_shift for row in rows]
     assert shifts == sorted(shifts)
     assert shifts[-1] > shifts[1] > 0.0
+
+
+def test_sweep_checks_the_mu_shift_order_before_training(monkeypatch):
+    # min-max renormalization does not keep the mean |delta mu| in order
+    # of the noise level: on this population it falls from level 0.1 to
+    # 0.2, and the sweep must say so before it trains at any level
+    raw = [(4.56, 3.73), (4.44, 3.87), (1.97, 0.23), (1.23, 0.03), (1.16, 4.57), (0.37, 3.31)]
+    dataset = [(QualityRecord(id=f"r{i}", mq_raw=mq, vq_raw=vq),
+                _video(seed=i, height=4, width=4)) for i, (mq, vq) in enumerate(raw)]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train called before the mu shift check")
+
+    monkeypatch.setattr(analysis, "train", no_training)
+    with pytest.raises(NumericError, match="between noise levels 0.1 and 0.2"):
+        robustness_sweep(dataset, [0.0, 0.1, 0.2], SamplerConfig(batch_size=4),
+                         TrainerConfig(steps=4, hidden_width=16, seed=0), noise_seed=0)
 
 
 def test_sweep_rejects_negative_levels():

@@ -11,13 +11,14 @@ import sys
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import betainc
 
 from tqd import analysis
 from tqd.analysis import MAX_HISTOGRAM_DRAWS
 from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
 from tqd.quality import normalize_scores, read_manifest, synth_population
-from tqd.sampler import MIN_SHAPE, SamplerConfig, TqdSampler, bin_masses, make_law
+from tqd.sampler import MIN_SHAPE, SamplerConfig, TqdSampler, law_table
 from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload, write_video
 from tqd.trainer import (
     MAX_HIDDEN_WIDTH,
@@ -267,9 +268,11 @@ def test_sample_stats_expected_counts_sum_bin_masses_in_record_order(tmp_path, c
     assert np.sum(np.minimum(sampler.alpha, sampler.beta) == MIN_SHAPE) >= 100
     weights = sampler.retention / sampler.retention.sum()
     edges = np.linspace(0.0, 1.0, 51)
+    _, _, alpha, beta = law_table([rec.mq_norm for rec in sampler.records],
+                                  [rec.vq_norm for rec in sampler.records], sampler.config)
     masses = np.zeros(50)
-    for rec, w in zip(sampler.records, weights):
-        masses += w * bin_masses(make_law(rec, sampler.config), edges)
+    for a, b, w in zip(alpha, beta, weights):
+        masses += w * np.diff(betainc(a, b, edges))
     assert np.array_equal(expected, 5000 * masses)
 
 

@@ -12,14 +12,11 @@ from tqd.sampler import (
     MAX_KAPPA,
     MIN_SHAPE,
     SamplerConfig,
-    TimestepLaw,
     TqdSampler,
     beta_variates,
-    bin_masses,
     density_curve,
     gamma_variates,
-    make_law,
-    retention_probability,
+    law_table,
 )
 from tqd.errors import DataError, SamplingError
 
@@ -49,80 +46,91 @@ class TestSamplerConfig:
             SamplerConfig(kappa_max=MAX_KAPPA * (1 + 1e-15))
 
 
+def _law(mq, vq, config=SamplerConfig()):
+    """One record's (mu, kappa, alpha, beta) read from law_table."""
+    return tuple(float(column[0]) for column in law_table([mq], [vq], config))
+
+
 class TestComputeMu:
-    """make_law's center, mu = 0.5 + 0.5*(mq - vq)."""
+    """law_table's center, mu = 0.5 + 0.5*(mq - vq)."""
 
     def test_extreme_motion_advantage(self):
-        assert make_law(_rec(1.0, 0.0), SamplerConfig()).mu == 1.0
+        assert _law(1.0, 0.0)[0] == 1.0
 
     @pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0])
     def test_equal_quality_centers(self, x):
-        assert make_law(_rec(x, x), SamplerConfig()).mu == 0.5
+        assert _law(x, x)[0] == 0.5
 
     def test_direct_evaluation(self):
-        assert make_law(_rec(0.8, 0.3), SamplerConfig()).mu == pytest.approx(0.75)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(DataError, match="mq_norm must be in"):
-            make_law(_rec(1.2, 0.5), SamplerConfig())
-        with pytest.raises(DataError, match="vq_norm must be in"):
-            make_law(_rec(0.5, -0.1), SamplerConfig())
+        assert _law(0.8, 0.3)[0] == pytest.approx(0.75)
 
 
 class TestComputeKappa:
-    """make_law's concentration, linear in |mq - vq| from kappa_base to kappa_max."""
+    """law_table's concentration, linear in |mq - vq| from kappa_base to kappa_max."""
 
     def test_zero_disparity_gives_base(self):
-        assert make_law(_rec(0.6, 0.6), SamplerConfig(kappa_base=4.0)).kappa == 4.0
+        assert _law(0.6, 0.6, SamplerConfig(kappa_base=4.0))[1] == 4.0
 
     def test_full_disparity_gives_max(self):
         config = SamplerConfig(kappa_base=2.0, kappa_max=20.0)
-        assert make_law(_rec(1.0, 0.0), config).kappa == 20.0
+        assert _law(1.0, 0.0, config)[1] == 20.0
 
     def test_linear_interpolation(self):
         config = SamplerConfig(kappa_base=2.0, kappa_max=30.0)
-        assert make_law(_rec(0.5, 0.0), config).kappa == pytest.approx(16.0)
+        assert _law(0.5, 0.0, config)[1] == pytest.approx(16.0)
 
 
 class TestMakeLaw:
+    """law_table's clamped shapes, one record at a time."""
+
     def test_equal_scores_degenerate_to_uniform(self):
-        law = make_law(_rec(0.4, 0.4), SamplerConfig(kappa_base=2.0))
-        assert (law.alpha, law.beta) == (1.0, 1.0)
+        assert _law(0.4, 0.4, SamplerConfig(kappa_base=2.0))[2:] == (1.0, 1.0)
 
     def test_zero_shape_clamped_to_min_shape(self):
-        law = make_law(_rec(1.0, 0.0), SamplerConfig(kappa_base=2.0, kappa_max=20.0))
-        assert law.mu == 1.0
-        assert law.kappa == 20.0
-        assert law.alpha == 20.0
-        assert law.beta == 0.05
+        law = _law(1.0, 0.0, SamplerConfig(kappa_base=2.0, kappa_max=20.0))
+        assert law == (1.0, 20.0, 20.0, 0.05)
 
     def test_direct_shape_evaluation(self):
-        law = make_law(_rec(0.9, 0.4), SamplerConfig(kappa_base=4.0, kappa_max=30.0))
-        assert law.mu == pytest.approx(0.75)
-        assert law.kappa == pytest.approx(17.0)
-        assert law.alpha == pytest.approx(12.75)
-        assert law.beta == pytest.approx(4.25)
-
-    def test_unnormalized_record_raises(self):
-        with pytest.raises(DataError):
-            make_law(QualityRecord("raw", 1.0, 2.0), SamplerConfig())
+        mu, kappa, alpha, beta = _law(0.9, 0.4, SamplerConfig(kappa_base=4.0, kappa_max=30.0))
+        assert mu == pytest.approx(0.75)
+        assert kappa == pytest.approx(17.0)
+        assert alpha == pytest.approx(12.75)
+        assert beta == pytest.approx(4.25)
 
     def test_moment_properties(self):
-        law = TimestepLaw(mu=0.75, kappa=20.0, alpha=15.0, beta=5.0)
-        assert law.mean == pytest.approx(0.75)
+        # unclamped, the law's mean alpha/(alpha + beta) is its center
+        mu, _, alpha, beta = _law(0.9, 0.4, SamplerConfig(kappa_base=4.0, kappa_max=30.0))
+        assert alpha / (alpha + beta) == pytest.approx(mu)
 
 
 class TestRetentionProbability:
     def test_best_quality_wins(self):
-        assert retention_probability(_rec(1.0, 0.2)) == 1.0
-        assert retention_probability(_rec(0.3, 0.7)) == 0.7
+        sampler = TqdSampler([_rec(1.0, 0.2, "a"), _rec(0.3, 0.7, "b")], SamplerConfig())
+        assert sampler.retention.tolist() == [1.0, 0.7]
 
     def test_worst_case_never_retained(self):
-        assert retention_probability(_rec(0.0, 0.0)) == 0.0
+        assert TqdSampler([_rec(0.0, 0.0)], SamplerConfig()).retention.tolist() == [0.0]
 
-    def test_unnormalized_record_raises(self):
-        with pytest.raises(DataError):
-            retention_probability(QualityRecord("raw", 1.0, 2.0))
+
+_NAN = float("nan")
+_NOT_NORMALIZED = "record 'bad' is not normalized"
+
+
+@pytest.mark.parametrize("mq, vq, table_message, sampler_message", [
+    (1.2, 0.5, "mq_norm must be in", "mq_norm must be in"),
+    (0.5, -0.1, "vq_norm must be in", "vq_norm must be in"),
+    (_NAN, 0.5, "mq_norm must be in", "mq_norm must be in"),
+    (0.5, _NAN, "vq_norm must be in", "vq_norm must be in"),
+    (None, 0.5, "mq_norm must be in", _NOT_NORMALIZED),
+    (0.5, None, "vq_norm must be in", _NOT_NORMALIZED),
+], ids=["mq-above-one", "vq-below-zero", "mq-nan", "vq-nan", "mq-missing", "vq-missing"])
+def test_bad_scores_raise(mq, vq, table_message, sampler_message):
+    # law_table sees numbers (a missing score is NaN to it) and refuses
+    # one out of range; the sampler first names an unnormalized record
+    with pytest.raises(DataError, match=table_message):
+        law_table([0.5, mq], [0.5, vq], SamplerConfig())
+    with pytest.raises(DataError, match=sampler_message):
+        TqdSampler([_rec(0.5, 0.5, "ok"), _rec(mq, vq, "bad")], SamplerConfig())
 
 
 class TestGammaVariates:
@@ -206,43 +214,76 @@ class TestBetaVariates:
 
 class TestDensityCurve:
     def test_uniform_law_is_flat(self):
-        law = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
-        _, pdf = density_curve(law)
+        _, pdf = density_curve(1.0, 1.0)
         assert pdf == pytest.approx(np.ones_like(pdf))
 
     def test_symmetric_law_matches_closed_form(self):
-        law = TimestepLaw(mu=0.5, kappa=4.0, alpha=2.0, beta=2.0)
-        t, pdf = density_curve(law)
+        t, pdf = density_curve(2.0, 2.0)
         assert pdf == pytest.approx(6.0 * t * (1.0 - t), abs=1e-12)
         assert pdf.max() == pytest.approx(1.5, abs=1e-4)
 
     def test_skewed_law_peaks_at_mode(self):
-        law = TimestepLaw(mu=0.75, kappa=20.0, alpha=15.0, beta=5.0)
-        t, pdf = density_curve(law, grid_points=512)
-        mode = (law.alpha - 1.0) / (law.alpha + law.beta - 2.0)
+        t, pdf = density_curve(15.0, 5.0, grid_points=512)
+        mode = (15.0 - 1.0) / (15.0 + 5.0 - 2.0)
         assert abs(t[np.argmax(pdf)] - mode) <= 1.0 / 512
 
     def test_trapezoid_integral_near_one_for_proper_shapes(self):
-        law = TimestepLaw(mu=0.75, kappa=20.0, alpha=15.0, beta=5.0)
-        t, pdf = density_curve(law, grid_points=512)
+        t, pdf = density_curve(15.0, 5.0, grid_points=512)
         assert np.trapezoid(pdf, t) == pytest.approx(1.0, abs=0.01)
 
     def test_tiny_grid_raises(self):
-        law = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
         with pytest.raises(DataError):
-            density_curve(law, grid_points=1)
+            density_curve(1.0, 1.0, grid_points=1)
 
 
-class TestBinMasses:
-    def test_uniform_law_mass_equals_width(self):
-        law = TimestepLaw(mu=0.5, kappa=2.0, alpha=1.0, beta=1.0)
-        edges = np.array([0.0, 0.25, 0.5, 1.0])
-        assert bin_masses(law, edges) == pytest.approx([0.25, 0.25, 0.5])
+def _reference_law(mq, vq, config):
+    """The quality-to-law rule for one record, in Python floats: the
+    reference the vectorized law table must equal bit for bit."""
+    mu = 0.5 + 0.5 * (mq - vq)
+    kappa = config.kappa_base + (config.kappa_max - config.kappa_base) * abs(mq - vq)
+    return mu, kappa, max(mu * kappa, MIN_SHAPE), max((1.0 - mu) * kappa, MIN_SHAPE)
 
-    def test_full_partition_sums_to_one(self):
-        law = TimestepLaw(mu=1.0, kappa=20.0, alpha=20.0, beta=0.05)
-        edges = np.linspace(0.0, 1.0, 51)
-        assert bin_masses(law, edges).sum() == pytest.approx(1.0)
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _reference_scores():
+    """Random score pairs, then the four corners and the centre."""
+    scores = [(float(mq), float(vq)) for mq, vq in np.random.default_rng(64).random((2000, 2))]
+    return scores + [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5)]
+
+
+_KAPPA_PAIRS = [(2.0, 20.0), (0.02, 1e6), (1e-300, 7.3e5), (4.0, 4.0), (0.3, 11.7)]
+
+
+@pytest.mark.parametrize("kappa_base, kappa_max", _KAPPA_PAIRS)
+def test_law_table_matches_scalar_reference(kappa_base, kappa_max):
+    scores = _reference_scores()
+    config = SamplerConfig(kappa_base=kappa_base, kappa_max=kappa_max)
+    expected = np.array([_reference_law(mq, vq, config) for mq, vq in scores]).T
+    table = law_table([mq for mq, _ in scores], [vq for _, vq in scores], config)
+    for column, reference in zip(table, expected):
+        assert np.array_equal(_bits(column), _bits(reference))
+
+
+@pytest.mark.parametrize("kappa_base, kappa_max", _KAPPA_PAIRS)
+def test_arm_tables_match_scalar_reference(kappa_base, kappa_max):
+    # both arms, against the rule applied one record at a time
+    scores = _reference_scores()
+    records = [_rec(mq, vq, f"r{i}") for i, (mq, vq) in enumerate(scores)]
+    config = SamplerConfig(kappa_base=kappa_base, kappa_max=kappa_max)
+    laws = [_reference_law(mq, vq, config) for mq, vq in scores]
+    tqd = TqdSampler(records, config)
+    assert np.array_equal(_bits(tqd.alpha), _bits([law[2] for law in laws]))
+    assert np.array_equal(_bits(tqd.beta), _bits([law[3] for law in laws]))
+    assert np.array_equal(_bits(tqd.retention), _bits([max(vq, mq) for mq, vq in scores]))
+    # the baseline arm puts every record at its equal-score law, kept always
+    flat = [_reference_law(mq, mq, config) for mq, _ in scores]
+    baseline = TqdSampler(records, config, baseline=True)
+    assert np.array_equal(_bits(baseline.alpha), _bits([law[2] for law in flat]))
+    assert np.array_equal(_bits(baseline.beta), _bits([law[3] for law in flat]))
+    assert np.array_equal(_bits(baseline.retention), _bits([1.0] * len(scores)))
 
 
 def _ids(sampler, batch):
@@ -366,13 +407,13 @@ class TestPrepareBatch:
         # aware arm draws its keep/drop uniforms all the same
         records = [_rec(1.0, 0.0, "hi"), _rec(0.0, 1.0, "lo")]
         config = SamplerConfig(batch_size=16)
-        laws = [make_law(rec, config) for rec in records]
-        assert [retention_probability(rec) for rec in records] == [1.0, 1.0]
+        laws = [_reference_law(rec.mq_norm, rec.vq_norm, config) for rec in records]
+        assert [max(rec.vq_norm, rec.mq_norm) for rec in records] == [1.0, 1.0]
         rng = np.random.default_rng(63)
         idx = rng.integers(0, 2, 64)[:16]
         rng.random(64)  # the keep/drop uniforms, all below retention 1
-        expected_t = beta_variates(np.array([laws[i].alpha for i in idx]),
-                                   np.array([laws[i].beta for i in idx]), rng, 16)
+        expected_t = beta_variates(np.array([laws[i][2] for i in idx]),
+                                   np.array([laws[i][3] for i in idx]), rng, 16)
         batch = TqdSampler(records, config).prepare_batch(np.random.default_rng(63))
         assert batch.indices.tolist() == idx.tolist()
         assert batch.timesteps.tolist() == expected_t.tolist()
