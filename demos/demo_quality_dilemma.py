@@ -19,8 +19,8 @@ print(f"under independence both-high would be 0.25; observed {hmhv:.4f}")
 print(f"that is {(0.25 - hmhv) * 100:.1f} points of golden data lost to the dilemma\n")
 
 # normalization maps each score onto [0, 1] over the given records
-normalized = normalize_scores(population[:5])
+mq, vq = normalize_scores(population[:5])
 print("first five records after min-max normalization:")
-for rec in normalized:
-    print(f"  {rec.id}: mq {rec.mq_raw:.2f} -> {rec.mq_norm:.3f}, "
-          f"vq {rec.vq_raw:.2f} -> {rec.vq_norm:.3f}")
+for rec, mq_norm, vq_norm in zip(population[:5], mq, vq):
+    print(f"  {rec.id}: mq {rec.mq_raw:.2f} -> {mq_norm:.3f}, "
+          f"vq {rec.vq_raw:.2f} -> {vq_norm:.3f}")

@@ -37,8 +37,9 @@ def main():
         trainer_config=TrainerConfig(steps=150, hidden_width=64, seed=0),
     )
     print(sweep_csv(rows))
-    print("center shift grows with the noise level by construction (common")
-    print("random numbers), while the loss stays flat until the shift is large")
+    print("the sweep checks that the center shift grows with the noise level")
+    print("(renormalization does not guarantee it) and raises NumericError")
+    print("when it does not; the loss stays flat until the shift is large")
     print("enough to push records' laws onto the wrong half of the path.")
 
 

@@ -34,18 +34,17 @@ def build_dataset(video_seed=1000):
         videos.append(generate_moving_shape(
             0.2 + 0.3 * ui, 0.0, 100 + i, frames=2, height=10, width=10,
             start_x=float(rng.uniform(0.0, 10.0))))
-    normalized = normalize_scores(records)
-    return list(zip(normalized, videos))
+    return records, videos
 
 
 def main():
-    dataset = build_dataset()
+    records, videos = build_dataset()
+    mq, vq = normalize_scores(records)
     scfg = SamplerConfig(batch_size=16)
 
     print("per-family timestep laws after normalization:")
-    firsts = [dataset[0][0], dataset[10][0]]
-    table = law_table([r.mq_norm for r in firsts], [r.vq_norm for r in firsts], scfg)
-    for rec, mu, kappa, alpha, beta in zip(firsts, *table):
+    table = law_table(mq[[0, 10]], vq[[0, 10]], scfg)
+    for rec, mu, kappa, alpha, beta in zip([records[0], records[10]], *table):
         print(f"  {rec.id}: center {mu:.3f}, concentration {kappa:.1f}"
               f" -> Beta({alpha:.2f}, {beta:.2f})")
     print()
@@ -56,7 +55,7 @@ def main():
             tcfg = TrainerConfig(steps=500, learning_rate=2e-3, hidden_width=512,
                                  seed=seed, baseline=baseline)
             t0 = time.time()
-            state = train(dataset, scfg, tcfg)
+            state = train(videos, mq, vq, scfg, tcfg)
             arm = "baseline" if baseline else "quality-aware"
             results[arm] = final_loss(state)
             print(f"seed {seed} {arm:<14} final loss {results[arm]:.4f}  "

@@ -103,7 +103,7 @@ def gradient_probe(
     per-layer Gram matrices (trainer.gradient_distances); no gradient is
     formed. Per-sample degradation randomness is derived from the spec
     seed and the sample index, so two samples never share a noise field
-    or shuffle order.
+    or shuffle order. noise_seed must be >= 0.
     """
     if not samples:
         raise DataError("gradient probe needs at least one sample")
@@ -114,6 +114,8 @@ def gradient_probe(
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise DataError("t_grid must be strictly increasing")
+    if noise_seed < 0:
+        raise DataError(f"noise_seed must be >= 0, got {noise_seed}")
 
     degraded = [
         [degrade(video, DegradationSpec(spec.kind, spec.strength,
@@ -392,39 +394,38 @@ def robustness_sweep(
 ) -> list[SweepRow]:
     """Score-noise robustness: retrain at each noise level, same seeds.
 
-    dataset pairs QualityRecords (raw scores; normalization is redone
-    here) with their videos. Every level perturbs the same underlying
-    noise draw scaled up (common random numbers). The mean |delta mu| is
-    checked to be non-decreasing in the level before any training:
-    min-max renormalization can break that order, and a violation raises
-    NumericError rather than returning a silently inconsistent table.
-    Level 0 is the clean run itself, bit-identical to training on the
-    input records.
+    dataset pairs QualityRecords (raw scores) with their videos; each
+    level normalizes its own noisy scores. Every level perturbs the same
+    underlying noise draw scaled up (common random numbers). The mean
+    |delta mu| is checked to be non-decreasing in the level before any
+    training: min-max renormalization can break that order, and a
+    violation raises NumericError rather than returning a silently
+    inconsistent table. Level 0 is the clean run itself, bit-identical to
+    training on the normalized input scores.
     """
     if any(lv < 0 for lv in noise_levels):
         raise DataError("noise levels must be >= 0")
     records = [rec for rec, _ in dataset]
     videos = [vid for _, vid in dataset]
 
-    def centers(recs):
-        return law_table([r.mq_norm for r in recs], [r.vq_norm for r in recs],
-                         sampler_config)[0]
+    def centers(mq, vq):
+        return law_table(mq, vq, sampler_config)[0]
 
-    clean_mu = centers(normalize_scores(records))
+    clean_mu = centers(*normalize_scores(records))
     levels = []
     for level in noise_levels:
-        noisy_records = normalize_scores(inject_score_noise(records, level, noise_seed))
-        shift = float(np.mean(np.abs(centers(noisy_records) - clean_mu)))
-        levels.append((float(level), noisy_records, shift))
+        mq, vq = normalize_scores(inject_score_noise(records, level, noise_seed))
+        shift = float(np.mean(np.abs(centers(mq, vq) - clean_mu)))
+        levels.append((float(level), mq, vq, shift))
 
     by_level = sorted(levels, key=lambda lv: lv[0])
-    for (lo, _, a), (hi, _, b) in zip(by_level, by_level[1:]):
+    for (lo, *_, a), (hi, *_, b) in zip(by_level, by_level[1:]):
         if b < a - 1e-12:
             raise NumericError(
                 f"mu shift decreased between noise levels {lo} and {hi} ({a} -> {b})")
     rows = []
-    for level, noisy_records, shift in levels:
-        state = train(list(zip(noisy_records, videos)), sampler_config, trainer_config)
+    for level, mq, vq, shift in levels:
+        state = train(videos, mq, vq, sampler_config, trainer_config)
         rows.append(SweepRow(noise_level=level, final_loss=final_loss(state),
                              mean_mu_shift=shift))
     return rows

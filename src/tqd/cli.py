@@ -291,18 +291,18 @@ def cmd_sample_stats(args) -> int:
                     {**params, "batch_size": max(1, min(n_draws, MAX_BATCH_SIZE))})
 
     records = read_manifest(manifest)
-    normalized = normalize_scores(records)
-    sampler = TqdSampler(normalized, config)
+    mq, vq = normalize_scores(records)
+    sampler = TqdSampler(mq, vq, config)
     report = timestep_histogram(sampler, n_draws, seed=params["seed"])
 
     # one row per distinct quality profile, first-appearance order; the
     # law and retention depend on the profile alone, so any member serves
-    profiles = [(rec.mq_norm, rec.vq_norm) for rec in sampler.records]
+    profiles = list(zip(mq.tolist(), vq.tolist()))
     n_records = Counter(profiles)
     member = {key: i for i, key in enumerate(profiles)}
     law_lines = ["profile,mq_norm,vq_norm,n_records,retention,alpha,beta"]
-    for k, ((mq, vq), i) in enumerate(member.items()):
-        law_lines.append(f"{k},{mq!r},{vq!r},{n_records[mq, vq]},"
+    for k, ((m, v), i) in enumerate(member.items()):
+        law_lines.append(f"{k},{m!r},{v!r},{n_records[m, v]},"
                          f"{float(sampler.retention[i])!r},{float(sampler.alpha[i])!r},"
                          f"{float(sampler.beta[i])!r}")
 
@@ -376,15 +376,15 @@ def cmd_train(args) -> int:
             raise DataError(f"no records left after filter quadrant={','.join(quads)}")
         records = kept
     records = inject_score_noise(records, params["noise_level"], trainer_cfg.seed)
-    normalized = normalize_scores(records)
+    mq, vq = normalize_scores(records)
 
     base_dir = Path(manifest).parent
-    dataset = []
-    for rec in normalized:
+    videos = []
+    for rec in records:
         if rec.payload_ref is None:
             raise DataError(f"record {rec.id!r} has no payload reference")
-        dataset.append((rec, resolve_payload(rec.payload_ref, base_dir=base_dir)))
-    state = train(dataset, sampler_cfg, trainer_cfg)
+        videos.append(resolve_payload(rec.payload_ref, base_dir=base_dir))
+    state = train(videos, mq, vq, sampler_cfg, trainer_cfg)
 
     run_dir, run_id = _start_run("train", args.out, params, {"manifest": str(manifest)})
     save_checkpoint(state.model, run_dir / "checkpoint.bin", step=state.step,
@@ -393,7 +393,7 @@ def cmd_train(args) -> int:
 
     arm = "baseline" if trainer_cfg.baseline else "quality-aware"
     print(f"run {run_id}: trained {arm} arm for {state.step} steps "
-          f"on {len(dataset)} records")
+          f"on {len(videos)} records")
     if state.loss_history:
         print(f"final loss (trailing mean): {final_loss(state):.6f}")
         print(f"mean batch acceptance: {float(np.mean(state.acceptance_history)):.4f}")

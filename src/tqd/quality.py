@@ -1,11 +1,13 @@
 """Quality scores: normalization, population statistics, and scorer-noise injection.
 
 Every training sample carries two raw scorer outputs, a motion-quality (MQ)
-and a visual-quality (VQ) score. This module turns raw score populations
-into the normalized [0, 1] values the sampler consumes, assigns each
-record one of the four high/low quadrants, measures the MQ/VQ
-correlation, and synthesizes score populations with a prescribed
-correlation so the whole pipeline runs without any external scorer.
+and a visual-quality (VQ) score. A record holds what a manifest row
+holds: its id, the two raw scores and a payload reference. This module
+turns a population of records into the two arrays of normalized [0, 1]
+scores the sampler consumes, assigns each record one of the four
+high/low quadrants, measures the MQ/VQ correlation, and synthesizes
+score populations with a prescribed correlation so the whole pipeline
+runs without any external scorer.
 
 All functions are pure: records are frozen dataclasses and every operation
 returns new ones.
@@ -27,21 +29,12 @@ QUADRANTS = ("HMHV", "HMLV", "LMHV", "LMLV")
 
 @dataclass(frozen=True)
 class QualityRecord:
-    """One sample's scores plus an opaque reference to its payload.
-
-    mq_norm/vq_norm stay None until `normalize_scores` has run.
-    """
+    """One sample's raw scores plus an opaque reference to its payload."""
 
     id: str
     mq_raw: float
     vq_raw: float
-    mq_norm: float | None = None
-    vq_norm: float | None = None
     payload_ref: str | None = None
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.mq_norm is not None and self.vq_norm is not None
 
 
 @dataclass(frozen=True)
@@ -52,11 +45,11 @@ class PopulationStats:
     p_value: float
 
 
-def normalize_scores(records: list[QualityRecord]) -> list[QualityRecord]:
+def normalize_scores(records: list[QualityRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Min-max normalize raw MQ/VQ over the whole input population.
 
-    When all raw values of a metric are equal, every normalized value of
-    it is 0.5.
+    Returns the float64 arrays (mq, vq), entry i for records[i]. When all
+    raw values of a metric are equal, every normalized value of it is 0.5.
 
     Raises DataError on empty input, any non-finite raw score, or a
     metric whose range max - min overflows a float.
@@ -66,18 +59,17 @@ def normalize_scores(records: list[QualityRecord]) -> list[QualityRecord]:
     for rec in records:
         if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
             raise DataError(f"non-finite score on record {rec.id!r}")
-    mq = [r.mq_raw for r in records]
-    vq = [r.vq_raw for r in records]
-    mq_lo, mq_hi, vq_lo, vq_hi = min(mq), max(mq), min(vq), max(vq)
-    _check_range("mq", mq_lo, mq_hi)
-    _check_range("vq", vq_lo, vq_hi)
-    return [replace(rec, mq_norm=_minmax(rec.mq_raw, mq_lo, mq_hi),
-                    vq_norm=_minmax(rec.vq_raw, vq_lo, vq_hi)) for rec in records]
+    return (_minmax("mq", np.array([r.mq_raw for r in records])),
+            _minmax("vq", np.array([r.vq_raw for r in records])))
 
 
-def _minmax(x: float, lo: float, hi: float) -> float:
+def _minmax(name: str, x: np.ndarray) -> np.ndarray:
+    # the first of tied extremes, as min() and max() pick, so a signed
+    # zero bound is the same float as theirs
+    lo, hi = float(x[x.argmin()]), float(x[x.argmax()])
+    _check_range(name, lo, hi)
     # Degenerate range: keep the neutral midpoint so mu stays at 0.5.
-    return 0.5 if hi == lo else (x - lo) / (hi - lo)
+    return np.full(x.size, 0.5) if hi == lo else (x - lo) / (hi - lo)
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:
@@ -170,9 +162,7 @@ def inject_score_noise(
     The per-metric noise std is `noise_level` times that metric's raw
     range over the input records ("10% noise" = std of 0.1 x range).
     noise_level 0 returns the records unchanged, all fields identical.
-    Positive levels clear mq_norm/vq_norm: re-normalization over the
-    noisy population is the caller's responsibility. A raw range, or a
-    noisy score, that overflows a float is DataError.
+    A raw range, or a noisy score, that overflows a float is DataError.
     """
     if noise_level < 0:
         raise DataError(f"noise level must be >= 0, got {noise_level}")
@@ -193,8 +183,7 @@ def inject_score_noise(
             noisy.append(scores)
     mq_noisy, vq_noisy = noisy
     return [
-        replace(rec, mq_raw=float(mq_noisy[i]), vq_raw=float(vq_noisy[i]),
-                mq_norm=None, vq_norm=None)
+        replace(rec, mq_raw=float(mq_noisy[i]), vq_raw=float(vq_noisy[i]))
         for i, rec in enumerate(records)
     ]
 

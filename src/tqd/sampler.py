@@ -1,21 +1,23 @@
 """Quality-decoupled timestep sampling.
 
-The two-level mechanism implemented here:
+The scores mq and vq are the normalized arrays that
+`quality.normalize_scores` returns, entry i for record i. The two-level
+mechanism implemented here:
 
 1. Sample-level dropout. During batch preparation a record is retained
-   with probability max(vq_norm, mq_norm), its best quality. Records weak
-   on both axes are naturally down-weighted.
+   with probability max(vq, mq), its best quality. Records weak on both
+   axes are naturally down-weighted.
 2. Per-sample timestep law. Each retained record draws its training
    timestep t in [0, 1] from Beta(mu*kappa, (1-mu)*kappa), where
-   mu = 0.5 + 0.5*(mq_norm - vq_norm) centers the distribution (motion-
+   mu = 0.5 + 0.5*(mq - vq) centers the distribution (motion-
    dominant samples toward noisy high t, visually clean samples toward
    low t) and kappa = kappa_base + (kappa_max - kappa_base)*|mq - vq|
    sharpens it with the quality disparity. Equal scores degenerate to
    the baseline law Beta(kappa_base/2, kappa_base/2): uniform for
    kappa_base = 2.
 
-`law_table` is the one place that maps scores to laws, over arrays of
-records. A sampler holds one arm as a table of each record's law and
+`law_table` is the one place that maps scores to laws, over the score
+arrays. A sampler holds one arm as a table of each record's law and
 retention; the baseline arm has every record at the equal-score law and
 no dropout.
 
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SamplingError
-from .quality import QualityRecord
 
 _OPEN_EPS = np.finfo(np.float64).eps  # nudge for the open interval (0,1)
 
@@ -182,7 +183,7 @@ def density_curve(alpha: float, beta: float,
 @dataclass(frozen=True, eq=False)
 class Batch:
     """A prepared batch: the retained records, as indices into the
-    sampler's record list, with one drawn timestep each."""
+    sampler's score arrays, with one drawn timestep each."""
 
     indices: np.ndarray
     timesteps: np.ndarray
@@ -195,27 +196,21 @@ class Batch:
 
 
 class TqdSampler:
-    """Immutable batch sampler over a normalized dataset, for one arm.
+    """Immutable batch sampler over normalized score arrays, for one arm.
 
-    The arm's law table is built once: record i draws t from
-    Beta(alpha[i], beta[i]) and, when dropout runs, is kept with
-    probability retention[i] (1 in the baseline arm). Every
-    `prepare_batch` call takes an explicit Generator, so concurrent
-    preparation is safe when each thread owns its own stream.
+    The arm's law table is built once from mq and vq: record i draws t
+    from Beta(alpha[i], beta[i]) and, when dropout runs, is kept with
+    probability retention[i] (1 in the baseline arm).
     """
 
-    def __init__(self, records: list[QualityRecord], config: SamplerConfig,
-                 baseline: bool = False):
-        if not records:
-            raise DataError("empty dataset")
-        self.records = list(records)
-        unnormalized = next((rec for rec in self.records if not rec.is_normalized), None)
-        if unnormalized is not None:
-            raise DataError(f"record {unnormalized.id!r} is not normalized")
+    def __init__(self, mq, vq, config: SamplerConfig, baseline: bool = False):
+        mq = np.asarray(mq, dtype=np.float64)
+        vq = np.asarray(vq, dtype=np.float64)
+        if not (mq.ndim == 1 and mq.shape == vq.shape and mq.size):
+            raise DataError(f"mq and vq must be 1-D arrays of one length of at least 1, "
+                            f"got shapes {mq.shape} and {vq.shape}")
         self.config = config
         self.dropout = not baseline
-        mq = np.array([rec.mq_norm for rec in self.records], dtype=np.float64)
-        vq = np.array([rec.vq_norm for rec in self.records], dtype=np.float64)
         # the baseline arm puts every record at its equal-score law, always kept
         _, _, self.alpha, self.beta = law_table(mq, mq if baseline else vq, config)
         self.retention = np.ones(len(mq)) if baseline else np.maximum(mq, vq)
@@ -231,7 +226,7 @@ class TqdSampler:
         ATTEMPTS_PER_SLOT x batch_size attempts are exhausted.
         """
         batch_size = self.config.batch_size
-        n = len(self.records)
+        n = self.retention.size
         if not self.dropout:
             idx = rng.integers(0, n, batch_size)
             attempts = accepted_total = batch_size

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, DataError, NumericError, regular_file_size
-from .quality import QualityRecord
 from .sampler import SamplerConfig, TqdSampler
 from .synth import MAX_CLIP_PIXELS, ToyVideo
 
@@ -514,31 +513,32 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
         theta[lo:hi] -= a
 
 
-def train(dataset, sampler_config: SamplerConfig, trainer_config: TrainerConfig) -> TrainState:
+def train(videos, mq, vq, sampler_config: SamplerConfig,
+          trainer_config: TrainerConfig) -> TrainState:
     """Run the full quality-aware loop and return the final state.
 
-    dataset is a list of (QualityRecord, ToyVideo) pairs; records must
-    be normalized. Each step prepares a batch through the sampler of the
-    arm trainer_config.baseline picks, draws fresh noise endpoints, and
-    applies one optimizer update. Deterministic given trainer_config.seed.
-    A non-finite loss or parameter is NumericError; numpy's own overflow
-    warnings are silenced, so that error is the one report.
+    videos[i] is record i's ToyVideo and mq[i], vq[i] its normalized
+    scores, as `quality.normalize_scores` returns them. Each step prepares
+    a batch through the sampler of the arm trainer_config.baseline picks,
+    draws fresh noise endpoints, and applies one optimizer update.
+    Deterministic given trainer_config.seed. A non-finite loss or
+    parameter is NumericError; numpy's own overflow warnings are
+    silenced, so that error is the one report.
     """
-    if not dataset:
+    if not len(videos) == len(mq) == len(vq):
+        raise DataError(f"videos, mq and vq must have one length, got "
+                        f"{len(videos)}, {len(mq)} and {len(vq)}")
+    if not videos:
         raise DataError("dataset is empty")
-    records = []
-    data_shape = dataset[0][1].frames.shape
-    for rec, video in dataset:
-        if not isinstance(rec, QualityRecord):
-            raise DataError(f"dataset entries must pair QualityRecord with ToyVideo, got {type(rec)}")
-        shape = video.frames.shape
-        if shape != data_shape:
-            raise DataError(f"video shape mismatch: {rec.id} has {shape}, expected {data_shape}")
-        records.append(rec)
-    # row i is records[i]'s video; batches gather rows by index
-    x_all = np.stack([video.flat() for _, video in dataset])
+    data_shape = videos[0].frames.shape
+    for i, video in enumerate(videos):
+        if video.frames.shape != data_shape:
+            raise DataError(f"video shape mismatch: video {i} has {video.frames.shape}, "
+                            f"expected {data_shape}")
+    # row i is record i's video; batches gather rows by index
+    x_all = np.stack([video.flat() for video in videos])
 
-    sampler = TqdSampler(records, sampler_config, baseline=trainer_config.baseline)
+    sampler = TqdSampler(mq, vq, sampler_config, baseline=trainer_config.baseline)
     seed_seq = np.random.SeedSequence(trainer_config.seed)
     model_seed, loop_seed = seed_seq.spawn(2)
     model = VelocityModel.init(data_shape, seed=model_seed,

@@ -34,18 +34,14 @@ def _verdict(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _norm_record(rid, mq, vq):
-    return QualityRecord(id=rid, mq_raw=3.0, vq_raw=3.0, mq_norm=mq, vq_norm=vq)
-
-
-def _draw_members(records, config, n, rng_seed=0):
-    """The first n (record, t) pairs of whole batches drawn from rng_seed."""
-    sampler = TqdSampler(records, config)
+def _draw_members(mq, vq, config, n, rng_seed=0):
+    """The first n (index, t) pairs of whole batches drawn from rng_seed."""
+    sampler = TqdSampler(mq, vq, config)
     rng = np.random.default_rng(rng_seed)
     members = []
     while len(members) < n:
         batch = sampler.prepare_batch(rng)
-        members.extend((records[i], t) for i, t in zip(batch.indices, batch.timesteps))
+        members.extend(zip(batch.indices, batch.timesteps))
     return members[:n]
 
 
@@ -54,9 +50,9 @@ def _draw_members(records, config, n, rng_seed=0):
 def test_flat_law_degenerates_to_uniform():
     t0 = time.perf_counter()
     n = 10 ** 6
-    records = [_norm_record(f"r{i}", q, q) for i, q in enumerate((0.2, 0.4, 0.6, 0.9))]
+    scores = [0.2, 0.4, 0.6, 0.9]
     config = SamplerConfig(batch_size=10000)
-    draws = np.array([t for _, t in _draw_members(records, config, n)])
+    draws = np.array([t for _, t in _draw_members(scores, scores, config, n)])
     ks = stats.kstest(draws, "uniform")
     critical = 1.6276 / np.sqrt(n)
     elapsed = time.perf_counter() - t0
@@ -96,7 +92,7 @@ def test_dropout_rate_matches_retention_probability():
     ok = True
     for rate, (mq, vq) in cases:
         config = SamplerConfig(batch_size=1000)
-        sampler = TqdSampler([_norm_record(f"p{rate}", mq, vq)], config)
+        sampler = TqdSampler([mq], [vq], config)
         rng = np.random.default_rng(int(rate * 100))
         attempts = accepted = 0
         while attempts < 10 ** 5:
@@ -117,25 +113,23 @@ def test_dropout_rate_matches_retention_probability():
 def test_joint_record_timestep_frequencies_factorize():
     t0 = time.perf_counter()
     n = 10 ** 6
-    records = [_norm_record("a", 0.9, 0.3), _norm_record("b", 0.5, 0.5),
-               _norm_record("c", 0.2, 0.8)]
+    mq, vq = [0.9, 0.5, 0.2], [0.3, 0.5, 0.8]
     config = SamplerConfig(batch_size=10000)
-    members = _draw_members(records, config, n, rng_seed=4)
+    members = _draw_members(mq, vq, config, n, rng_seed=4)
 
     edges = np.linspace(0.0, 1.0, 11)
-    counts = {rec.id: np.zeros(10, dtype=np.int64) for rec in records}
-    for rec, t in members:
-        counts[rec.id][min(int(t * 10), 9)] += 1
+    counts = np.zeros((3, 10), dtype=np.int64)
+    for i, t in members:
+        counts[i][min(int(t * 10), 9)] += 1
 
-    retention = np.array([max(r.vq_norm, r.mq_norm) for r in records])
+    retention = np.array([max(v, m) for m, v in zip(mq, vq)])
     weights = retention / retention.sum()
     chi_sq = 0.0
     dof = -1  # one constraint: the grand total
-    _, _, alpha, beta = law_table([r.mq_norm for r in records], [r.vq_norm for r in records],
-                                  config)
-    for rec, a, b, w in zip(records, alpha, beta, weights):
+    _, _, alpha, beta = law_table(mq, vq, config)
+    for i, (a, b, w) in enumerate(zip(alpha, beta, weights)):
         expected = n * w * np.diff(betainc(a, b, edges))
-        observed = counts[rec.id].astype(np.float64)
+        observed = counts[i].astype(np.float64)
         # pool adjacent bins until each group expects at least 5 draws
         acc_o = acc_e = 0.0
         groups = []
@@ -336,8 +330,7 @@ def test_scorer_noise_shift_is_monotone_and_zero_at_clean(tmp_path):
     tcfg = TrainerConfig(steps=100, hidden_width=64, seed=0)
     rows = robustness_sweep(dataset, [0.0, 0.1, 0.2], scfg, tcfg)
 
-    clean_records = normalize_scores(records)
-    clean = train(list(zip(clean_records, videos)), scfg, tcfg)
+    clean = train(videos, *normalize_scores(records), scfg, tcfg)
     shifts = [row.mean_mu_shift for row in rows]
     elapsed = time.perf_counter() - t0
     ok = (rows[0].mean_mu_shift == 0.0

@@ -94,8 +94,8 @@ def _reference_probe(model, samples, degradations, t_grid, n_noise, noise_seed=0
 def _trained_model(samples, hidden_width=16):
     """A small model fitted to samples by train; its gradients run some
     30 times smaller than an untrained zero_final=False model's."""
-    records = [_norm_record(str(i), 0.5, 0.5) for i in range(len(samples))]
-    return train(list(zip(records, samples)), SamplerConfig(batch_size=8),
+    half = np.full(len(samples), 0.5)
+    return train(samples, half, half, SamplerConfig(batch_size=8),
                  TrainerConfig(steps=300, learning_rate=3e-3, hidden_width=hidden_width,
                                seed=5)).model
 
@@ -201,6 +201,13 @@ def test_probe_validates_inputs():
         gradient_probe(model, [_video()], [])
 
 
+def test_probe_rejects_a_negative_noise_seed():
+    # numpy's SeedSequence would raise its own ValueError at the first seed
+    with pytest.raises(DataError, match="noise_seed must be >= 0, got -1"):
+        gradient_probe(_probe_model(), [_video()], [DegradationSpec("blur", 1.0, seed=0)],
+                       noise_seed=-1)
+
+
 def test_probe_curve_invariants():
     curve = GradientProbeCurve(kind="blur", strength=1.0,
                                points=[(0.1, 0.4), (0.9, 0.2)], n_samples=1)
@@ -212,16 +219,12 @@ def test_probe_curve_invariants():
 # --- timestep histogram ---------------------------------------------------------
 
 
-def _norm_record(rid, mq, vq):
-    return QualityRecord(id=rid, mq_raw=3.0, vq_raw=3.0, mq_norm=mq, vq_norm=vq)
-
-
 def test_uniform_degenerate_histogram_passes_both_tests():
     # equal scores with kappa_base 2 reduce every law to Beta(1, 1); the
     # draws must look uniform to both the pooled chi-square and the KS
     # statistic
-    records = [_norm_record(f"r{i}", 0.5, 0.5) for i in range(4)]
-    report = timestep_histogram(TqdSampler(records, SamplerConfig()), n_draws=5000,
+    half = np.full(4, 0.5)
+    report = timestep_histogram(TqdSampler(half, half, SamplerConfig()), n_draws=5000,
                                 n_bins=20, seed=0)
     assert report.n_draws == 5000
     assert report.chi_square_pvalue > 0.001
@@ -236,9 +239,9 @@ def test_baseline_arm_histogram_passes_both_tests(kappa_base):
     # the baseline arm's table holds every record at the equal-score law
     # Beta(kappa_base/2, kappa_base/2) with equal weight, whatever its
     # scores; its draws must pass both 1% checks against that table
-    records = normalize_scores(synth_population(40, -0.22, seed=17))
+    mq, vq = normalize_scores(synth_population(40, -0.22, seed=17))
     config = SamplerConfig(kappa_base=kappa_base, batch_size=1000)
-    report = timestep_histogram(TqdSampler(records, config, baseline=True), 20000, seed=0)
+    report = timestep_histogram(TqdSampler(mq, vq, config, baseline=True), 20000, seed=0)
     s = kappa_base / 2.0
     expected = 20000 * np.diff(betainc(s, s, np.linspace(0.0, 1.0, 51)))
     np.testing.assert_allclose([exp for *_, exp in report.bins], expected, rtol=1e-9)
@@ -249,11 +252,10 @@ def test_baseline_arm_histogram_passes_both_tests(kappa_base):
 def test_high_motion_record_concentrates_mass_high():
     # observed draw mass above one half against the analytic Beta tail,
     # reached through a different code path than the sampler itself
-    rec = _norm_record("hm", 1.0, 0.2)
     cfg = SamplerConfig()
-    report = timestep_histogram(TqdSampler([rec], cfg), n_draws=5000, n_bins=20, seed=1)
+    report = timestep_histogram(TqdSampler([1.0], [0.2], cfg), n_draws=5000, n_bins=20, seed=1)
     observed_hi = sum(obs for lo, _, obs, _ in report.bins if lo >= 0.5) / 5000
-    _, _, alpha, beta = law_table([rec.mq_norm], [rec.vq_norm], cfg)
+    _, _, alpha, beta = law_table([1.0], [0.2], cfg)
     analytic_hi = 1.0 - betainc(alpha[0], beta[0], 0.5)
     assert observed_hi > 0.9
     assert abs(observed_hi - analytic_hi) < 0.015
@@ -262,13 +264,12 @@ def test_high_motion_record_concentrates_mass_high():
 
 def test_low_motion_record_mirrors_high_motion():
     # swapping the two quality scores swaps the Beta shape parameters
-    hm = _norm_record("hm", 1.0, 0.2)
-    lm = _norm_record("lm", 0.2, 1.0)
+    # record 0 is high-motion, record 1 its mirror
     cfg = SamplerConfig()
-    _, _, alpha, beta = law_table([hm.mq_norm, lm.mq_norm], [hm.vq_norm, lm.vq_norm], cfg)
+    _, _, alpha, beta = law_table([1.0, 0.2], [0.2, 1.0], cfg)
     np.testing.assert_allclose(alpha[0], beta[1], rtol=1e-12)
     np.testing.assert_allclose(beta[0], alpha[1], rtol=1e-12)
-    report = timestep_histogram(TqdSampler([lm], cfg), n_draws=5000, n_bins=20, seed=2)
+    report = timestep_histogram(TqdSampler([0.2], [1.0], cfg), n_draws=5000, n_bins=20, seed=2)
     observed_lo = sum(obs for _, hi, obs, _ in report.bins if hi <= 0.5) / 5000
     assert observed_lo > 0.9
 
@@ -277,8 +278,7 @@ def test_clamped_extreme_law_keeps_censored_ks_small():
     # mu == 1 clamps beta to the minimum shape; the law then carries real
     # mass beyond float resolution near 1, which the censored reference
     # absorbs into a boundary atom
-    rec = _norm_record("ext", 1.0, 0.0)
-    report = timestep_histogram(TqdSampler([rec], SamplerConfig()), n_draws=5000,
+    report = timestep_histogram(TqdSampler([1.0], [0.0], SamplerConfig()), n_draws=5000,
                                 n_bins=20, seed=3)
     assert report.ks_stat < 0.05
 
@@ -314,8 +314,8 @@ def _sampler_draws(sampler, n_draws, seed):
 
 
 def _population_sampler(n_records, config=SamplerConfig()):
-    records = normalize_scores(synth_population(n_records, -0.22, seed=17))
-    return TqdSampler(records, config)
+    mq, vq = normalize_scores(synth_population(n_records, -0.22, seed=17))
+    return TqdSampler(mq, vq, config)
 
 
 def _table(sampler):
@@ -337,17 +337,18 @@ _EPS = float(np.finfo(np.float64).eps)
 def test_histogram_ks_matches_full_loop(case):
     if case == "clamped-both-atoms":
         # mu of 1 and of 0 clamp one shape each to MIN_SHAPE
-        records = [_norm_record("hi", 1.0, 0.0), _norm_record("lo", 0.0, 1.0)]
-        sampler, n_draws, seed = TqdSampler(records, SamplerConfig()), 5000, 3
+        sampler, n_draws, seed = TqdSampler([1.0, 0.0], [0.0, 1.0], SamplerConfig()), 5000, 3
     elif case == "uniform":
-        sampler, n_draws, seed = TqdSampler([_norm_record("u", 0.5, 0.5)], SamplerConfig()), 2000, 3
+        sampler, n_draws, seed = TqdSampler([0.5], [0.5], SamplerConfig()), 2000, 3
     elif case == "max-kappa":
         # laws up to a standard deviation of 5e-4: the narrowest pdf
         # spikes, and the density bounds' rounding margin at its largest
         sampler, n_draws, seed = _population_sampler(40, SamplerConfig(kappa_max=MAX_KAPPA)), 5000, 1
     elif case == "duplicated-records":
-        records = normalize_scores(synth_population(5, -0.22, seed=17))
-        sampler, n_draws, seed = TqdSampler(records + records[::-1], SamplerConfig()), 5000, 2
+        mq, vq = normalize_scores(synth_population(5, -0.22, seed=17))
+        sampler = TqdSampler(np.concatenate([mq, mq[::-1]]), np.concatenate([vq, vq[::-1]]),
+                             SamplerConfig())
+        n_draws, seed = 5000, 2
     else:
         sampler, n_draws, seed = _population_sampler(40), 3000, 0
     t = _sampler_draws(sampler, n_draws, seed)
@@ -524,8 +525,7 @@ def test_histogram_pvalue_matches_scipy_chi2(n_records, n_bins):
 def test_histogram_cuts_concatenated_batches_to_n_draws():
     # one draw past the largest batch takes a second batch, of which only
     # its first timestep is used
-    records = [_norm_record("a", 0.5, 0.5), _norm_record("b", 0.9, 0.3)]
-    sampler = TqdSampler(records, SamplerConfig(batch_size=MAX_BATCH_SIZE))
+    sampler = TqdSampler([0.5, 0.9], [0.5, 0.3], SamplerConfig(batch_size=MAX_BATCH_SIZE))
     n_draws = MAX_BATCH_SIZE + 1
     report = timestep_histogram(sampler, n_draws, n_bins=20, seed=7)
     rng = np.random.default_rng(7)
@@ -537,7 +537,7 @@ def test_histogram_cuts_concatenated_batches_to_n_draws():
 
 
 def test_histogram_validates_arguments():
-    sampler = TqdSampler([_norm_record("r", 0.5, 0.5)], SamplerConfig())
+    sampler = TqdSampler([0.5], [0.5], SamplerConfig())
     with pytest.raises(DataError, match="1000"):
         timestep_histogram(sampler, n_draws=10)
     with pytest.raises(DataError, match=f"n_draws must be <= {MAX_HISTOGRAM_DRAWS}"):
@@ -567,8 +567,8 @@ def test_sweep_level_zero_is_the_clean_run():
     rows = robustness_sweep(dataset, [0.0, 0.1], scfg, tcfg)
     assert rows[0].noise_level == 0.0
     assert rows[0].mean_mu_shift == 0.0
-    clean_records = normalize_scores([rec for rec, _ in dataset])
-    clean = train(list(zip(clean_records, [v for _, v in dataset])), scfg, tcfg)
+    mq, vq = normalize_scores([rec for rec, _ in dataset])
+    clean = train([v for _, v in dataset], mq, vq, scfg, tcfg)
     assert rows[0].final_loss == final_loss(clean)
 
 

@@ -237,7 +237,7 @@ def test_sample_stats_draws_one_batch_of_n_draws(tmp_path, capsys):
     assert code == 0
     (run_dir,) = _run_dirs(out)
     observed = np.loadtxt(run_dir / "histogram.csv", delimiter=",", skiprows=1)[:, 2]
-    sampler = TqdSampler(normalize_scores(read_manifest(manifest)),
+    sampler = TqdSampler(*normalize_scores(read_manifest(manifest)),
                          SamplerConfig(batch_size=3000))
     t = sampler.prepare_batch(np.random.default_rng(5)).timesteps
     np.testing.assert_array_equal(observed, np.histogram(t, np.linspace(0.0, 1.0, 51))[0])
@@ -263,13 +263,13 @@ def test_sample_stats_expected_counts_sum_bin_masses_in_record_order(tmp_path, c
                  "--n-draws", "5000"]) in (0, 4)
     (run_dir,) = _run_dirs(out)
     expected = np.loadtxt(run_dir / "histogram.csv", delimiter=",", skiprows=1)[:, 3]
-    sampler = TqdSampler(normalize_scores(read_manifest(manifest)), SamplerConfig())
+    mq, vq = normalize_scores(read_manifest(manifest))
+    sampler = TqdSampler(mq, vq, SamplerConfig())
     assert sampler.retention[-1] == 0.0
     assert np.sum(np.minimum(sampler.alpha, sampler.beta) == MIN_SHAPE) >= 100
     weights = sampler.retention / sampler.retention.sum()
     edges = np.linspace(0.0, 1.0, 51)
-    _, _, alpha, beta = law_table([rec.mq_norm for rec in sampler.records],
-                                  [rec.vq_norm for rec in sampler.records], sampler.config)
+    _, _, alpha, beta = law_table(mq, vq, sampler.config)
     masses = np.zeros(50)
     for a, b, w in zip(alpha, beta, weights):
         masses += w * np.diff(betainc(a, b, edges))

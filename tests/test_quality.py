@@ -30,19 +30,61 @@ def _records(pairs):
     ]
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _reference_normalized(records):
+    """The min-max rule one record at a time, in Python floats, with
+    min() and max() bounds and 0.5 for a constant metric."""
+    columns = []
+    for raw in ([r.mq_raw for r in records], [r.vq_raw for r in records]):
+        lo, hi = min(raw), max(raw)
+        columns.append([0.5 if hi == lo else (x - lo) / (hi - lo) for x in raw])
+    return columns
+
+
 class TestNormalizeScores:
     def test_minmax_endpoints_and_midpoint(self):
-        recs = normalize_scores(_records([(2, 0), (3, 0), (4, 0)]))
-        assert [r.mq_norm for r in recs] == [0.0, 0.5, 1.0]
+        mq, _ = normalize_scores(_records([(2, 0), (3, 0), (4, 0)]))
+        assert mq.tolist() == [0.0, 0.5, 1.0]
 
     def test_degenerate_range_maps_to_half(self):
-        recs = normalize_scores(_records([(2.5, 1), (2.5, 2), (2.5, 3)]))
-        assert all(r.mq_norm == 0.5 for r in recs)
+        mq, vq = normalize_scores(_records([(2.5, 1), (2.5, 2), (2.5, 3)]))
+        assert mq.tolist() == [0.5, 0.5, 0.5]
+        assert vq.tolist() == [0.0, 0.5, 1.0]
 
     def test_hand_computed_quarters(self):
         # (x - 1) / 4 for raw values {1, 2, 2, 5}
-        recs = normalize_scores(_records([(1, 0), (2, 0), (2, 0), (5, 0)]))
-        assert [r.mq_norm for r in recs] == [0.0, 0.25, 0.25, 1.0]
+        mq, _ = normalize_scores(_records([(1, 0), (2, 0), (2, 0), (5, 0)]))
+        assert mq.tolist() == [0.0, 0.25, 0.25, 1.0]
+
+    def test_returns_two_float64_arrays_in_record_order(self):
+        mq, vq = normalize_scores(_records([(3, 1), (1, 2), (2, 5)]))
+        assert mq.dtype == vq.dtype == np.float64
+        assert mq.shape == vq.shape == (3,)
+        assert mq.tolist() == [1.0, 0.0, 0.5]
+        assert vq.tolist() == [0.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 3.7e5, 1e150, 1e300])
+    def test_matches_per_record_reference(self, scale):
+        # random populations around negative, zero and positive centres,
+        # a constant metric and signed-zero ties, against the rule applied
+        # one record at a time, compared as uint64
+        rng = np.random.default_rng(int(-np.log10(scale) * 10) % 997)
+        populations = [[(scale * m, scale * v) for m, v in rng.uniform(-1, 1, (n, 2))]
+                       for n in (1, 2, 7, 300)]
+        populations += [[(scale * m, -scale * 2.5) for m in rng.uniform(-3, -1, 50)],
+                        [(-scale * 4.0, scale * v) for v in rng.normal(size=50)],
+                        [(0.0, scale), (-0.0, -scale), (scale, 0.0), (-0.0, -0.0)],
+                        [(-0.0, 1.0), (0.0, 2.0), (-0.0, 3.0)]]
+        for pairs in populations:
+            records = [QualityRecord(id=f"r{i}", mq_raw=m, vq_raw=v)
+                       for i, (m, v) in enumerate(pairs)]
+            ref_mq, ref_vq = _reference_normalized(records)
+            mq, vq = normalize_scores(records)
+            assert np.array_equal(_bits(mq), _bits(ref_mq))
+            assert np.array_equal(_bits(vq), _bits(ref_vq))
 
     def test_empty_input_raises(self):
         with pytest.raises(DataError):
@@ -56,7 +98,7 @@ class TestNormalizeScores:
     def test_inputs_not_mutated(self):
         recs = _records([(1, 1), (2, 2)])
         normalize_scores(recs)
-        assert recs[0].mq_norm is None
+        assert recs == _records([(1, 1), (2, 2)])
 
     def test_overflowing_range_raises_naming_the_metric(self):
         # max - min is inf; inf / inf would clamp every record to 0
@@ -177,7 +219,7 @@ class TestSynthPopulation:
 
 class TestInjectScoreNoise:
     def test_zero_level_is_identity(self):
-        recs = normalize_scores(_records([(1, 1), (2, 3)]))
+        recs = _records([(1, 1), (2, 3)])
         noisy = inject_score_noise(recs, 0.0, seed=9)
         assert noisy == recs
 
@@ -199,10 +241,13 @@ class TestInjectScoreNoise:
             inject_score_noise(recs, 0.2, seed=14), recs)])
         assert d2.std() / d1.std() == pytest.approx(2.0, rel=0.03)
 
-    def test_positive_level_clears_normalization(self):
-        recs = normalize_scores(_records([(1, 1), (2, 3)]))
+    def test_positive_level_changes_only_raw_scores(self):
+        recs = [QualityRecord(id=f"r{i}", mq_raw=m, vq_raw=v, payload_ref=f"p{i}")
+                for i, (m, v) in enumerate([(1.0, 1.0), (2.0, 3.0)])]
         noisy = inject_score_noise(recs, 0.5, seed=15)
-        assert all(not r.is_normalized for r in noisy)
+        assert [(r.id, r.payload_ref) for r in noisy] == [("r0", "p0"), ("r1", "p1")]
+        assert all(n.mq_raw != r.mq_raw and n.vq_raw != r.vq_raw
+                   for n, r in zip(noisy, recs))
 
     def test_negative_level_raises(self):
         with pytest.raises(DataError):
@@ -274,3 +319,8 @@ def test_record_is_frozen():
     rec = QualityRecord("a", 1.0, 2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.mq_raw = 3.0
+
+
+def test_record_holds_a_manifest_row():
+    assert [f.name for f in dataclasses.fields(QualityRecord)] == \
+        ["id", "mq_raw", "vq_raw", "payload_ref"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tqd.quality import QualityRecord
 from tqd.sampler import (
     MAX_BATCH_SIZE,
     MAX_KAPPA,
@@ -19,11 +18,6 @@ from tqd.sampler import (
     law_table,
 )
 from tqd.errors import DataError, SamplingError
-
-
-def _rec(mq_norm, vq_norm, rid="r0"):
-    return QualityRecord(id=rid, mq_raw=0.0, vq_raw=0.0,
-                         mq_norm=mq_norm, vq_norm=vq_norm)
 
 
 class TestSamplerConfig:
@@ -105,32 +99,43 @@ class TestMakeLaw:
 
 class TestRetentionProbability:
     def test_best_quality_wins(self):
-        sampler = TqdSampler([_rec(1.0, 0.2, "a"), _rec(0.3, 0.7, "b")], SamplerConfig())
+        sampler = TqdSampler([1.0, 0.3], [0.2, 0.7], SamplerConfig())
         assert sampler.retention.tolist() == [1.0, 0.7]
 
     def test_worst_case_never_retained(self):
-        assert TqdSampler([_rec(0.0, 0.0)], SamplerConfig()).retention.tolist() == [0.0]
+        assert TqdSampler([0.0], [0.0], SamplerConfig()).retention.tolist() == [0.0]
 
 
 _NAN = float("nan")
-_NOT_NORMALIZED = "record 'bad' is not normalized"
 
 
-@pytest.mark.parametrize("mq, vq, table_message, sampler_message", [
-    (1.2, 0.5, "mq_norm must be in", "mq_norm must be in"),
-    (0.5, -0.1, "vq_norm must be in", "vq_norm must be in"),
-    (_NAN, 0.5, "mq_norm must be in", "mq_norm must be in"),
-    (0.5, _NAN, "vq_norm must be in", "vq_norm must be in"),
-    (None, 0.5, "mq_norm must be in", _NOT_NORMALIZED),
-    (0.5, None, "vq_norm must be in", _NOT_NORMALIZED),
+@pytest.mark.parametrize("mq, vq, message", [
+    (1.2, 0.5, "mq_norm must be in \\[0, 1\\], got 1.2 at index 1"),
+    (0.5, -0.1, "vq_norm must be in \\[0, 1\\], got -0.1 at index 1"),
+    (_NAN, 0.5, "mq_norm must be in \\[0, 1\\], got nan at index 1"),
+    (0.5, _NAN, "vq_norm must be in \\[0, 1\\], got nan at index 1"),
+    (None, 0.5, "mq_norm must be in \\[0, 1\\], got nan at index 1"),
+    (0.5, None, "vq_norm must be in \\[0, 1\\], got nan at index 1"),
 ], ids=["mq-above-one", "vq-below-zero", "mq-nan", "vq-nan", "mq-missing", "vq-missing"])
-def test_bad_scores_raise(mq, vq, table_message, sampler_message):
+def test_bad_scores_raise(mq, vq, message):
     # law_table sees numbers (a missing score is NaN to it) and refuses
-    # one out of range; the sampler first names an unnormalized record
-    with pytest.raises(DataError, match=table_message):
+    # one out of range, naming its index; the sampler's table does the same
+    with pytest.raises(DataError, match=message):
         law_table([0.5, mq], [0.5, vq], SamplerConfig())
-    with pytest.raises(DataError, match=sampler_message):
-        TqdSampler([_rec(0.5, 0.5, "ok"), _rec(mq, vq, "bad")], SamplerConfig())
+    with pytest.raises(DataError, match=message):
+        TqdSampler([0.5, mq], [0.5, vq], SamplerConfig())
+
+
+@pytest.mark.parametrize("mq, vq", [
+    ([], []),
+    ([0.5, 0.5], [0.5]),
+    ([[0.5, 0.5]], [[0.5, 0.5]]),
+    (0.5, 0.5),
+], ids=["empty", "unequal-lengths", "two-d", "zero-d"])
+def test_sampler_needs_one_d_score_arrays_of_one_length(mq, vq):
+    for baseline in (False, True):
+        with pytest.raises(DataError, match="1-D arrays of one length of at least 1"):
+            TqdSampler(mq, vq, SamplerConfig(), baseline=baseline)
 
 
 class TestGammaVariates:
@@ -271,44 +276,43 @@ def test_law_table_matches_scalar_reference(kappa_base, kappa_max):
 def test_arm_tables_match_scalar_reference(kappa_base, kappa_max):
     # both arms, against the rule applied one record at a time
     scores = _reference_scores()
-    records = [_rec(mq, vq, f"r{i}") for i, (mq, vq) in enumerate(scores)]
+    mq, vq = np.array(scores).T
     config = SamplerConfig(kappa_base=kappa_base, kappa_max=kappa_max)
-    laws = [_reference_law(mq, vq, config) for mq, vq in scores]
-    tqd = TqdSampler(records, config)
+    laws = [_reference_law(m, v, config) for m, v in scores]
+    tqd = TqdSampler(mq, vq, config)
     assert np.array_equal(_bits(tqd.alpha), _bits([law[2] for law in laws]))
     assert np.array_equal(_bits(tqd.beta), _bits([law[3] for law in laws]))
-    assert np.array_equal(_bits(tqd.retention), _bits([max(vq, mq) for mq, vq in scores]))
+    assert np.array_equal(_bits(tqd.retention), _bits([max(v, m) for m, v in scores]))
     # the baseline arm puts every record at its equal-score law, kept always
-    flat = [_reference_law(mq, mq, config) for mq, _ in scores]
-    baseline = TqdSampler(records, config, baseline=True)
+    flat = [_reference_law(m, m, config) for m, _ in scores]
+    baseline = TqdSampler(mq, vq, config, baseline=True)
     assert np.array_equal(_bits(baseline.alpha), _bits([law[2] for law in flat]))
     assert np.array_equal(_bits(baseline.beta), _bits([law[3] for law in flat]))
     assert np.array_equal(_bits(baseline.retention), _bits([1.0] * len(scores)))
 
 
-def _ids(sampler, batch):
-    return [sampler.records[i].id for i in batch.indices]
+def _ramp(step):
+    """Record i's score step * i, for ten records."""
+    return np.array([step * i for i in range(10)])
 
 
 class TestPrepareBatch:
     def test_single_fully_retained_record_fills_batch(self):
-        sampler = TqdSampler([_rec(1.0, 1.0, "only")], SamplerConfig(batch_size=8))
+        sampler = TqdSampler([1.0], [1.0], SamplerConfig(batch_size=8))
         batch = sampler.prepare_batch(np.random.default_rng(51))
         assert len(batch.indices) == 8
         assert batch.acceptance_rate == 1.0
-        assert set(_ids(sampler, batch)) == {"only"}
+        assert set(batch.indices.tolist()) == {0}
 
     def test_large_batch_at_half_retention_fills(self):
         # the attempt cap scales with the batch being drawn
-        records = [_rec(0.5, 0.5, f"r{i}") for i in range(10)]
-        sampler = TqdSampler(records, SamplerConfig(batch_size=2000))
+        sampler = TqdSampler(np.full(10, 0.5), np.full(10, 0.5), SamplerConfig(batch_size=2000))
         batch = sampler.prepare_batch(np.random.default_rng(61))
         assert len(batch.indices) == len(batch.timesteps) == 2000
         assert batch.accepted >= 2000
 
     def test_acceptance_rate_matches_retention(self):
-        records = [_rec(0.5, 0.5, f"r{i}") for i in range(10)]
-        sampler = TqdSampler(records, SamplerConfig(batch_size=16))
+        sampler = TqdSampler(np.full(10, 0.5), np.full(10, 0.5), SamplerConfig(batch_size=16))
         rng = np.random.default_rng(52)
         attempts = accepted = 0
         while attempts < 100_000:
@@ -318,33 +322,32 @@ class TestPrepareBatch:
         assert abs(accepted / attempts - 0.5) < 0.01
 
     def test_zero_retention_record_never_appears(self):
-        records = [_rec(1.0, 1.0, "keep"), _rec(0.0, 0.0, "drop")]
-        sampler = TqdSampler(records, SamplerConfig(batch_size=16))
+        # record 0 is kept always, record 1 never
+        sampler = TqdSampler([1.0, 0.0], [1.0, 0.0], SamplerConfig(batch_size=16))
         rng = np.random.default_rng(53)
         for _ in range(10):
-            assert set(_ids(sampler, sampler.prepare_batch(rng))) == {"keep"}
+            assert set(sampler.prepare_batch(rng).indices.tolist()) == {0}
 
     def test_no_retainable_records_raises(self):
-        sampler = TqdSampler([_rec(0.0, 0.0)], SamplerConfig(batch_size=4))
+        sampler = TqdSampler([0.0], [0.0], SamplerConfig(batch_size=4))
         with pytest.raises(SamplingError, match="no retainable"):
             sampler.prepare_batch(np.random.default_rng(54))
 
     def test_attempt_cap_exhaustion_raises(self):
         # the cap is 1000 attempts per batch slot; at retention 1e-6, 16
         # acceptances in 16 000 attempts never happen
-        sampler = TqdSampler([_rec(1e-6, 0.0)], SamplerConfig(batch_size=16))
+        sampler = TqdSampler([1e-6], [0.0], SamplerConfig(batch_size=16))
         with pytest.raises(SamplingError, match="cap exhausted: .* in 16000 attempts"):
             sampler.prepare_batch(np.random.default_rng(55))
 
     def test_baseline_arm_disables_dropout(self):
-        records = [_rec(0.9, 0.1, "a"), _rec(0.0, 0.0, "b")]
-        sampler = TqdSampler(records, SamplerConfig(batch_size=64), baseline=True)
+        sampler = TqdSampler([0.9, 0.0], [0.1, 0.0], SamplerConfig(batch_size=64), baseline=True)
         batch = sampler.prepare_batch(np.random.default_rng(56))
         assert batch.attempts == batch.accepted == 64
-        assert set(_ids(sampler, batch)) == {"a", "b"}
+        assert set(batch.indices.tolist()) == {0, 1}
 
     def test_baseline_timesteps_are_uniform(self):
-        sampler = TqdSampler([_rec(0.9, 0.1)], SamplerConfig(kappa_base=2.0, batch_size=1000),
+        sampler = TqdSampler([0.9], [0.1], SamplerConfig(kappa_base=2.0, batch_size=1000),
                              baseline=True)
         rng = np.random.default_rng(57)
         draws = np.concatenate([sampler.prepare_batch(rng).timesteps for _ in range(5)])
@@ -352,15 +355,15 @@ class TestPrepareBatch:
 
     def test_timesteps_follow_per_record_law(self):
         # strongly motion-dominant record: mass sits at high t
-        sampler = TqdSampler([_rec(1.0, 0.0)], SamplerConfig(kappa_max=20.0, batch_size=1000))
+        sampler = TqdSampler([1.0], [0.0], SamplerConfig(kappa_max=20.0, batch_size=1000))
         batch = sampler.prepare_batch(np.random.default_rng(58))
         assert np.mean(batch.timesteps > 0.5) > 0.9
 
     def test_deterministic_for_generator_state(self):
-        records = [_rec(0.8, 0.3, f"r{i}") for i in range(5)]
+        mq, vq = np.full(5, 0.8), np.full(5, 0.3)
         config = SamplerConfig(batch_size=32)
-        a = TqdSampler(records, config).prepare_batch(np.random.default_rng(59))
-        b = TqdSampler(records, config).prepare_batch(np.random.default_rng(59))
+        a = TqdSampler(mq, vq, config).prepare_batch(np.random.default_rng(59))
+        b = TqdSampler(mq, vq, config).prepare_batch(np.random.default_rng(59))
         assert a.indices.tolist() == b.indices.tolist()
         assert a.timesteps.tolist() == b.timesteps.tolist()
 
@@ -368,13 +371,12 @@ class TestPrepareBatch:
     def test_matches_per_draw_reference(self, batch_size):
         # the rejection loop kept one accepted index at a time; the batch
         # must hold the same indices, in the same order, from the same draws
-        records = [_rec(0.1 * i, 0.05 * i, f"r{i}") for i in range(10)]
-        sampler = TqdSampler(records, SamplerConfig(batch_size=batch_size))
+        sampler = TqdSampler(_ramp(0.1), _ramp(0.05), SamplerConfig(batch_size=batch_size))
         rng = np.random.default_rng(60)
         chosen, attempts = [], 0
         while len(chosen) < batch_size:
             k = max(64, batch_size)
-            idx = rng.integers(0, len(records), k)
+            idx = rng.integers(0, 10, k)
             keep = rng.random(k) < sampler.retention[idx]
             attempts += k
             chosen.extend(int(i) for i in idx[keep])
@@ -389,14 +391,13 @@ class TestPrepareBatch:
     def test_baseline_matches_symmetric_law_reference(self, kappa_base):
         # the baseline arm picks records uniformly, then draws every t from
         # the one scalar law Beta(s, s) of equal scores
-        records = [_rec(0.1 * i, 0.05 * i, f"r{i}") for i in range(10)]
         config = SamplerConfig(kappa_base=kappa_base, kappa_max=max(20.0, kappa_base),
                                batch_size=500)
         rng = np.random.default_rng(62)
-        idx = rng.integers(0, len(records), 500)
+        idx = rng.integers(0, 10, 500)
         s = max(kappa_base / 2.0, MIN_SHAPE)
         expected_t = beta_variates(s, s, rng, 500)
-        batch = TqdSampler(records, config, baseline=True).prepare_batch(
+        batch = TqdSampler(_ramp(0.1), _ramp(0.05), config, baseline=True).prepare_batch(
             np.random.default_rng(62))
         assert batch.indices.tolist() == idx.tolist()
         assert batch.timesteps.tolist() == expected_t.tolist()
@@ -405,20 +406,20 @@ class TestPrepareBatch:
     def test_full_retention_still_runs_the_rejection_loop(self):
         # opposite scores give both records retention 1, yet the quality-
         # aware arm draws its keep/drop uniforms all the same
-        records = [_rec(1.0, 0.0, "hi"), _rec(0.0, 1.0, "lo")]
+        mq, vq = [1.0, 0.0], [0.0, 1.0]
         config = SamplerConfig(batch_size=16)
-        laws = [_reference_law(rec.mq_norm, rec.vq_norm, config) for rec in records]
-        assert [max(rec.vq_norm, rec.mq_norm) for rec in records] == [1.0, 1.0]
+        laws = [_reference_law(m, v, config) for m, v in zip(mq, vq)]
+        assert [max(v, m) for m, v in zip(mq, vq)] == [1.0, 1.0]
         rng = np.random.default_rng(63)
         idx = rng.integers(0, 2, 64)[:16]
         rng.random(64)  # the keep/drop uniforms, all below retention 1
         expected_t = beta_variates(np.array([laws[i][2] for i in idx]),
                                    np.array([laws[i][3] for i in idx]), rng, 16)
-        batch = TqdSampler(records, config).prepare_batch(np.random.default_rng(63))
+        batch = TqdSampler(mq, vq, config).prepare_batch(np.random.default_rng(63))
         assert batch.indices.tolist() == idx.tolist()
         assert batch.timesteps.tolist() == expected_t.tolist()
         assert (batch.attempts, batch.accepted) == (64, 64)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(DataError):
-            TqdSampler([], SamplerConfig())
+            TqdSampler([], [], SamplerConfig())

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tqd.errors import CheckpointError, DataError, NumericError
-from tqd.quality import QualityRecord
 from tqd.sampler import SamplerConfig
 from tqd.synth import MAX_CLIP_PIXELS, ToyVideo, generate_moving_shape
 from tqd.trainer import (
@@ -31,10 +30,6 @@ from tqd.trainer import (
     train,
     write_training_log,
 )
-
-
-def _record(rid="r", mq=0.5, vq=0.5):
-    return QualityRecord(id=rid, mq_raw=3.0, vq_raw=3.0, mq_norm=mq, vq_norm=vq)
 
 
 def _video(seed=4, frames=2, height=5, width=5, speed=1.0, tex=0.05):
@@ -375,7 +370,7 @@ def test_chunked_adam_is_bit_identical_to_whole_array_formula(n):
 
 
 def test_train_zero_steps_returns_untouched_state():
-    state = train([(_record(), _video())], SamplerConfig(batch_size=4),
+    state = train([_video()], [0.5], [0.5], SamplerConfig(batch_size=4),
                   TrainerConfig(steps=0, seed=0))
     assert state.step == 0
     assert state.loss_history == []
@@ -384,23 +379,23 @@ def test_train_zero_steps_returns_untouched_state():
 
 
 def test_train_is_deterministic_in_seed():
-    dataset = [(_record(), _video())]
+    dataset = ([_video()], [0.5], [0.5])
     cfg = TrainerConfig(steps=40, hidden_width=32, seed=7)
-    a = train(dataset, SamplerConfig(batch_size=4), cfg)
-    b = train(dataset, SamplerConfig(batch_size=4), cfg)
+    a = train(*dataset, SamplerConfig(batch_size=4), cfg)
+    b = train(*dataset, SamplerConfig(batch_size=4), cfg)
     assert a.loss_history == b.loss_history
     assert a.mean_t_history == b.mean_t_history
     np.testing.assert_array_equal(a.model.theta, b.model.theta)
-    c = train(dataset, SamplerConfig(batch_size=4), TrainerConfig(steps=40, hidden_width=32, seed=8))
+    c = train(*dataset, SamplerConfig(batch_size=4), TrainerConfig(steps=40, hidden_width=32, seed=8))
     assert a.loss_history != c.loss_history
 
 
 def test_train_is_prefix_deterministic():
     # a run of k steps is the first k steps of a longer run with the same
     # seed, so snapshots at step k can be taken by training for k steps
-    dataset = [(_record(f"r{i}", mq=0.2 + 0.2 * i, vq=0.8 - 0.15 * i), _video(seed=i))
-               for i in range(4)]
-    short, long = (train(dataset, SamplerConfig(batch_size=4),
+    dataset = ([_video(seed=i) for i in range(4)], [0.2 + 0.2 * i for i in range(4)],
+               [0.8 - 0.15 * i for i in range(4)])
+    short, long = (train(*dataset, SamplerConfig(batch_size=4),
                          TrainerConfig(steps=steps, hidden_width=16, seed=3))
                    for steps in (7, 20))
     assert short.loss_history == long.loss_history[:7]
@@ -410,7 +405,7 @@ def test_train_is_prefix_deterministic():
 
 
 def test_train_single_sample_reduces_loss():
-    state = train([(_record(), _video())], SamplerConfig(batch_size=8),
+    state = train([_video()], [0.5], [0.5], SamplerConfig(batch_size=8),
                   TrainerConfig(steps=400, learning_rate=5e-3, hidden_width=64, seed=0))
     assert state.step == 400
     assert len(state.loss_history) == 400
@@ -419,8 +414,7 @@ def test_train_single_sample_reduces_loss():
 
 def test_baseline_arm_accepts_everything():
     # dropout would reject this low-quality record most of the time
-    dataset = [(_record(mq=0.1, vq=0.1), _video())]
-    state = train(dataset, SamplerConfig(batch_size=4),
+    state = train([_video()], [0.1], [0.1], SamplerConfig(batch_size=4),
                   TrainerConfig(steps=20, seed=0, baseline=True))
     assert state.acceptance_history == [1.0] * 20
 
@@ -428,11 +422,10 @@ def test_baseline_arm_accepts_everything():
 def test_quality_arm_skews_timesteps_toward_motion():
     # a single high-motion low-visual record puts most timestep mass
     # above one half; the baseline flat law stays centered
-    dataset = [(QualityRecord(id="h", mq_raw=4.0, vq_raw=1.0, mq_norm=1.0, vq_norm=0.2),
-                _video())]
-    tqd = train(dataset, SamplerConfig(batch_size=16),
+    dataset = ([_video()], [1.0], [0.2])
+    tqd = train(*dataset, SamplerConfig(batch_size=16),
                 TrainerConfig(steps=30, seed=3))
-    base = train(dataset, SamplerConfig(batch_size=16),
+    base = train(*dataset, SamplerConfig(batch_size=16),
                  TrainerConfig(steps=30, seed=3, baseline=True))
     assert np.mean(tqd.mean_t_history) > 0.7
     assert 0.4 < np.mean(base.mean_t_history) < 0.6
@@ -440,20 +433,24 @@ def test_quality_arm_skews_timesteps_toward_motion():
 
 def test_train_validates_dataset():
     with pytest.raises(DataError, match="empty"):
-        train([], SamplerConfig(), TrainerConfig(steps=1))
-    with pytest.raises(DataError, match="pair QualityRecord"):
-        train([("x", _video())], SamplerConfig(), TrainerConfig(steps=1))
-    mixed = [(_record("a"), _video(height=5)),
-             (_record("b"), _video(height=6))]
-    with pytest.raises(DataError, match="shape mismatch"):
-        train(mixed, SamplerConfig(), TrainerConfig(steps=1))
+        train([], [], [], SamplerConfig(), TrainerConfig(steps=1))
+    for mq, vq in (([0.5], [0.5, 0.5]), ([0.5, 0.5], [0.5]), ([0.5, 0.5], [0.5, 0.5])):
+        with pytest.raises(DataError, match="videos, mq and vq must have one length"):
+            train([_video()], mq, vq, SamplerConfig(), TrainerConfig(steps=1))
+    with pytest.raises(DataError, match="video shape mismatch: video 1 has"):
+        train([_video(height=5), _video(height=6)], [0.5, 0.5], [0.5, 0.5],
+              SamplerConfig(), TrainerConfig(steps=1))
+    with pytest.raises(DataError, match="1-D arrays"):
+        train([_video()], [[0.5]], [[0.5]], SamplerConfig(), TrainerConfig(steps=1))
+    with pytest.raises(DataError, match="mq_norm must be in"):
+        train([_video()], [1.5], [0.5], SamplerConfig(), TrainerConfig(steps=1))
 
 
 def test_final_loss_trailing_window():
-    state = train([(_record(), _video())], SamplerConfig(batch_size=4),
+    state = train([_video()], [0.5], [0.5], SamplerConfig(batch_size=4),
                   TrainerConfig(steps=20, seed=0))
     np.testing.assert_allclose(final_loss(state), np.mean(state.loss_history[-2:]))
-    empty = train([(_record(), _video())], SamplerConfig(batch_size=4),
+    empty = train([_video()], [0.5], [0.5], SamplerConfig(batch_size=4),
                   TrainerConfig(steps=0, seed=0))
     with pytest.raises(DataError, match="empty loss history"):
         final_loss(empty)
@@ -567,10 +564,10 @@ def test_train_holds_one_gradient_per_step():
     # theta, the two Adam moments and one gradient make 4 parameter-sized
     # arrays; the last step's gradient kept alive through the next
     # loss_and_grad would make 5
-    dataset = [(_record(f"r{i}", mq=0.05 * i, vq=1.0 - 0.05 * i),
-                _video(seed=i, frames=2, height=10, width=10)) for i in range(20)]
+    videos = [_video(seed=i, frames=2, height=10, width=10) for i in range(20)]
+    mq, vq = [0.05 * i for i in range(20)], [1.0 - 0.05 * i for i in range(20)]
     size = 8 * param_count(200, 512, 8)
-    peak = _traced_peak(lambda: train(dataset, SamplerConfig(batch_size=16),
+    peak = _traced_peak(lambda: train(videos, mq, vq, SamplerConfig(batch_size=16),
                                       TrainerConfig(steps=3, hidden_width=512)))
     assert peak < 4.5 * size
 
@@ -594,7 +591,7 @@ def test_checkpoint_rejects_oversized_architecture(tmp_path, data_shape, hidden_
 
 
 def test_training_log_round_trips_floats(tmp_path):
-    state = train([(_record(), _video())], SamplerConfig(batch_size=4),
+    state = train([_video()], [0.5], [0.5], SamplerConfig(batch_size=4),
                   TrainerConfig(steps=5, seed=0))
     path = tmp_path / "log.csv"
     write_training_log(state, path)
