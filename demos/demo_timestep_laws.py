@@ -6,8 +6,9 @@ visual quality pushes it low. Equal scores give the flat law back.
 """
 
 import numpy as np
+from scipy import stats
 
-from tqd.sampler import SamplerConfig, density_curve, law_table
+from tqd.sampler import SamplerConfig, law_table
 
 PROFILES = [
     ("high motion, low visual", 0.9, 0.2),
@@ -27,12 +28,12 @@ def bar(value, scale=18.0):
 names, mqs, vqs = zip(*PROFILES)
 table = law_table(mqs, vqs, config)
 keeps = np.maximum(mqs, vqs)
+ts = (np.arange(9) + 0.5) / 9  # midpoint grid over (0, 1)
 for name, mq, vq, keep, mu, kappa, alpha, beta in zip(names, mqs, vqs, keeps, *table):
     print(f"{name}  (mq {mq}, vq {vq})")
     print(f"  retention {keep:.2f}, center {mu:.2f}, concentration {kappa:.1f}"
           f" -> Beta({alpha:.2f}, {beta:.2f}), mean t {alpha / (alpha + beta):.3f}")
-    ts, pdf = density_curve(alpha, beta, grid_points=9)
-    for t, p in zip(ts, pdf):
+    for t, p in zip(ts, stats.beta.pdf(ts, alpha, beta)):
         print(f"    t={t:.2f} |{bar(p)}")
     print()
 

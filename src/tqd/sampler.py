@@ -21,10 +21,9 @@ arrays. A sampler holds one arm as a table of each record's law and
 retention; the baseline arm has every record at the equal-score law and
 no dropout.
 
-Beta draws are built from scratch out of two Gamma variates via the
-Marsaglia-Tsang squeeze method; only uniform/normal primitives of the
-supplied numpy Generator are consumed, so sequences are reproducible
-from the seed alone.
+Every draw (record picks, keep/drop trials, timesteps) comes from the
+supplied numpy Generator's own methods, so a batch is reproducible for a
+given seed and numpy version.
 """
 
 from __future__ import annotations
@@ -107,75 +106,24 @@ def law_table(mq, vq, config: SamplerConfig) -> tuple[np.ndarray, ...]:
     return mu, kappa, alpha, beta
 
 
-# --- Beta sampling via Marsaglia-Tsang Gamma variates -----------------------
-
-def gamma_variates(shape, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw `size` Gamma(shape, 1) variates, vectorized over rejection rounds.
-
-    Marsaglia-Tsang: for a >= 1, squeeze-accept d*v with v = (1 + c*x)^3,
-    d = a - 1/3, c = 1/sqrt(9d). Shapes below 1 use the boost transform:
-    draw at a+1, then multiply by U^(1/a). `shape` may be a scalar or an
-    array of per-draw shapes broadcastable to `size`.
-    """
-    a = np.broadcast_to(np.asarray(shape, dtype=np.float64), (size,)).copy()
-    if np.any(a <= 0) or not np.all(np.isfinite(a)):
-        raise DataError("gamma shape parameters must be positive and finite")
-    boost = a < 1.0
-    a_eff = np.where(boost, a + 1.0, a)
-    d = a_eff - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(size, dtype=np.float64)
-    todo = np.arange(size)
-    while todo.size:
-        x = rng.standard_normal(todo.size)
-        u = rng.random(todo.size)
-        v = (1.0 + c[todo] * x) ** 3
-        pos = v > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            accept = np.log(u) < 0.5 * x**2 + d[todo] * (1.0 - v + np.log(np.where(pos, v, 1.0)))
-        rest = ~accept  # the squeeze decides only these, so the costly x**4 runs on them alone
-        accept[rest] = u[rest] < 1.0 - 0.0331 * x[rest] ** 4
-        accept &= pos
-        idx = todo[accept]
-        out[idx] = d[idx] * v[accept]
-        todo = todo[~accept]
-    if boost.any():
-        u = rng.random(int(boost.sum()))
-        out[boost] *= u ** (1.0 / a[boost])
-    return out
-
-
 def beta_variates(alpha, beta, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw Beta(alpha, beta) variates as g1/(g1+g2) from two Gamma draws.
+    """Draw `size` Beta(alpha, beta) variates with the Generator's Beta method.
 
-    Results are nudged off exact 0/1 by machine-epsilon scale so every
-    draw lies strictly inside (0, 1).
+    Each shape is a scalar or an array of `size` per-draw shapes, positive
+    and finite. Results are clipped to [eps, 1 - eps], machine epsilon, so
+    every draw lies strictly inside (0, 1); the KS reference's censored
+    atoms sit at those two points.
     """
-    g1 = gamma_variates(alpha, rng, size)
-    g2 = gamma_variates(beta, rng, size)
-    t = g1 / (g1 + g2)
-    return np.clip(t, _OPEN_EPS, 1.0 - _OPEN_EPS)
-
-
-def density_curve(alpha: float, beta: float,
-                  grid_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Beta(alpha, beta) pdf on the midpoint grid t_i = (i + 0.5)/G over (0, 1).
-
-    The normalizing constant is computed through the log-gamma function
-    for stability at large shapes. For laws with alpha, beta >= 1 the
-    trapezoidal integral over the grid is within 1% of 1 for
-    grid_points >= 512; shape parameters below 1 (MIN_SHAPE-clamped laws)
-    put an integrable singularity at an endpoint, where any uniform grid
-    underestimates the mass.
-    """
-    from scipy import special
-
-    if grid_points < 2:
-        raise DataError(f"grid_points must be >= 2, got {grid_points}")
-    t = (np.arange(grid_points) + 0.5) / grid_points
-    log_norm = special.gammaln(alpha + beta) - special.gammaln(alpha) - special.gammaln(beta)
-    pdf = np.exp(log_norm + (alpha - 1.0) * np.log(t) + (beta - 1.0) * np.log1p(-t))
-    return t, pdf
+    if size < 0:
+        raise DataError(f"size must be >= 0, got {size}")
+    for name, shape in (("alpha", alpha), ("beta", beta)):
+        shape = np.asarray(shape, dtype=np.float64)
+        if shape.ndim > 1 or shape.size not in (1, size):
+            raise DataError(f"{name} must be a scalar or {size} per-draw shapes, "
+                            f"got shape {shape.shape}")
+        if not np.all((shape > 0.0) & (shape < np.inf)):
+            raise DataError(f"Beta shape {name} must be positive and finite")
+    return np.clip(rng.beta(alpha, beta, size), _OPEN_EPS, 1.0 - _OPEN_EPS)
 
 
 # --- batch preparation -------------------------------------------------------

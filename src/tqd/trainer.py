@@ -530,11 +530,13 @@ def train(videos, mq, vq, sampler_config: SamplerConfig,
                         f"{len(videos)}, {len(mq)} and {len(vq)}")
     if not videos:
         raise DataError("dataset is empty")
-    data_shape = videos[0].frames.shape
     for i, video in enumerate(videos):
-        if video.frames.shape != data_shape:
+        if not isinstance(video, ToyVideo):
+            raise DataError(f"video {i} must be a ToyVideo, got {type(video).__name__}")
+        if video.frames.shape != videos[0].frames.shape:
             raise DataError(f"video shape mismatch: video {i} has {video.frames.shape}, "
-                            f"expected {data_shape}")
+                            f"expected {videos[0].frames.shape}")
+    data_shape = videos[0].frames.shape
     # row i is record i's video; batches gather rows by index
     x_all = np.stack([video.flat() for video in videos])
 

@@ -185,7 +185,9 @@ def test_sample_stats_uniform_degenerate_passes(tmp_path, capsys):
     profile, _, _, n_records, retention, alpha, beta = laws[1].split(",")
     assert (profile, int(n_records), float(retention)) == ("0", 4, 0.5)
     assert float(alpha) == float(beta) == 1.0
-    assert not (run_dir / "density_curves.csv").exists()
+    # and nothing else: no per-profile density file
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "histogram.csv", "laws.csv", "resolved_config.json", "stats.json"]
 
 
 def test_sample_stats_motion_skew_puts_mass_high(tmp_path, capsys):

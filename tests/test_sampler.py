@@ -1,10 +1,10 @@
-"""Timestep laws, Beta/Gamma sampling, and dropout batch preparation."""
+"""Timestep laws, Beta sampling, and dropout batch preparation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from tqd.sampler import (
     MAX_BATCH_SIZE,
@@ -13,8 +13,6 @@ from tqd.sampler import (
     SamplerConfig,
     TqdSampler,
     beta_variates,
-    density_curve,
-    gamma_variates,
     law_table,
 )
 from tqd.errors import DataError, SamplingError
@@ -138,61 +136,6 @@ def test_sampler_needs_one_d_score_arrays_of_one_length(mq, vq):
             TqdSampler(mq, vq, SamplerConfig(), baseline=baseline)
 
 
-class TestGammaVariates:
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.0, 20.0])
-    def test_moments_match_gamma_law(self, shape):
-        n = 100_000
-        draws = gamma_variates(shape, np.random.default_rng(31), n)
-        # Gamma(a, 1): mean a, variance a
-        assert draws.mean() == pytest.approx(shape, abs=5 * np.sqrt(shape / n))
-        assert draws.var() == pytest.approx(shape, rel=0.05)
-        assert (draws > 0).all()
-
-    def test_per_draw_shape_array(self):
-        shapes = np.array([0.5, 5.0] * 500)
-        draws = gamma_variates(shapes, np.random.default_rng(32), 1000)
-        assert draws[1::2].mean() > draws[0::2].mean()
-
-    def test_nonpositive_shape_raises(self):
-        with pytest.raises(DataError):
-            gamma_variates(0.0, np.random.default_rng(0), 4)
-
-    def test_deterministic_for_seed(self):
-        a = gamma_variates(2.0, np.random.default_rng(33), 16)
-        b = gamma_variates(2.0, np.random.default_rng(33), 16)
-        assert (a == b).all()
-
-    @pytest.mark.parametrize("shape", [0.05, 0.7, 1.0, 2.5, 40.0, 5e5, "mixed"])
-    def test_matches_the_squeeze_first_rounds_bit_for_bit(self, shape):
-        # the reference takes both Marsaglia-Tsang tests on every draw of
-        # a round; gamma_variates takes the squeeze only where the exact
-        # test rejects, and must accept the same draws
-        size = 20000
-        rng = np.random.default_rng(34)
-        if shape == "mixed":
-            shape = 10.0 ** rng.uniform(-1.3, 3.0, size)
-        a = np.broadcast_to(np.asarray(shape, dtype=float), (size,))
-        boost = a < 1.0
-        d = np.where(boost, a + 1.0, a) - 1.0 / 3.0
-        c = 1.0 / np.sqrt(9.0 * d)
-        expected = np.empty(size)
-        todo = np.arange(size)
-        ref = np.random.default_rng(35)
-        while todo.size:
-            x, u = ref.standard_normal(todo.size), ref.random(todo.size)
-            v = (1.0 + c[todo] * x) ** 3
-            pos = v > 0.0
-            squeeze = u < 1.0 - 0.0331 * x**4
-            with np.errstate(invalid="ignore", divide="ignore"):
-                slow = np.log(u) < 0.5 * x**2 + d[todo] * (1.0 - v + np.log(np.where(pos, v, 1.0)))
-            accept = pos & (squeeze | slow)
-            expected[todo[accept]] = d[todo[accept]] * v[accept]
-            todo = todo[~accept]
-        if boost.any():
-            expected[boost] *= ref.random(int(boost.sum())) ** (1.0 / a[boost])
-        assert np.array_equal(gamma_variates(shape, np.random.default_rng(35), size), expected)
-
-
 class TestBetaVariates:
     def test_uniform_degenerate_moments_and_ks(self):
         n = 1_000_000
@@ -217,28 +160,54 @@ class TestBetaVariates:
         draws = beta_variates(0.05, 0.05, np.random.default_rng(44), 100_000)
         assert (draws > 0.0).all() and (draws < 1.0).all()
 
-class TestDensityCurve:
-    def test_uniform_law_is_flat(self):
-        _, pdf = density_curve(1.0, 1.0)
-        assert pdf == pytest.approx(np.ones_like(pdf))
 
-    def test_symmetric_law_matches_closed_form(self):
-        t, pdf = density_curve(2.0, 2.0)
-        assert pdf == pytest.approx(6.0 * t * (1.0 - t), abs=1e-12)
-        assert pdf.max() == pytest.approx(1.5, abs=1e-4)
+class TestBetaVariateChecks:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, _NAN, float("inf")])
+    @pytest.mark.parametrize("argument", ["alpha", "beta"])
+    def test_bad_shape_raises(self, argument, bad):
+        shapes = {"alpha": 2.0, "beta": 2.0, argument: np.array([2.0, bad, 2.0])}
+        with pytest.raises(DataError, match=f"Beta shape {argument} must be positive and finite"):
+            beta_variates(shapes["alpha"], shapes["beta"], np.random.default_rng(0), 3)
 
-    def test_skewed_law_peaks_at_mode(self):
-        t, pdf = density_curve(15.0, 5.0, grid_points=512)
-        mode = (15.0 - 1.0) / (15.0 + 5.0 - 2.0)
-        assert abs(t[np.argmax(pdf)] - mode) <= 1.0 / 512
+    @pytest.mark.parametrize("alpha, beta, size", [
+        (np.ones(3), np.ones(3), 4),
+        (1.0, np.ones(5), 4),
+        (np.ones((4, 1)), 1.0, 4),
+    ], ids=["both-short", "beta-long", "two-d"])
+    def test_shapes_must_be_scalar_or_one_per_draw(self, alpha, beta, size):
+        with pytest.raises(DataError, match="must be a scalar or 4 per-draw shapes"):
+            beta_variates(alpha, beta, np.random.default_rng(0), size)
 
-    def test_trapezoid_integral_near_one_for_proper_shapes(self):
-        t, pdf = density_curve(15.0, 5.0, grid_points=512)
-        assert np.trapezoid(pdf, t) == pytest.approx(1.0, abs=0.01)
+    def test_negative_size_raises(self):
+        with pytest.raises(DataError, match="size must be >= 0, got -1"):
+            beta_variates(1.0, 1.0, np.random.default_rng(0), -1)
 
-    def test_tiny_grid_raises(self):
-        with pytest.raises(DataError):
-            density_curve(1.0, 1.0, grid_points=1)
+    def test_per_draw_shape_array(self):
+        # alternating laws Beta(0.5, 5) and Beta(5, 0.5): the second has the larger mean
+        alpha = np.array([0.5, 5.0] * 500)
+        draws = beta_variates(alpha, alpha[::-1], np.random.default_rng(32), 1000)
+        assert draws[1::2].mean() > draws[0::2].mean()
+
+    def test_deterministic_for_seed(self):
+        a = beta_variates(2.0, 3.0, np.random.default_rng(33), 16)
+        b = beta_variates(2.0, 3.0, np.random.default_rng(33), 16)
+        assert (a == b).all()
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.05, 0.05), (0.05, 1e6), (1e6, 0.05), (5e5, 5e5), (0.05, 20.0)])
+    def test_extreme_shapes_stay_inside_with_atom_masses(self, alpha, beta):
+        # the shapes law_table can emit at its limits: draws censored to the
+        # atoms eps and 1 - eps carry the law's mass beyond them
+        n = 200_000
+        eps = np.finfo(np.float64).eps
+        with np.errstate(all="raise"):
+            draws = beta_variates(alpha, beta, np.random.default_rng(45), n)
+        assert np.isfinite(draws).all()
+        assert ((draws > 0.0) & (draws < 1.0)).all()
+        for atom, mass in ((eps, special.betainc(alpha, beta, eps)),
+                           (1.0 - eps, 1.0 - special.betainc(alpha, beta, 1.0 - eps))):
+            share = np.mean(draws == atom)
+            assert abs(share - mass) <= 5 * np.sqrt(mass * (1.0 - mass) / n)
 
 
 def _reference_law(mq, vq, config):

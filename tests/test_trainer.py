@@ -440,6 +440,10 @@ def test_train_validates_dataset():
     with pytest.raises(DataError, match="video shape mismatch: video 1 has"):
         train([_video(height=5), _video(height=6)], [0.5, 0.5], [0.5, 0.5],
               SamplerConfig(), TrainerConfig(steps=1))
+    for videos in (["x"], [_video(), None]):
+        with pytest.raises(DataError, match=f"video {len(videos) - 1} must be a ToyVideo"):
+            train(videos, [0.5] * len(videos), [0.5] * len(videos),
+                  SamplerConfig(), TrainerConfig(steps=1))
     with pytest.raises(DataError, match="1-D arrays"):
         train([_video()], [[0.5]], [[0.5]], SamplerConfig(), TrainerConfig(steps=1))
     with pytest.raises(DataError, match="mq_norm must be in"):
