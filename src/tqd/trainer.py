@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -473,24 +474,60 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
     """One bias-corrected Adam update of theta, m and v, in place, with
     ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. step counts from 1.
 
+    theta, grad, m and v must be 1-D float64 arrays of one size, step an
+    integer >= 1 and lr finite and > 0; anything else is DataError, raised
+    before any array is touched.
+
+    The moments follow Kingma & Ba's Algorithm 1,
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+
+    and the step is taken in the order their Section 2 suggests: with
+    ck = 1 - bk**step, three scalars are computed once per call,
+
+        root_c2 = sqrt(c2);  step_size = lr*root_c2/c1;  eps_t = eps*root_c2
+
+    and each parameter then gets
+
+        theta -= step_size * m / (sqrt(v) + eps_t)
+
+    Multiplying numerator and denominator of Algorithm 1's
+    lr*(m/c1) / (sqrt(v/c2) + eps) by root_c2 gives this form, so the two
+    are the same update in exact arithmetic. eps is scaled with root_c2,
+    so it keeps Algorithm 1's meaning, a floor added to sqrt(v/c2); the
+    paper's shortcut adds an unscaled eps-hat instead, which this is not.
+    In floats the displacement differs from Algorithm 1's by rounding
+    only, about 1e-15 relative, at one division and one square root per
+    parameter where Algorithm 1 takes three divisions. m and v are
+    Algorithm 1's bit for bit.
+
     The update runs chunk by chunk over _ADAM_CHUNK elements, in place
     through two chunk-sized scratch buffers, so it allocates no
     parameter-sized temporaries and keeps each chunk in cache. Every
     element sees the same operations in the same order as the
-    whole-array formula
-
-        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        theta -= lr*(m/c1) / (sqrt(v/c2) + eps),  ck = 1 - bk**step
-
-    so the results are bit-identical to it.
+    whole-array form above, so chunking changes no bit.
 
     First-step identity: with a fresh state and unit gradient, the
     parameter displacement is lr/(1 + ADAM_EPS), i.e. the learning rate up
     to the damping epsilon.
     """
-    c1 = 1.0 - ADAM_BETA1 ** step
-    c2 = 1.0 - ADAM_BETA2 ** step
+    for name, arr in (("theta", theta), ("grad", grad), ("m", m), ("v", v)):
+        if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == np.float64):
+            got = (f"a {arr.ndim}-D {arr.dtype} array" if isinstance(arr, np.ndarray)
+                   else type(arr).__name__)
+            raise DataError(f"{name} must be a 1-D float64 array, got {got}")
+    if not theta.size == grad.size == m.size == v.size:
+        raise DataError(f"theta, grad, m and v must have one size, got {theta.size}, "
+                        f"{grad.size}, {m.size} and {v.size}")
+    if isinstance(step, bool) or not isinstance(step, (int, np.integer)) or step < 1:
+        raise DataError(f"step must be an integer >= 1, got {step!r}")
+    if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr > 0):
+        raise DataError(f"lr must be finite and > 0, got {lr!r}")
     n = theta.size
+    c1 = 1.0 - ADAM_BETA1 ** step
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2 ** step)
+    step_size = lr * root_c2 / c1
+    eps_t = ADAM_EPS * root_c2
     scratch_a = np.empty(min(n, _ADAM_CHUNK))
     scratch_b = np.empty_like(scratch_a)
     for lo in range(0, n, _ADAM_CHUNK):
@@ -504,12 +541,10 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
         np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         a *= g
         v_c += a
-        np.divide(m_c, c1, out=a)
-        a *= lr
-        np.divide(v_c, c2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
+        np.sqrt(v_c, out=b)
+        b += eps_t
+        np.divide(m_c, b, out=a)
+        a *= step_size
         theta[lo:hi] -= a
 
 

@@ -1,6 +1,7 @@
 """Tests for the toy flow-matching trainer and its hand-written gradients."""
 
 import json
+import math
 import struct
 import tracemalloc
 
@@ -339,14 +340,14 @@ def test_adam_updates_moments_in_place():
 
 
 def _whole_array_adam(theta, grad, m, v, step, lr):
-    # the unchunked formula adam_update must reproduce bit for bit
+    # the unchunked form adam_update must reproduce bit for bit
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** step)
-    v_hat = v / (1.0 - ADAM_BETA2 ** step)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2 ** step)
+    step_size = lr * root_c2 / (1.0 - ADAM_BETA1 ** step)
+    theta -= m / (np.sqrt(v) + ADAM_EPS * root_c2) * step_size
 
 
 @pytest.mark.parametrize("n", [1, _ADAM_CHUNK - 1, _ADAM_CHUNK, 2 * _ADAM_CHUNK + 7])
@@ -364,6 +365,72 @@ def test_chunked_adam_is_bit_identical_to_whole_array_formula(n):
     assert np.array_equal(theta, ref_theta)
     assert np.array_equal(m, ref_m)
     assert np.array_equal(v, ref_v)
+
+
+def test_adam_update_matches_algorithm_1():
+    # Kingma & Ba's Algorithm 1 as written: moments, bias corrections,
+    # then lr * m_hat / (sqrt(v_hat) + eps)
+    n, lr = 20000, 3e-3
+    rng = np.random.default_rng(7)
+    m, v = np.zeros(n), np.zeros(n)
+    # the first 100 entries never see a gradient: zero state, zero gradient
+    dead = np.arange(n) < 100
+    for step in range(1, 1001):
+        grad = rng.normal(size=n) * 10.0 ** rng.integers(-6, 5, size=n)
+        grad[rng.random(n) < 0.05] = 0.0
+        grad[dead] = 0.0
+        ref_m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        ref_v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = ref_m / (1.0 - ADAM_BETA1 ** step)
+        v_hat = ref_v / (1.0 - ADAM_BETA2 ** step)
+        ref_step = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # theta starts at 0, so -theta afterwards is the displacement exactly
+        theta = np.zeros(n)
+        adam_update(theta, grad, m, v, step, lr)
+        np.testing.assert_allclose(-theta, ref_step, rtol=4e-15, atol=0.0)
+        assert np.array_equal(m, ref_m)
+        assert np.array_equal(v, ref_v)
+        assert not np.any(theta[dead])
+
+
+def _adam_state(n=20000):
+    rng = np.random.default_rng(3)
+    return [rng.normal(size=n) for _ in range(4)]
+
+
+def _assert_adam_refuses(args, match):
+    arrays = [a for a in args[:4] if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in arrays]
+    with pytest.raises(DataError, match=match):
+        adam_update(*args)
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("which, bad", [
+    (1, lambda a: a[:-5].copy()),
+    (1, lambda a: a.astype(np.float32)),
+    (2, lambda a: a.reshape(100, 200)),
+    (3, lambda a: a.tolist()),
+    (0, lambda a: a[:10].copy()),
+])
+def test_adam_update_rejects_bad_arrays(which, bad):
+    # checked before any write: on its own, numpy refuses a short gradient
+    # only at the chunk where it runs out, after the chunks before it
+    args = _adam_state() + [1, 1e-3]
+    args[which] = bad(args[which])
+    _assert_adam_refuses(args, "1-D float64 array|one size")
+
+
+@pytest.mark.parametrize("step", [0, -1, 1.0, 2.5, True, None])
+def test_adam_update_rejects_bad_step(step):
+    # at step 0 the bias corrections are 0, which would make every parameter NaN
+    _assert_adam_refuses(_adam_state() + [step, 1e-3], "step must be an integer")
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3, "0.1", None])
+def test_adam_update_rejects_bad_lr(lr):
+    _assert_adam_refuses(_adam_state() + [1, lr], "lr must be finite")
 
 
 # --- training loop -------------------------------------------------------------
