@@ -25,17 +25,21 @@ import time
 import numpy as np
 
 from tqd.analysis import gradient_probe
-from tqd.synth import DegradationSpec, generate_moving_shape
+from tqd.synth import DegradationSpec, ToyVideo, render_squares
 from tqd.trainer import VelocityModel, adam_update, loss_and_grad
 
 F, HW = 2, 10
 
 
-def fresh_video(rng, smin=1.5, smax=3.0):
-    speed = float(rng.uniform(smin, smax)) * (1.0 if rng.random() < 0.5 else -1.0)
-    return generate_moving_shape(
-        speed, 0.0, int(rng.integers(0, 2 ** 31)), frames=F, height=HW, width=HW,
-        start_x=float(rng.uniform(0.0, HW)))
+def fresh_clips(rng, n, smin=1.5, smax=3.0):
+    # per clip: speed, sign, a seed that a noise-free clip never uses, and
+    # start, drawn in that order; then one render for all n
+    speeds, starts = np.empty(n), np.empty(n)
+    for i in range(n):
+        speeds[i] = rng.uniform(smin, smax) * (1.0 if rng.random() < 0.5 else -1.0)
+        rng.integers(0, 2 ** 31)
+        starts[i] = rng.uniform(0.0, HW)
+    return render_squares(speeds, starts, F, HW, HW)
 
 
 def stratified_t(rng, n):
@@ -52,7 +56,7 @@ def pretrain(steps, width, lr=2e-3, batch=64, seed=0):
     for step in range(1, steps + 1):
         frac = step / steps
         cur_lr = lr if frac < 0.5 else (0.25 * lr if frac < 0.8 else 0.05 * lr)
-        x0 = np.stack([fresh_video(rng).flat() for _ in range(batch)])
+        x0 = fresh_clips(rng, batch).reshape(batch, -1)
         x1 = rng.standard_normal(x0.shape)
         loss, grad = loss_and_grad(model, x0, x1, stratified_t(rng, batch))
         adam_update(model.theta, grad, m, v, step, cur_lr)
@@ -73,7 +77,7 @@ def main():
     print(f"trained in {time.time() - t0:.0f}s\n")
 
     rng = np.random.default_rng([202, 101])
-    samples = [fresh_video(rng, 2.0, 2.0) for _ in range(20)]
+    samples = [ToyVideo(clip) for clip in fresh_clips(rng, 20, 2.0, 2.0)]
     degradations = [DegradationSpec("blur", 2.0, seed=11),
                     DegradationSpec("compression", 8.0, seed=12),
                     DegradationSpec("noise", 0.1, seed=13),

@@ -34,7 +34,7 @@ BACKGROUND = 0.1
 # clip's frame many times over
 MAX_BLUR_RADIUS = 1024
 
-# largest clip in pixels (frames x height x width) that generate_moving_shape
+# largest clip in pixels (frames x height x width) that render_squares
 # and read_video accept: clips are held whole in float64, and the model's
 # first layer is this wide. The largest clip in use is 8x16x16 = 2048.
 MAX_CLIP_PIXELS = 65536
@@ -94,38 +94,18 @@ def generate_moving_shape(
     width: int = 16,
     start_x: float = 0.0,
 ) -> ToyVideo:
-    """Render a SHAPE_SIZE square at FOREGROUND level over a BACKGROUND
-    field, moving horizontally at motion_speed px/frame.
+    """Render one clip through render_squares, add texture noise and
+    clamp it to [0, 1].
 
-    The square wraps around the right edge when its trajectory leaves the
-    frame (negative speeds move left and wrap the other way). Texture
-    noise is additive Gaussian of the given std, clamped to [0, 1].
-    frames, height and width must be positive with a product of at most
-    MAX_CLIP_PIXELS, the path start_x + f*motion_speed must stay finite
-    and seed must be >= 0.
+    Texture noise is additive Gaussian of the given std, drawn from
+    default_rng(seed) only when it is positive; seed must be >= 0.
+    render_squares checks the speed, start and dimensions.
     """
-    if not np.isfinite(motion_speed):
-        raise DataError(f"motion_speed must be finite, got {motion_speed}")
     if not (np.isfinite(texture_noise) and texture_noise >= 0):
         raise DataError(f"texture_noise must be finite and >= 0, got {texture_noise}")
-    if min(frames, height, width) < 1:
-        raise DataError(f"video dimensions must be positive, got frames={frames}, "
-                        f"height={height}, width={width}")
-    _check_clip_size(frames, height, width)
-    if not (np.isfinite(start_x) and np.isfinite(start_x + (frames - 1) * motion_speed)):
-        raise DataError(f"the square's path from start_x {start_x} at motion_speed "
-                        f"{motion_speed} is not finite over {frames} frames: no pixels to draw")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
-    # integer row placement: noise-free videos take only the two nominal
-    # levels when start_x and motion_speed are integral
-    y0 = float((height - SHAPE_SIZE) // 2)
-    cov_y = _interval_coverage(y0, SHAPE_SIZE, height, wrap=False)
-    video = np.empty((frames, height, width), dtype=np.float64)
-    for f in range(frames):
-        x = start_x + f * motion_speed
-        cov_x = _interval_coverage(x, SHAPE_SIZE, width, wrap=True)
-        video[f] = BACKGROUND + (FOREGROUND - BACKGROUND) * np.outer(cov_y, cov_x)
+    video = render_squares([motion_speed], [start_x], frames, height, width)[0]
     if texture_noise > 0:
         # only noisy clips draw, so only they pay for building a generator
         video += np.random.default_rng(seed).normal(0.0, texture_noise, size=video.shape)
@@ -138,20 +118,61 @@ def _check_clip_size(frames: int, height: int, width: int) -> None:
         raise DataError(f"a {frames}x{height}x{width} clip has more than {MAX_CLIP_PIXELS} pixels")
 
 
-def _interval_coverage(start: float, length: float, n: int, wrap: bool) -> np.ndarray:
-    """Fraction of each unit cell [j, j+1) covered by [start, start+length).
+def render_squares(speeds, starts, frames: int, height: int, width: int) -> np.ndarray:
+    """Noise-free clips of a SHAPE_SIZE square at FOREGROUND level over a
+    BACKGROUND field, one per (speed, start) pair, as one
+    (n, frames, height, width) float64 array.
 
-    With wrap=True the interval lives on a circle of circumference n
-    (coverage of the wrapped-around tail is added back at the left edge).
+    Clip i's square sits at column starts[i] + f*speeds[i] in frame f and
+    wraps around the right edge when its trajectory leaves the frame
+    (negative speeds move left and wrap the other way); its rows are
+    fixed at integer placement, so a clip takes only the two nominal
+    levels when its start and speed are integral. Each pixel is
+    BACKGROUND plus (FOREGROUND - BACKGROUND) times the fraction of it
+    the square covers. Nothing is clamped: a square wider than its frame
+    overlaps itself and covers a cell more than once.
+
+    speeds and starts must be 1-D arrays of one length with finite
+    values, every path must stay finite, and frames, height and width
+    must be positive with a product of at most MAX_CLIP_PIXELS.
     """
-    if wrap:
-        start = start % n
-    cells = np.arange(n, dtype=np.float64)
-    cov = np.clip(np.minimum(cells + 1.0, start + length) - np.maximum(cells, start), 0.0, 1.0)
-    if wrap and start + length > n:
-        over = start + length - n
-        cov += np.clip(np.minimum(cells + 1.0, over) - cells, 0.0, 1.0)
-    return cov
+    speeds = np.asarray(speeds, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.float64)
+    if speeds.ndim != 1 or speeds.shape != starts.shape:
+        raise DataError(f"speeds and starts must be 1-D arrays of one length, "
+                        f"got shapes {speeds.shape} and {starts.shape}")
+    if min(frames, height, width) < 1:
+        raise DataError(f"video dimensions must be positive, got frames={frames}, "
+                        f"height={height}, width={width}")
+    _check_clip_size(frames, height, width)
+    # a non-finite speed or start makes its whole path non-finite (0 * inf
+    # is NaN), so one check covers the speeds, the starts and the paths
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = starts[:, None] + np.arange(frames, dtype=np.float64) * speeds[:, None]
+    if not np.isfinite(x).all():
+        i = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+        raise DataError(f"clip {i}'s path from start {starts[i]} at speed {speeds[i]} "
+                        f"is not finite over {frames} frames: no pixels to draw")
+
+    def coverage(lo, hi, n):
+        # fraction of each unit cell [j, j+1), j < n, covered by [lo, hi):
+        # clip(min(cells + 1, hi) - max(cells, lo), 0, 1), with the clip
+        # as two ufuncs (np.clip's wrapper costs more than a small clip)
+        cells = np.arange(n, dtype=np.float64)
+        overlap = np.minimum(cells + 1.0, hi) - np.maximum(cells, lo)
+        return np.minimum(np.maximum(overlap, 0.0), 1.0)
+
+    y0 = float((height - SHAPE_SIZE) // 2)
+    rows = coverage(y0, y0 + SHAPE_SIZE, height)
+    x = (x % width)[..., None]
+    end = x + SHAPE_SIZE
+    # the tail past the right edge re-enters at column 0; it covers no
+    # cell when end <= width
+    cols = coverage(x, end, width) + coverage(0.0, end - width, width)
+    clips = rows[:, None] * cols[:, :, None, :]
+    clips *= FOREGROUND - BACKGROUND
+    clips += BACKGROUND
+    return clips
 
 
 def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:

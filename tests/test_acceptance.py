@@ -23,7 +23,7 @@ from tqd.analysis import gradient_probe, quadrant_report, robustness_sweep
 from tqd.cli import main as cli_main
 from tqd.quality import QualityRecord, normalize_scores, synth_population
 from tqd.sampler import SamplerConfig, TqdSampler, beta_variates, law_table
-from tqd.synth import DegradationSpec, generate_moving_shape
+from tqd.synth import DegradationSpec, ToyVideo, generate_moving_shape, render_squares
 from tqd.trainer import TrainerConfig, VelocityModel, adam_update, final_loss, \
     loss_and_grad, save_checkpoint, train
 from tqd.trainer import _param_layout
@@ -197,12 +197,15 @@ def test_degradation_probe_crossing_pattern():
     f, hw = 2, 10
     width, steps, batch, lr = 1024, 9000, 64, 2e-3
 
-    def fresh_video(rng, smin, smax):
-        speed = float(rng.uniform(smin, smax)) * (1.0 if rng.random() < 0.5 else -1.0)
-        start = float(rng.uniform(0.0, hw))
-        seed = int(rng.integers(0, 2 ** 31))
-        return generate_moving_shape(speed, 0.0, seed, frames=f, height=hw,
-                                     width=hw, start_x=start)
+    def fresh_clips(rng, n, smin, smax):
+        # per clip: speed, sign, start and a seed that a noise-free clip
+        # never uses, drawn in that order; then one render for all n
+        speeds, starts = np.empty(n), np.empty(n)
+        for i in range(n):
+            speeds[i] = rng.uniform(smin, smax) * (1.0 if rng.random() < 0.5 else -1.0)
+            starts[i] = rng.uniform(0.0, hw)
+            rng.integers(0, 2 ** 31)
+        return render_squares(speeds, starts, f, hw, hw)
 
     def sample_t(rng, n):
         # half uniform, half squared-uniform: extra low-t coverage where
@@ -218,13 +221,13 @@ def test_degradation_probe_crossing_pattern():
     for step in range(1, steps + 1):
         frac = step / steps
         cur_lr = lr if frac < 0.5 else (0.25 * lr if frac < 0.8 else 0.05 * lr)
-        x0 = np.stack([fresh_video(rng, 1.5, 3.0).flat() for _ in range(batch)])
+        x0 = fresh_clips(rng, batch, 1.5, 3.0).reshape(batch, -1)
         x1 = rng.standard_normal(x0.shape)
         _, grad = loss_and_grad(model, x0, x1, sample_t(rng, batch))
         adam_update(model.theta, grad, m, v, step, cur_lr)
 
     probe_rng = np.random.default_rng([202, 101])
-    samples = [fresh_video(probe_rng, 2.0, 2.0) for _ in range(40)]
+    samples = [ToyVideo(clip) for clip in fresh_clips(probe_rng, 40, 2.0, 2.0)]
     degradations = [DegradationSpec("blur", 2.0, seed=11),
                     DegradationSpec("compression", 8.0, seed=12),
                     DegradationSpec("noise", 0.1, seed=13),

@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from tqd.synth import (
+    BACKGROUND,
     DEGRADATION_KINDS,
+    FOREGROUND,
     MAX_BLUR_RADIUS,
     MAX_CLIP_PIXELS,
+    SHAPE_SIZE,
     DegradationSpec,
     ToyVideo,
     degrade,
     generate_moving_shape,
     read_video,
+    render_squares,
     resolve_payload,
     write_video,
 )
@@ -115,6 +120,143 @@ class TestGenerateMovingShape:
                                      width=256).frames.size == MAX_CLIP_PIXELS
         with pytest.raises(DataError, match=f"more than {MAX_CLIP_PIXELS} pixels"):
             generate_moving_shape(1.0, 0.0, seed=0, frames=1, height=256, width=257)
+
+
+def _interval_coverage(start: float, length: float, n: int, wrap: bool) -> np.ndarray:
+    """Fraction of each unit cell [j, j+1) covered by [start, start+length).
+
+    With wrap=True the interval lives on a circle of circumference n
+    (coverage of the wrapped-around tail is added back at the left edge).
+    """
+    if wrap:
+        start = start % n
+    cells = np.arange(n, dtype=np.float64)
+    cov = np.clip(np.minimum(cells + 1.0, start + length) - np.maximum(cells, start), 0.0, 1.0)
+    if wrap and start + length > n:
+        over = start + length - n
+        cov += np.clip(np.minimum(cells + 1.0, over) - cells, 0.0, 1.0)
+    return cov
+
+
+def _reference_clip(speed, start, frames, height, width):
+    """One noise-free clip rendered frame by frame, in Python floats: the
+    per-clip form render_squares must reproduce bit for bit."""
+    y0 = float((height - SHAPE_SIZE) // 2)
+    cov_y = _interval_coverage(y0, SHAPE_SIZE, height, wrap=False)
+    video = np.empty((frames, height, width), dtype=np.float64)
+    for f in range(frames):
+        cov_x = _interval_coverage(start + f * speed, SHAPE_SIZE, width, wrap=True)
+        video[f] = BACKGROUND + (FOREGROUND - BACKGROUND) * np.outer(cov_y, cov_x)
+    return video
+
+
+def _assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _assert_matches_reference(speeds, starts, frames, height, width):
+    clips = render_squares(speeds, starts, frames, height, width)
+    reference = np.stack([_reference_clip(float(s), float(x), frames, height, width)
+                          for s, x in zip(speeds, starts)])
+    _assert_bits_equal(clips, reference)
+
+
+class TestRenderSquares:
+    def test_matches_per_clip_render_on_the_gate_draw_stream(self):
+        # the crossing gate's draws: speed, sign, start and an unused seed
+        # per clip, 64 clips a step, then the step's noise and timesteps
+        rng = np.random.default_rng([0, 7])
+        for _ in range(200):
+            speeds, starts = [], []
+            for _ in range(64):
+                speeds.append(float(rng.uniform(1.5, 3.0))
+                              * (1.0 if rng.random() < 0.5 else -1.0))
+                starts.append(float(rng.uniform(0.0, 10)))
+                rng.integers(0, 2 ** 31)
+            _assert_matches_reference(speeds, starts, 2, 10, 10)
+            rng.standard_normal((64, 200))
+            rng.uniform(size=64), rng.uniform(size=64), rng.random(64)
+
+    def test_matches_per_clip_render_at_negative_speeds(self):
+        rng = np.random.default_rng(1)
+        speeds = -rng.uniform(0.0, 7.0, 50)
+        _assert_matches_reference(speeds, rng.uniform(-30.0, 30.0, 50), 8, 16, 16)
+
+    def test_integral_starts_and_speeds_give_two_levels(self):
+        speeds = np.arange(-6.0, 7.0)
+        starts = np.arange(-6.0, 7.0) * 3.0
+        _assert_matches_reference(speeds, starts, 8, 16, 16)
+        levels = np.unique(render_squares(speeds, starts, 8, 16, 16))
+        assert levels.tolist() == [BACKGROUND, FOREGROUND]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 10, 16])
+    def test_matches_per_clip_render_at_the_wrap_edge(self, width):
+        starts = [width - 3, width - 1e-12, -1e-12, -1e-17, -0.5, -width - 2.25,
+                  1e6 + 0.3, -1e6 - 0.7, 1e15 + 0.5]
+        for speed in (0.0, 1.0, -1.0, 0.37, -2.5):
+            _assert_matches_reference([speed] * len(starts), starts, 3, 5, width)
+
+    @pytest.mark.parametrize("frames,height,width", [
+        (1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 2, 2), (1, 1, 7), (4, 7, 1), (2, 2, 9)])
+    def test_matches_per_clip_render_on_tiny_frames(self, frames, height, width):
+        rng = np.random.default_rng(frames * 100 + height * 10 + width)
+        _assert_matches_reference(rng.uniform(-5.0, 5.0, 30), rng.uniform(-30.0, 30.0, 30),
+                                  frames, height, width)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("noise", [0.02, 0.25])
+    def test_noisy_narrow_clip_adds_noise_before_the_clamp(self, width, noise):
+        # a square wider than its frame covers a cell more than once, so
+        # the clean render exceeds 1 and only the final clamp bounds it
+        rng = np.random.default_rng(width)
+        for seed in range(20):
+            speed, start = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-5.0, 5.0))
+            clean = _reference_clip(speed, start, 3, 4, width)
+            noise_field = np.random.default_rng(seed).normal(0.0, noise, size=clean.shape)
+            video = generate_moving_shape(speed, noise, seed, frames=3, height=4,
+                                          width=width, start_x=start)
+            _assert_bits_equal(video.frames, np.clip(clean + noise_field, 0.0, 1.0))
+
+    def test_render_is_not_clamped(self):
+        assert render_squares([0.0], [0.0], 1, 3, 1).max() > 1.0
+
+    def test_no_clips_gives_an_empty_batch(self):
+        assert render_squares([], [], 2, 3, 4).shape == (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("speeds,starts", [
+        ([[1.0]], [[0.0]]), ([1.0, 2.0], [0.0]), (1.0, 0.0), ([1.0], [[0.0]])])
+    def test_speeds_and_starts_must_be_one_dimensional_of_one_length(self, speeds, starts):
+        with pytest.raises(DataError, match="1-D arrays of one length"):
+            render_squares(speeds, starts, 2, 4, 4)
+
+    @pytest.mark.parametrize("speeds,starts,match", [
+        ([1.0, np.nan], [0.0, 0.0], "clip 1's path from start 0.0 at speed nan"),
+        ([np.inf], [0.0], "clip 0's path from start 0.0 at speed inf"),
+        ([1.0], [-np.inf], "clip 0's path from start -inf at speed 1.0"),
+        ([1.0, 1.0], [0.0, np.nan], "clip 1's path from start nan"),
+        ([1e308], [1e308], "path from start 1e[+]?308 at speed 1e[+]?308 is not finite "
+                           "over 2 frames")])
+    def test_non_finite_speed_start_or_path_raises(self, speeds, starts, match):
+        # without a numpy overflow or invalid-value warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=match):
+                render_squares(speeds, starts, 2, 4, 4)
+
+    def test_non_finite_speed_raises_on_a_one_frame_clip(self):
+        with pytest.raises(DataError, match="at speed nan is not finite over 1 frames"):
+            render_squares([np.nan], [0.0], 1, 4, 4)
+
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (2, 0, 4), (2, 4, -1)])
+    def test_non_positive_dimensions_raise(self, dims):
+        with pytest.raises(DataError, match="dimensions must be positive"):
+            render_squares([1.0], [0.0], *dims)
+
+    def test_clip_over_the_pixel_limit_raises(self):
+        assert render_squares([1.0], [0.0], 1, 256, 256).shape == (1, 1, 256, 256)
+        with pytest.raises(DataError, match=f"more than {MAX_CLIP_PIXELS} pixels"):
+            render_squares([1.0], [0.0], 1, 256, 257)
 
 
 class TestDegrade:
