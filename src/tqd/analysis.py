@@ -25,7 +25,7 @@ from .quality import (
     pearson_correlation,
     quadrant_of,
 )
-from .sampler import SamplerConfig, TqdSampler, law_table
+from .sampler import T_CLIP, SamplerConfig, TqdSampler, law_table
 from .synth import DegradationSpec, ToyVideo, degrade
 from .trainer import TrainerConfig, VelocityModel, final_loss, gradient_distances, train
 # the per-copy reference path, kept under this module's name because the
@@ -220,11 +220,11 @@ def _density_bounds(alpha, beta, weights, x_lo: np.ndarray, x_hi: np.ndarray):
 def _ks_statistic(t: np.ndarray, alpha, beta, weights) -> float:
     """One-sample KS statistic of the draws t against the mixture law.
 
-    Draws are clipped into the open unit interval at float eps, and
+    Draws are clipped into the open unit interval at sampler.T_CLIP, and
     strongly one-sided laws (MIN_SHAPE-clamped Beta) carry real mass
-    beyond that resolution, so the reference is the censored law with
-    atoms at the clip boundaries; comparing against the raw continuous
-    CDF would report a spurious gap of up to eps^MIN_SHAPE per component.
+    beyond that bound, so the reference is the censored law with atoms at
+    the clip boundaries; comparing against the raw continuous CDF would
+    report a spurious gap of up to T_CLIP^MIN_SHAPE per component.
 
     The mixture CDF F costs one incomplete-beta value per record and
     point, so it is evaluated only where the maximum can be. First at the
@@ -243,20 +243,21 @@ def _ks_statistic(t: np.ndarray, alpha, beta, weights) -> float:
     term in record order, as on all draws, so the result is the same
     float as evaluating F at every distinct draw.
     """
-    eps = float(np.finfo(np.float64).eps)
     vals, counts = np.unique(t, return_counts=True)
     cum = np.cumsum(counts)
     n = len(t)
     after, before = cum / n, (cum - counts) / n  # empirical CDF at and below each draw
 
     def gaps(idx, cdf):
-        post_jump = np.where(vals[idx] >= 1.0 - eps, 1.0, cdf)  # top atom absorbs the censored tail
-        left_limit = np.where(vals[idx] <= eps, 0.0, cdf)  # no censored mass below the bottom atom
+        # the top atom absorbs the censored tail; no censored mass lies
+        # below the bottom atom
+        post_jump = np.where(vals[idx] >= 1.0 - T_CLIP, 1.0, cdf)
+        left_limit = np.where(vals[idx] <= T_CLIP, 0.0, cdf)
         return np.maximum(np.abs(after[idx] - post_jump), np.abs(before[idx] - left_limit))
 
     m = len(vals)
     cdf = np.empty(m)
-    known = (vals <= eps) | (vals >= 1.0 - eps)
+    known = (vals <= T_CLIP) | (vals >= 1.0 - T_CLIP)
     known[::_KS_STRIDE] = True
     known[-1] = True
     anchors = np.flatnonzero(known)
@@ -308,7 +309,7 @@ def timestep_histogram(
     seed: int = 0,
 ) -> HistogramReport:
     """Draw timesteps through the sampler's batch-preparation path and
-    compare against the analytic mixture of its law table, in either arm.
+    compare against the analytic mixture of its law table.
 
     The draws use `seed` (>= 0) and the batch size of `sampler.config`.
     The mixture weights each record's timestep law by its retention

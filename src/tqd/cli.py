@@ -503,8 +503,9 @@ def _build_parser() -> _Parser:
     tr.add_argument("--seed", type=_int_at_least(0))
     tr.add_argument("--steps", type=_int_at_least(0))
     tr.add_argument("--baseline", action="store_const", const=True,
-                    help="disable dropout and draw every timestep from "
-                         "Beta(kappa_base/2, kappa_base/2), flat at kappa_base 2")
+                    help="sample as at equal full scores: keep every record and "
+                         "draw every timestep from Beta(kappa_base/2, kappa_base/2), "
+                         "flat at kappa_base 2")
     tr.add_argument("--filter", dest="filter_quadrants", type=_parse_filter,
                     help="keep only listed quadrants, e.g. quadrant=HMLV,LMHV")
     tr.add_argument("--noise-level", type=_finite_float(0.0),

@@ -17,9 +17,10 @@ mechanism implemented here:
    kappa_base = 2.
 
 `law_table` is the one place that maps scores to laws, over the score
-arrays. A sampler holds one arm as a table of each record's law and
-retention; the baseline arm has every record at the equal-score law and
-no dropout.
+arrays, and `TqdSampler` holds its table for one set of scores. Equal
+full scores (mq = vq = 1) keep every record and draw every t from
+Beta(kappa_base/2, kappa_base/2), so the uniform control is this same
+sampler on score arrays of ones.
 
 Every draw (record picks, keep/drop trials, timesteps) comes from the
 supplied numpy Generator's own methods, so a batch is reproducible for a
@@ -34,7 +35,11 @@ import numpy as np
 
 from .errors import DataError, SamplingError
 
-_OPEN_EPS = np.finfo(np.float64).eps  # nudge for the open interval (0,1)
+# Draws are clipped to [T_CLIP, 1 - T_CLIP], where the KS reference puts its
+# censoring atoms. Not float eps: floats below 1 are spaced 2^-53, so draws
+# rounding up onto 1 - eps would give the top atom ~1% more mass than the
+# law puts beyond it. At 2^-40 the spacing is 2^-13 of the bound.
+T_CLIP = 2.0 ** -40
 
 # Numerical floor for Beta shape parameters: mu of exactly 0 or 1 would
 # otherwise give an ill-defined zero shape.
@@ -110,9 +115,9 @@ def beta_variates(alpha, beta, rng: np.random.Generator, size: int) -> np.ndarra
     """Draw `size` Beta(alpha, beta) variates with the Generator's Beta method.
 
     Each shape is a scalar or an array of `size` per-draw shapes, positive
-    and finite. Results are clipped to [eps, 1 - eps], machine epsilon, so
-    every draw lies strictly inside (0, 1); the KS reference's censored
-    atoms sit at those two points.
+    and finite. Results are clipped to [T_CLIP, 1 - T_CLIP], so every draw
+    lies strictly inside (0, 1); the KS reference's censored atoms sit at
+    those two points.
     """
     if size < 0:
         raise DataError(f"size must be >= 0, got {size}")
@@ -123,7 +128,7 @@ def beta_variates(alpha, beta, rng: np.random.Generator, size: int) -> np.ndarra
                             f"got shape {shape.shape}")
         if not np.all((shape > 0.0) & (shape < np.inf)):
             raise DataError(f"Beta shape {name} must be positive and finite")
-    return np.clip(rng.beta(alpha, beta, size), _OPEN_EPS, 1.0 - _OPEN_EPS)
+    return np.clip(rng.beta(alpha, beta, size), T_CLIP, 1.0 - T_CLIP)
 
 
 # --- batch preparation -------------------------------------------------------
@@ -144,60 +149,53 @@ class Batch:
 
 
 class TqdSampler:
-    """Immutable batch sampler over normalized score arrays, for one arm.
+    """Immutable batch sampler over normalized score arrays.
 
-    The arm's law table is built once from mq and vq: record i draws t
-    from Beta(alpha[i], beta[i]) and, when dropout runs, is kept with
-    probability retention[i] (1 in the baseline arm).
+    The law table is built once from mq and vq: record i draws t from
+    Beta(alpha[i], beta[i]) and is kept with probability retention[i].
     """
 
-    def __init__(self, mq, vq, config: SamplerConfig, baseline: bool = False):
+    def __init__(self, mq, vq, config: SamplerConfig):
         mq = np.asarray(mq, dtype=np.float64)
         vq = np.asarray(vq, dtype=np.float64)
         if not (mq.ndim == 1 and mq.shape == vq.shape and mq.size):
             raise DataError(f"mq and vq must be 1-D arrays of one length of at least 1, "
                             f"got shapes {mq.shape} and {vq.shape}")
         self.config = config
-        self.dropout = not baseline
-        # the baseline arm puts every record at its equal-score law, always kept
-        _, _, self.alpha, self.beta = law_table(mq, mq if baseline else vq, config)
-        self.retention = np.ones(len(mq)) if baseline else np.maximum(mq, vq)
+        _, _, self.alpha, self.beta = law_table(mq, vq, config)
+        self.retention = np.maximum(mq, vq)
 
     def prepare_batch(self, rng: np.random.Generator) -> Batch:
         """Pick config.batch_size records, then draw one timestep each
         from its own law.
 
-        Records are drawn uniformly; with dropout, each is kept with its
-        retention probability until the batch is full.
+        Records are drawn uniformly, and each is kept with its retention
+        probability until the batch is full.
 
         Raises SamplingError when no record is retainable or when
         ATTEMPTS_PER_SLOT x batch_size attempts are exhausted.
         """
         batch_size = self.config.batch_size
         n = self.retention.size
-        if not self.dropout:
-            idx = rng.integers(0, n, batch_size)
-            attempts = accepted_total = batch_size
-        else:
-            if not np.any(self.retention > 0.0):
-                raise SamplingError("no retainable samples (all retention probabilities are 0)")
-            cap = ATTEMPTS_PER_SLOT * batch_size
-            chosen: list[np.ndarray] = []
-            attempts = 0
-            accepted_total = 0
-            # Chunked rejection loop: chunk size keeps the expected number of
-            # rounds small without overshooting the attempt cap.
-            while accepted_total < batch_size and attempts < cap:
-                k = min(max(64, batch_size), cap - attempts)
-                idx = rng.integers(0, n, k)
-                keep = rng.random(k) < self.retention[idx]
-                attempts += k
-                chosen.append(idx[keep])
-                accepted_total += chosen[-1].size
-            if accepted_total < batch_size:
-                raise SamplingError(
-                    f"rejection-attempt cap exhausted: {accepted_total} accepted in "
-                    f"{attempts} attempts (acceptance rate {accepted_total / attempts:.4f})")
-            idx = np.concatenate(chosen)[:batch_size]
+        if not np.any(self.retention > 0.0):
+            raise SamplingError("no retainable samples (all retention probabilities are 0)")
+        cap = ATTEMPTS_PER_SLOT * batch_size
+        chosen: list[np.ndarray] = []
+        attempts = 0
+        accepted_total = 0
+        # Chunked rejection loop: chunk size keeps the expected number of
+        # rounds small without overshooting the attempt cap.
+        while accepted_total < batch_size and attempts < cap:
+            k = min(max(64, batch_size), cap - attempts)
+            idx = rng.integers(0, n, k)
+            keep = rng.random(k) < self.retention[idx]
+            attempts += k
+            chosen.append(idx[keep])
+            accepted_total += chosen[-1].size
+        if accepted_total < batch_size:
+            raise SamplingError(
+                f"rejection-attempt cap exhausted: {accepted_total} accepted in "
+                f"{attempts} attempts (acceptance rate {accepted_total / attempts:.4f})")
+        idx = np.concatenate(chosen)[:batch_size]
         ts = beta_variates(self.alpha[idx], self.beta[idx], rng, batch_size)
         return Batch(idx, ts, attempts=attempts, accepted=accepted_total)

@@ -228,18 +228,9 @@ def degrade(video: ToyVideo, spec: DegradationSpec) -> ToyVideo:
 
 # --- serialization -----------------------------------------------------------
 
-def write_video(video: ToyVideo, path: str | Path) -> None:
-    """Write the flat binary format: TVID magic, F/H/W as u32-LE, then
-    float32-LE pixels in (frame, row, column) order."""
-    f, h, w = video.frames.shape
-    with open(path, "wb") as fh:
-        fh.write(VIDEO_MAGIC)
-        fh.write(struct.pack("<III", f, h, w))
-        fh.write(np.ascontiguousarray(video.frames, dtype="<f4"))
-
-
 def read_video(path: str | Path) -> ToyVideo:
-    """Read the flat binary format back (pixels land as float64).
+    """Read a toy-video file: the TVID magic, F/H/W as u32-LE, then
+    float32-LE pixels in (frame, row, column) order; pixels land as float64.
     DataError on a path that is not a regular file, a malformed file, a
     zero dimension, over MAX_CLIP_PIXELS pixels or a non-finite pixel,
     each checked before the pixels are read. A `<path>.json` file next to

@@ -554,8 +554,10 @@ def train(videos, mq, vq, sampler_config: SamplerConfig,
 
     videos[i] is record i's ToyVideo and mq[i], vq[i] its normalized
     scores, as `quality.normalize_scores` returns them. Each step prepares
-    a batch through the sampler of the arm trainer_config.baseline picks,
-    draws fresh noise endpoints, and applies one optimizer update.
+    a batch through the sampler, draws fresh noise endpoints, and applies
+    one optimizer update. trainer_config.baseline runs the sampler on
+    equal full scores (mq = vq = 1), the uniform control; the scores are
+    checked in either arm.
     Deterministic given trainer_config.seed. A non-finite loss or
     parameter is NumericError; numpy's own overflow warnings are
     silenced, so that error is the one report.
@@ -575,7 +577,11 @@ def train(videos, mq, vq, sampler_config: SamplerConfig,
     # row i is record i's video; batches gather rows by index
     x_all = np.stack([video.flat() for video in videos])
 
-    sampler = TqdSampler(mq, vq, sampler_config, baseline=trainer_config.baseline)
+    # built in both arms, so that bad scores are a DataError in either
+    sampler = TqdSampler(mq, vq, sampler_config)
+    if trainer_config.baseline:
+        ones = np.ones(len(mq))
+        sampler = TqdSampler(ones, ones, sampler_config)
     seed_seq = np.random.SeedSequence(trainer_config.seed)
     model_seed, loop_seed = seed_seq.spawn(2)
     model = VelocityModel.init(data_shape, seed=model_seed,

@@ -31,6 +31,7 @@ from tqd.sampler import (
     MAX_BATCH_SIZE,
     MAX_KAPPA,
     MIN_SHAPE,
+    T_CLIP,
     SamplerConfig,
     TqdSampler,
     beta_variates,
@@ -236,12 +237,12 @@ def test_uniform_degenerate_histogram_passes_both_tests():
 
 @pytest.mark.parametrize("kappa_base", [0.5, 2.0, 4.0])
 def test_baseline_arm_histogram_passes_both_tests(kappa_base):
-    # the baseline arm's table holds every record at the equal-score law
-    # Beta(kappa_base/2, kappa_base/2) with equal weight, whatever its
-    # scores; its draws must pass both 1% checks against that table
-    mq, vq = normalize_scores(synth_population(40, -0.22, seed=17))
+    # the baseline arm, the sampler at equal full scores, holds every
+    # record at the equal-score law Beta(kappa_base/2, kappa_base/2) with
+    # equal weight; its draws must pass both 1% checks against that table
+    ones = np.ones(40)
     config = SamplerConfig(kappa_base=kappa_base, batch_size=1000)
-    report = timestep_histogram(TqdSampler(mq, vq, config, baseline=True), 20000, seed=0)
+    report = timestep_histogram(TqdSampler(ones, ones, config), 20000, seed=0)
     s = kappa_base / 2.0
     expected = 20000 * np.diff(betainc(s, s, np.linspace(0.0, 1.0, 51)))
     np.testing.assert_allclose([exp for *_, exp in report.bins], expected, rtol=1e-9)
@@ -287,7 +288,6 @@ def _full_loop_ks(t, alpha, beta, weights):
     """The KS statistic the unpruned way, with the mixture CDF at every
     distinct draw. Returns it and the index of the distinct draw where
     the largest gap sits."""
-    eps = float(np.finfo(np.float64).eps)
     vals, counts = np.unique(np.sort(t), return_counts=True)
     cum = np.cumsum(counts)
     n = len(t)
@@ -295,9 +295,9 @@ def _full_loop_ks(t, alpha, beta, weights):
     for a, b, w in zip(alpha, beta, weights):
         cdf += w * betainc(a, b, np.clip(vals, 0.0, 1.0))
     post_jump = cdf.copy()
-    post_jump[vals >= 1.0 - eps] = 1.0
+    post_jump[vals >= 1.0 - T_CLIP] = 1.0
     left_limit = cdf.copy()
-    left_limit[vals <= eps] = 0.0
+    left_limit[vals <= T_CLIP] = 0.0
     d_post = np.abs(cum / n - post_jump)
     d_pre = np.abs((cum - counts) / n - left_limit)
     return float(max(d_post.max(), d_pre.max())), int(np.argmax(np.maximum(d_post, d_pre)))
@@ -329,9 +329,6 @@ def _bench_sampler():
     return _population_sampler(300, SamplerConfig(batch_size=20000))
 
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
 @pytest.mark.parametrize("case", ["clamped-both-atoms", "uniform", "max-between-anchors",
                                   "max-kappa", "duplicated-records"])
 def test_histogram_ks_matches_full_loop(case):
@@ -355,7 +352,7 @@ def test_histogram_ks_matches_full_loop(case):
     expected, where = _full_loop_ks(t, *_table(sampler))
     assert timestep_histogram(sampler, n_draws, seed=seed).ks_stat == expected
     if case == "clamped-both-atoms":
-        assert t.min() == _EPS and t.max() == 1.0 - _EPS
+        assert t.min() == T_CLIP and t.max() == 1.0 - T_CLIP
     elif case == "max-between-anchors":
         # the largest gap sits inside a coarse bracket, at a draw whose F
         # only the bisection evaluates
@@ -381,13 +378,13 @@ def test_pruned_ks_matches_full_loop_on_other_draws(case):
     elif case == "many-ties":
         t = np.round(t, 2)
     elif case == "atoms-below-clip":
-        # a MIN_SHAPE Beta law's quantiles, unclipped: some 8% lie below
-        # eps, so the bottom atom spans more distinct draws than the
+        # a MIN_SHAPE Beta law's quantiles, unclipped: some 12% lie below
+        # T_CLIP, so the bottom atom spans more distinct draws than the
         # anchor spacing and holds some that are not spaced anchors
         alpha, beta, weights = [MIN_SHAPE], [MIN_SHAPE], [1.0]
         quantiles = (np.arange(20000) + 0.5) / 20000
         t = scipy_stats.beta.ppf(quantiles, MIN_SHAPE, MIN_SHAPE)
-        assert np.sum(np.unique(t) <= _EPS) > _KS_STRIDE
+        assert np.sum(np.unique(t) <= T_CLIP) > _KS_STRIDE
     elif case == "weightless-laws":
         # records at the minimum of both raw scores have retention 0: more
         # than _KS_STRIDE leading laws of weight 0, flat ones as such
@@ -504,7 +501,7 @@ def test_mixture_cdf_sums_laws_in_record_order(monkeypatch, n_points, block):
     weights = rng.random(len(alpha))
     weights[:21:3] = weights[-1] = 0.0
     weights /= weights.sum()
-    pool = np.concatenate([[0.0, _EPS, 0.5, 1.0 - _EPS, 1.0, -0.1, 1.1], rng.random(4993)])
+    pool = np.concatenate([[0.0, T_CLIP, 0.5, 1.0 - T_CLIP, 1.0, -0.1, 1.1], rng.random(4993)])
     if block is not None:
         monkeypatch.setattr(analysis, "_KS_BLOCK", block)
     for start in range(0, min(len(pool), 20 * n_points), n_points):

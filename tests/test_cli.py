@@ -19,7 +19,7 @@ from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
 from tqd.quality import normalize_scores, read_manifest, synth_population
 from tqd.sampler import MIN_SHAPE, SamplerConfig, TqdSampler, law_table
-from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload, write_video
+from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload
 from tqd.trainer import (
     MAX_HIDDEN_WIDTH,
     MAX_N_NOISE,
@@ -308,6 +308,27 @@ def test_sample_stats_with_many_weightless_records(tmp_path, capsys):
     assert stats["ks_pass"] is True and 0.0 < stats["ks_stat"] < stats["ks_critical_1pct"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_stats_passes_at_the_score_corners_with_a_million_draws(tmp_path, capsys,
+                                                                      seed):
+    # the two corner laws at kappa_max 1e6 put a sixth of the draws on each
+    # censoring atom; with the atoms at float eps, draws that rounded onto
+    # the top one gave it 0.002 more mass than the reference, which failed
+    # the 1% KS check (critical value 0.00163) on correct draws
+    manifest = tmp_path / "corners.jsonl"
+    _write_lines(manifest, [{"id": "motion", "mq": 1.0, "vq": 0.0},
+                            {"id": "visual", "mq": 0.0, "vq": 1.0}])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa_max": 1e6}))
+    out = tmp_path / "out"
+    code = main(["sample-stats", "--manifest", str(manifest), "--config", str(config),
+                 "--out", str(out), "--n-draws", "1000000", "--seed", str(seed)])
+    assert code == 0, capsys.readouterr().err
+    (run_dir,) = _run_dirs(out)
+    stats = json.loads((run_dir / "stats.json").read_text())
+    assert stats["ks_stat"] < stats["ks_critical_1pct"]
+
+
 def test_sample_stats_rejects_zero_draws(tmp_path, capsys):
     manifest = tmp_path / "flat.jsonl"
     _write_lines(manifest, [{"id": "r", "mq": 2.5, "vq": 2.5}])
@@ -462,14 +483,14 @@ def test_train_missing_payload_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["mixed-shapes", "zero-frames", "nan-pixels"])
-def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case):
+def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case, write_tvid):
     video = generate_moving_shape(motion_speed=1.0, texture_noise=0.02, seed=9,
                                   frames=2, height=5, width=5)
     if case == "zero-frames":
         video = ToyVideo(np.zeros((0, 5, 5)))
     elif case == "nan-pixels":
         video.frames[1, 2, 3] = np.nan
-    write_video(video, tmp_path / "clip.tvid")
+    write_tvid(video, tmp_path / "clip.tvid")
     second = _synth_ref(1.5, 5)
     if case == "mixed-shapes":
         second = second.replace("frames=2", "frames=3")
@@ -510,10 +531,10 @@ def test_negative_seed_flag_is_one_line_usage_error(tmp_path, capsys, command):
     assert "--seed" in err
 
 
-def test_train_resolves_file_payload_against_manifest_dir(tmp_path, capsys):
+def test_train_resolves_file_payload_against_manifest_dir(tmp_path, capsys, write_tvid):
     video = generate_moving_shape(motion_speed=1.0, texture_noise=0.02, seed=9,
                                   frames=2, height=5, width=5)
-    write_video(video, tmp_path / "clip.tvid")
+    write_tvid(video, tmp_path / "clip.tvid")
     manifest = tmp_path / "scores.jsonl"
     _write_lines(manifest, [
         {"id": "file", "mq": 2.0, "vq": 2.1, "payload": "clip.tvid"},

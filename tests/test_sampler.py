@@ -10,6 +10,7 @@ from tqd.sampler import (
     MAX_BATCH_SIZE,
     MAX_KAPPA,
     MIN_SHAPE,
+    T_CLIP,
     SamplerConfig,
     TqdSampler,
     beta_variates,
@@ -131,9 +132,8 @@ def test_bad_scores_raise(mq, vq, message):
     (0.5, 0.5),
 ], ids=["empty", "unequal-lengths", "two-d", "zero-d"])
 def test_sampler_needs_one_d_score_arrays_of_one_length(mq, vq):
-    for baseline in (False, True):
-        with pytest.raises(DataError, match="1-D arrays of one length of at least 1"):
-            TqdSampler(mq, vq, SamplerConfig(), baseline=baseline)
+    with pytest.raises(DataError, match="1-D arrays of one length of at least 1"):
+        TqdSampler(mq, vq, SamplerConfig())
 
 
 class TestBetaVariates:
@@ -197,15 +197,14 @@ class TestBetaVariateChecks:
         (0.05, 0.05), (0.05, 1e6), (1e6, 0.05), (5e5, 5e5), (0.05, 20.0)])
     def test_extreme_shapes_stay_inside_with_atom_masses(self, alpha, beta):
         # the shapes law_table can emit at its limits: draws censored to the
-        # atoms eps and 1 - eps carry the law's mass beyond them
+        # atoms T_CLIP and 1 - T_CLIP carry the law's mass beyond them
         n = 200_000
-        eps = np.finfo(np.float64).eps
         with np.errstate(all="raise"):
             draws = beta_variates(alpha, beta, np.random.default_rng(45), n)
         assert np.isfinite(draws).all()
         assert ((draws > 0.0) & (draws < 1.0)).all()
-        for atom, mass in ((eps, special.betainc(alpha, beta, eps)),
-                           (1.0 - eps, 1.0 - special.betainc(alpha, beta, 1.0 - eps))):
+        for atom, mass in ((T_CLIP, special.betainc(alpha, beta, T_CLIP)),
+                           (1.0 - T_CLIP, 1.0 - special.betainc(alpha, beta, 1.0 - T_CLIP))):
             share = np.mean(draws == atom)
             assert abs(share - mass) <= 5 * np.sqrt(mass * (1.0 - mass) / n)
 
@@ -252,9 +251,11 @@ def test_arm_tables_match_scalar_reference(kappa_base, kappa_max):
     assert np.array_equal(_bits(tqd.alpha), _bits([law[2] for law in laws]))
     assert np.array_equal(_bits(tqd.beta), _bits([law[3] for law in laws]))
     assert np.array_equal(_bits(tqd.retention), _bits([max(v, m) for m, v in scores]))
-    # the baseline arm puts every record at its equal-score law, kept always
-    flat = [_reference_law(m, m, config) for m, _ in scores]
-    baseline = TqdSampler(mq, vq, config, baseline=True)
+    # the baseline arm, the sampler at equal full scores, puts every record
+    # at the equal-score law, kept always
+    flat = [_reference_law(1.0, 1.0, config)] * len(scores)
+    ones = np.ones(len(scores))
+    baseline = TqdSampler(ones, ones, config)
     assert np.array_equal(_bits(baseline.alpha), _bits([law[2] for law in flat]))
     assert np.array_equal(_bits(baseline.beta), _bits([law[3] for law in flat]))
     assert np.array_equal(_bits(baseline.retention), _bits([1.0] * len(scores)))
@@ -310,14 +311,14 @@ class TestPrepareBatch:
             sampler.prepare_batch(np.random.default_rng(55))
 
     def test_baseline_arm_disables_dropout(self):
-        sampler = TqdSampler([0.9, 0.0], [0.1, 0.0], SamplerConfig(batch_size=64), baseline=True)
+        # equal full scores keep every record: each attempt is accepted
+        sampler = TqdSampler([1.0, 1.0], [1.0, 1.0], SamplerConfig(batch_size=64))
         batch = sampler.prepare_batch(np.random.default_rng(56))
         assert batch.attempts == batch.accepted == 64
         assert set(batch.indices.tolist()) == {0, 1}
 
     def test_baseline_timesteps_are_uniform(self):
-        sampler = TqdSampler([0.9], [0.1], SamplerConfig(kappa_base=2.0, batch_size=1000),
-                             baseline=True)
+        sampler = TqdSampler([1.0], [1.0], SamplerConfig(kappa_base=2.0, batch_size=1000))
         rng = np.random.default_rng(57)
         draws = np.concatenate([sampler.prepare_batch(rng).timesteps for _ in range(5)])
         assert stats.kstest(draws, "uniform").pvalue > 0.01
@@ -358,15 +359,18 @@ class TestPrepareBatch:
 
     @pytest.mark.parametrize("kappa_base", [1e-300, 0.05, 0.3, 2.0, 4.0, 7.3e5])
     def test_baseline_matches_symmetric_law_reference(self, kappa_base):
-        # the baseline arm picks records uniformly, then draws every t from
-        # the one scalar law Beta(s, s) of equal scores
+        # the baseline arm runs the rejection loop at equal full scores: it
+        # picks records uniformly, draws keep/drop uniforms that all fall
+        # below retention 1, then draws every t from the one scalar law
+        # Beta(s, s) of equal scores
         config = SamplerConfig(kappa_base=kappa_base, kappa_max=max(20.0, kappa_base),
                                batch_size=500)
         rng = np.random.default_rng(62)
         idx = rng.integers(0, 10, 500)
+        rng.random(500)  # the keep/drop uniforms
         s = max(kappa_base / 2.0, MIN_SHAPE)
         expected_t = beta_variates(s, s, rng, 500)
-        batch = TqdSampler(_ramp(0.1), _ramp(0.05), config, baseline=True).prepare_batch(
+        batch = TqdSampler(np.ones(10), np.ones(10), config).prepare_batch(
             np.random.default_rng(62))
         assert batch.indices.tolist() == idx.tolist()
         assert batch.timesteps.tolist() == expected_t.tolist()

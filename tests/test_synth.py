@@ -22,7 +22,6 @@ from tqd.synth import (
     read_video,
     render_squares,
     resolve_payload,
-    write_video,
 )
 from tqd.errors import DataError
 
@@ -353,17 +352,17 @@ class TestDegrade:
 
 
 class TestVideoIO:
-    def test_round_trip_preserves_float32_pixels(self, tmp_path):
+    def test_round_trip_preserves_float32_pixels(self, tmp_path, write_tvid):
         video = generate_moving_shape(2.0, 0.1, seed=22)
         path = tmp_path / "clip.tvid"
-        write_video(video, path)
+        write_tvid(video, path)
         back = read_video(path)
         assert np.array_equal(back.frames, video.frames.astype(np.float32))
 
-    def test_json_file_next_to_a_video_is_ignored(self, tmp_path):
+    def test_json_file_next_to_a_video_is_ignored(self, tmp_path, write_tvid):
         video = generate_moving_shape(2.0, 0.0, seed=23)
         path = tmp_path / "clip.tvid"
-        write_video(video, path)
+        write_tvid(video, path)
         assert [p.name for p in tmp_path.iterdir()] == ["clip.tvid"]
         (tmp_path / "clip.tvid.json").write_text("{not json")
         assert np.array_equal(read_video(path).frames, video.frames.astype(np.float32))
@@ -381,10 +380,10 @@ class TestVideoIO:
         with pytest.raises(DataError, match=f"more than {MAX_CLIP_PIXELS} pixels"):
             read_video(path)
 
-    def test_truncated_file_raises(self, tmp_path):
+    def test_truncated_file_raises(self, tmp_path, write_tvid):
         video = generate_moving_shape(2.0, 0.0, seed=24)
         path = tmp_path / "clip.tvid"
-        write_video(video, path)
+        write_tvid(video, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
             read_video(path)
@@ -406,9 +405,9 @@ class TestResolvePayload:
         with pytest.raises(DataError, match="synth payload"):
             resolve_payload(ref)
 
-    def test_file_reference_resolves_against_base_dir(self, tmp_path):
+    def test_file_reference_resolves_against_base_dir(self, tmp_path, write_tvid):
         video = generate_moving_shape(2.0, 0.0, seed=25)
-        write_video(video, tmp_path / "clip.tvid")
+        write_tvid(video, tmp_path / "clip.tvid")
         back = resolve_payload("clip.tvid", base_dir=tmp_path)
         assert np.array_equal(back.frames, video.frames.astype(np.float32))
 

@@ -486,6 +486,33 @@ def test_baseline_arm_accepts_everything():
     assert state.acceptance_history == [1.0] * 20
 
 
+def test_baseline_arm_is_the_sampler_at_equal_full_scores():
+    # the baseline flag only swaps the scores for ones: the same bits as
+    # training the quality-aware arm on mq = vq = 1
+    videos = [_video(seed=i) for i in range(3)]
+    sampler_cfg = SamplerConfig(batch_size=4)
+    base = train(videos, [0.1, 0.9, 0.4], [0.7, 0.0, 0.4], sampler_cfg,
+                 TrainerConfig(steps=12, hidden_width=16, seed=5, baseline=True))
+    ones = train(videos, np.ones(3), np.ones(3), sampler_cfg,
+                 TrainerConfig(steps=12, hidden_width=16, seed=5))
+    assert base.loss_history == ones.loss_history
+    assert base.mean_t_history == ones.mean_t_history
+    assert base.acceptance_history == ones.acceptance_history
+    assert np.array_equal(base.model.theta.view(np.uint64), ones.model.theta.view(np.uint64))
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+@pytest.mark.parametrize("mq, vq, name", [
+    ([0.5, 1.5], [0.5, 0.5], "mq_norm"),
+    ([0.5, 0.5], [-0.1, 0.5], "vq_norm"),
+    ([0.5, float("nan")], [0.5, 0.5], "mq_norm"),
+])
+def test_out_of_range_scores_are_data_errors_in_both_arms(mq, vq, name, baseline):
+    with pytest.raises(DataError, match=f"{name} must be in \\[0, 1\\]"):
+        train([_video(), _video(seed=5)], mq, vq, SamplerConfig(batch_size=4),
+              TrainerConfig(steps=1, seed=0, baseline=baseline))
+
+
 def test_quality_arm_skews_timesteps_toward_motion():
     # a single high-motion low-visual record puts most timestep mass
     # above one half; the baseline flat law stays centered
