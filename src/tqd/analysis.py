@@ -23,7 +23,7 @@ from .quality import (
     inject_score_noise,
     normalize_scores,
     pearson_correlation,
-    quadrant_of,
+    quadrants,
 )
 from .sampler import T_CLIP, SamplerConfig, TqdSampler, law_table
 from .synth import DegradationSpec, ToyVideo, degrade
@@ -355,11 +355,9 @@ def timestep_histogram(
         if acc_e >= 5.0:
             groups.append((acc_o, acc_e))
             acc_o, acc_e = 0.0, 0.0
-    if acc_e > 0 and groups:
+    if acc_e > 0:  # expected sums to n_draws >= 1000: a group has closed
         last_o, last_e = groups[-1]
         groups[-1] = (last_o + acc_o, last_e + acc_e)
-    elif acc_e > 0:
-        groups.append((acc_o, acc_e))
     chi_square = float(sum((o - e) ** 2 / e for o, e in groups))
     dof = max(1, len(groups) - 1)
     pvalue = float(chdtrc(dof, chi_square))
@@ -449,19 +447,10 @@ def quadrant_report(
 ) -> QuadrantReport:
     """Quadrant fractions plus score correlation, as JSON dict and table.
 
-    Thresholds default to the per-metric medians of the raw scores.
+    Records split as quality.quadrants splits them, at the medians by default.
     """
-    if not records:
-        raise DataError("no records to report on (empty after filtering?)")
-    mq = np.array([r.mq_raw for r in records])
-    vq = np.array([r.vq_raw for r in records])
-    if mq_threshold is None:
-        mq_threshold = float(np.median(mq))
-    if vq_threshold is None:
-        vq_threshold = float(np.median(vq))
-    counts = dict.fromkeys(QUADRANTS, 0)
-    for rec in records:
-        counts[quadrant_of(rec, mq_threshold, vq_threshold)] += 1
+    labels, mq_threshold, vq_threshold = quadrants(records, mq_threshold, vq_threshold)
+    counts = {key: int(np.count_nonzero(labels == key)) for key in QUADRANTS}
     fractions = {k: counts[k] / len(records) for k in QUADRANTS}
     corr = pearson_correlation(records)
     data = {

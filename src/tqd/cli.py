@@ -45,7 +45,7 @@ from .quality import (
     QUADRANTS,
     inject_score_noise,
     normalize_scores,
-    quadrant_of,
+    quadrants,
     read_manifest,
 )
 from .sampler import MAX_BATCH_SIZE, SamplerConfig, TqdSampler
@@ -82,8 +82,8 @@ _SAMPLE_STATS_KEYS = {  # not batch_size: sample-stats sets it from n_draws
 _TRAIN_KEYS = {
     "manifest": (str, None), **_keys(SamplerConfig), **_keys(TrainerConfig),
     "noise_level": (float, 0.0), "filter_quadrants": (list, None),
-    # raw-score quadrant thresholds of filter_quadrants
-    "mq_threshold": (float, 2.5), "vq_threshold": (float, 2.7),
+    # filter_quadrants' thresholds: a None one is the manifest's median raw score
+    "mq_threshold": (float, None), "vq_threshold": (float, None),
 }
 _PROBE_KEYS = {
     "model": (str, None), "seed": (int, 0),
@@ -370,11 +370,11 @@ def cmd_train(args) -> int:
 
     records = read_manifest(manifest)
     if quads is not None:
-        kept = [rec for rec in records if quadrant_of(
-            rec, params["mq_threshold"], params["vq_threshold"]) in quads]
-        if not kept:
+        labels, params["mq_threshold"], params["vq_threshold"] = quadrants(
+            records, params["mq_threshold"], params["vq_threshold"])
+        records = [rec for rec, label in zip(records, labels) if label in quads]
+        if not records:
             raise DataError(f"no records left after filter quadrant={','.join(quads)}")
-        records = kept
     records = inject_score_noise(records, params["noise_level"], trainer_cfg.seed)
     mq, vq = normalize_scores(records)
 

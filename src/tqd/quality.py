@@ -78,14 +78,22 @@ def _check_range(name: str, lo: float, hi: float) -> None:
                         f"overflows a float")
 
 
-def quadrant_of(record: QualityRecord, mq_threshold: float, vq_threshold: float) -> str:
-    """The record's quality quadrant, one of QUADRANTS.
-
-    Thresholds are in raw-score units. A score strictly greater than its
-    threshold counts as "high"; an exact tie goes to "low".
+def quadrants(records: list[QualityRecord], mq_threshold: float | None = None,
+              vq_threshold: float | None = None) -> tuple[np.ndarray, float, float]:
+    """(labels, mq_threshold, vq_threshold): labels[i], one of QUADRANTS,
+    is records[i]'s quadrant. Thresholds are raw scores; a None one is
+    that score's median over the records. A score strictly greater than
+    its threshold is "high"; a tie, or a NaN threshold, is "low".
     """
-    return (("H" if record.mq_raw > mq_threshold else "L") + "M"
-            + ("H" if record.vq_raw > vq_threshold else "L") + "V")
+    if not records:
+        raise DataError("no records to split into quadrants (empty after filtering?)")
+    mq = np.array([r.mq_raw for r in records])
+    vq = np.array([r.vq_raw for r in records])
+    mq_threshold = float(np.median(mq)) if mq_threshold is None else mq_threshold
+    vq_threshold = float(np.median(vq)) if vq_threshold is None else vq_threshold
+    # QUADRANTS runs HMHV, HMLV, LMHV, LMLV: the index is 2 x low MQ + low VQ
+    labels = np.array(QUADRANTS)[3 - 2 * (mq > mq_threshold) - (vq > vq_threshold)]
+    return labels, mq_threshold, vq_threshold
 
 
 def pearson_correlation(records: list[QualityRecord]) -> PopulationStats:

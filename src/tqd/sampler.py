@@ -49,7 +49,8 @@ MIN_SHAPE = 0.05
 ATTEMPTS_PER_SLOT = 1000
 
 # Largest batch_size SamplerConfig accepts: a batch's draws and their
-# clips must fit in memory. The largest batch in use is 10 000.
+# clips must fit in memory. `sample-stats` draws min(n_draws, this) per
+# batch, so it reaches the limit at 65 536 draws or more.
 MAX_BATCH_SIZE = 65536
 
 # Largest kappa_max SamplerConfig accepts. A Beta law this concentrated has

@@ -314,6 +314,48 @@ def test_quality_aware_training_beats_baseline_on_imbalanced_data(tmp_path):
              f"{wins}/5 wins, " + ", ".join(details) + f", {elapsed:.0f}s")
 
 
+# The headline run's slice: on the training-win gate's ladder, `train
+# --filter quadrant=HMLV,LMHV` keeps exactly the records that `curate` puts
+# in those quadrants, split at curate's median thresholds, and echoes them.
+def test_train_filter_keeps_the_records_curate_puts_in_its_quadrants(tmp_path, capsys):
+    manifest = tmp_path / "ladder.jsonl"
+    _ladder_manifest(manifest)
+    assert cli_main(["curate", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "curate")]) == 0
+    (curated,) = (tmp_path / "curate").iterdir()
+    report = json.loads((curated / "quadrant_report.json").read_text())
+    mq_thr, vq_thr = report["mq_threshold"], report["vq_threshold"]
+    assert (mq_thr, vq_thr) == (1.5, 1.5)
+    assert report["counts"]["HMLV"] + report["counts"]["LMHV"] == 19
+
+    # the same records picked by hand: exactly one score above its threshold
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    picked = [row for row in rows if (row["mq"] > mq_thr) != (row["vq"] > vq_thr)]
+    assert len(picked) == 19
+    subset = tmp_path / "picked.jsonl"
+    subset.write_text("".join(json.dumps(row) + "\n" for row in picked))
+
+    train = ["train", "--steps", "20", "--seed", "0"]
+    assert cli_main([*train, "--manifest", str(manifest), "--out", str(tmp_path / "filtered"),
+                     "--filter", "quadrant=HMLV,LMHV"]) == 0
+    assert "on 19 records" in capsys.readouterr().out
+    assert cli_main([*train, "--manifest", str(subset), "--out", str(tmp_path / "picked")]) == 0
+    (filtered,) = (tmp_path / "filtered").iterdir()
+    (direct,) = (tmp_path / "picked").iterdir()
+    for name in ("checkpoint.bin", "training_log.csv"):
+        assert (filtered / name).read_bytes() == (direct / name).read_bytes()
+
+    echo = filtered / "resolved_config.json"
+    params = json.loads(echo.read_text())["params"]
+    assert (params["mq_threshold"], params["vq_threshold"]) == (1.5, 1.5)
+    assert cli_main(["train", "--config", str(echo), "--out", str(tmp_path / "rerun")]) == 0
+    (rerun,) = (tmp_path / "rerun").iterdir()
+    assert rerun.name == filtered.name
+    names = sorted(p.name for p in filtered.iterdir())
+    assert names == sorted(p.name for p in rerun.iterdir())
+    assert all((filtered / n).read_bytes() == (rerun / n).read_bytes() for n in names)
+
+
 # 8. Scorer noise: the mean shift of the law centers must grow with the
 #    injected noise level, and the zero level must be the clean run.
 def test_scorer_noise_shift_is_monotone_and_zero_at_clean(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface: exit codes, run
 directories, echoed configs, and artifact contents."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -347,6 +348,27 @@ def test_sample_stats_too_few_draws_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_stats_goodness_of_fit_miss_writes_its_run_then_exits_4(
+        tmp_path, capsys, monkeypatch):
+    real = analysis.timestep_histogram
+    monkeypatch.setattr("tqd.cli.timestep_histogram", lambda *args, **kwargs:
+                        dataclasses.replace(real(*args, **kwargs), ks_stat=1.0))
+    manifest = tmp_path / "flat.jsonl"
+    _write_lines(manifest, [{"id": "r", "mq": 2.5, "vq": 2.5}])
+    out = tmp_path / "o"
+    code = main(["sample-stats", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "goodness-of-fit" in err
+    assert err.count("\n") == 1
+    (run_dir,) = _run_dirs(out)
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "histogram.csv", "laws.csv", "resolved_config.json", "stats.json"]
+    stats = json.loads((run_dir / "stats.json").read_text())
+    assert stats["ks_stat"] == 1.0
+    assert stats["ks_pass"] is False and stats["chi_square_pass"] is True
+
+
 def test_sample_stats_non_finite_statistic_is_numeric_error(tmp_path, capsys, monkeypatch):
     # a NaN KS statistic must not read as a failed fit, nor reach
     # stats.json, where NaN is not JSON
@@ -445,12 +467,25 @@ def test_train_filter_keeps_named_quadrants(tmp_path, capsys):
     assert "on 2 records" in capsys.readouterr().out
 
 
-def test_train_filter_validates_quadrant_names(tmp_path, capsys):
+@pytest.mark.parametrize("given, code, expected", [
+    (["--filter", "quadrant=XXXX"], 1, "unknown quadrant 'XXXX'"),
+    (["--filter", "speed=2"], 1, "unsupported filter 'speed=2'"),
+    (["--filter", "quadrant="], 1, "empty quadrant filter"),
+    ({"filter_quadrants": ["XXXX"]}, 3, "config key filter_quadrants"),
+], ids=["unknown-quadrant", "other-key", "no-quadrants", "unknown-config-quadrant"])
+def test_train_filter_validates_quadrant_names(tmp_path, capsys, given, code, expected):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
-    code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
-                 "--steps", "5", "--filter", "quadrant=XXXX"])
-    assert code == 1
-    assert "XXXX" in capsys.readouterr().err
+    if isinstance(given, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(given))
+        given = ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main(["train", "--manifest", str(manifest), "--out", str(out), "--steps", "5",
+                 *given]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 1 else "data error: ")
+    assert expected in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_filter_to_nothing_is_data_error(tmp_path, capsys):
@@ -459,8 +494,11 @@ def test_train_filter_to_nothing_is_data_error(tmp_path, capsys):
         {"id": "a", "mq": 2.0, "vq": 2.0, "payload": _synth_ref(1.0, 1)},
         {"id": "b", "mq": 2.1, "vq": 2.1, "payload": _synth_ref(1.0, 2)},
     ])
-    code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
-                 "--steps", "5", "--filter", "quadrant=HMHV"])
+    # thresholds above every score; at the medians, b would be HMHV
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mq_threshold": 2.5, "vq_threshold": 2.7}))
+    code = main(["train", "--manifest", str(manifest), "--config", str(config),
+                 "--out", str(tmp_path / "out"), "--steps", "5", "--filter", "quadrant=HMHV"])
     assert code == 3
     assert "no records left" in capsys.readouterr().err
 
@@ -517,6 +555,9 @@ def test_train_rejects_negative_flags(tmp_path, capsys):
                  "--steps", "-1"]) == 1
     assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
                  "--steps", "5", "--noise-level", "-0.5"]) == 1
+    assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                 "--steps", "5", "--noise-level", "abc"]) == 1
+    assert "finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "sample-stats", "probe"])
@@ -685,9 +726,12 @@ def _write_raw_checkpoint(path, data_shape, hidden_width, n_freqs, stated=None):
     # int64, and a width over the limit
     ([2, 5, 5], 8, 2, {"data_shape": [2**32, 2**32, 1]}),
     ([2, 5, 5], 8, 2, {"hidden_width": MAX_HIDDEN_WIDTH + 1}),
+    # an integer count that the parameters and the architecture disagree with
+    ([2, 5, 5], 8, 2, {"param_count": 1}),
 ], ids=["zero-width", "zero-freqs", "zero-height", "negative-width", "two-dims",
         "string-count", "null-count", "list-count", "float-dim", "string-shape",
-        "bool-width", "float-freqs", "wrapping-pixel-count", "width-over-limit"])
+        "bool-width", "float-freqs", "wrapping-pixel-count", "width-over-limit",
+        "wrong-count"])
 def test_probe_checkpoint_without_valid_architecture_is_artifact_error(
         tmp_path, capsys, data_shape, hidden_width, n_freqs, stated):
     _, config = _tiny_probe_setup(tmp_path)
@@ -721,6 +765,7 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"degradations": [{"kind": "blur", "strength": float("nan")}]}, None),
     ("train", "{not json", None),
     ("train", "[1, 2]", None),
+    ("train", {"command": "train", "params": [1]}, None),
     ("train", {"seed": -2}, None),
     ("probe", {"seed": -4}, None),
     ("probe", {"t_grid": []}, None),
@@ -766,7 +811,7 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"samples": {"frames": 1, "height": 1, "width": 10**400}}, None),
 ], ids=["duplicate-ids", "non-string-payload", "float-steps", "string-baseline", "string-kappa",
         "string-draws", "float-n-noise", "nan-strength", "malformed-json",
-        "non-object", "negative-seed", "negative-probe-seed", "empty-t-grid",
+        "non-object", "non-object-params", "negative-seed", "negative-probe-seed", "empty-t-grid",
         "no-degradations", "negative-degradation-seed", "inverted-speed-range",
         "zero-frames", "t-grid-out-of-range", "too-few-draws", "zero-n-noise",
         "one-level-compression", "shuffle-fraction-two", "unknown-key",

@@ -15,7 +15,7 @@ from tqd.quality import (
     inject_score_noise,
     normalize_scores,
     pearson_correlation,
-    quadrant_of,
+    quadrants,
     read_manifest,
     synth_population,
     write_manifest,
@@ -108,8 +108,9 @@ class TestNormalizeScores:
 
 
 class TestPartitionQuadrants:
-    """Quadrant counts, by quadrant_of, as quadrant_report gives them; the
-    report also correlates the scores, so it needs 3 non-constant records."""
+    """Quadrant labels by quadrants, and the counts quadrant_report gives
+    from them; the report also correlates the scores, so it needs 3
+    non-constant records."""
 
     def test_one_record_per_quadrant(self):
         data = quadrant_report(
@@ -122,8 +123,29 @@ class TestPartitionQuadrants:
         assert data["fractions"]["HMHV"] == 1.0
 
     def test_exact_threshold_counts_as_low(self):
-        (rec,) = _records([(2.5, 2.7)])
-        assert quadrant_of(rec, 2.5, 2.7) == "LMLV"
+        labels, mq_thr, vq_thr = quadrants(_records([(2.5, 2.7)]), 2.5, 2.7)
+        assert labels.tolist() == ["LMLV"]
+        assert (mq_thr, vq_thr) == (2.5, 2.7)
+
+    def test_labels_follow_record_order(self):
+        labels, *_ = quadrants(_records([(2, 2), (3, 2), (2, 3), (3, 3)]), 2.5, 2.7)
+        assert labels.tolist() == ["LMLV", "HMLV", "LMHV", "HMHV"]
+
+    def test_none_threshold_is_that_scores_median(self):
+        # one threshold given, the other the median; the median record
+        # ties it and counts as low
+        recs = _records([(1, 10), (2, 30), (3, 20), (4, 40), (5, 50)])
+        labels, mq_thr, vq_thr = quadrants(recs, mq_threshold=2.5)
+        assert (mq_thr, vq_thr) == (2.5, 30.0)
+        assert labels.tolist() == ["LMLV", "LMLV", "HMLV", "HMHV", "HMHV"]
+
+    def test_nan_threshold_counts_every_score_as_low(self):
+        labels, *_ = quadrants(_records([(1, 1), (9, 9)]), math.nan, math.nan)
+        assert labels.tolist() == ["LMLV", "LMLV"]
+
+    def test_no_records_raises(self):
+        with pytest.raises(DataError, match="empty after filtering"):
+            quadrants([])
 
     def test_empty_input_raises(self):
         with pytest.raises(DataError):

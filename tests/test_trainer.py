@@ -614,9 +614,13 @@ def test_checkpoint_rejects_truncation_and_param_mismatch(tmp_path):
     ("trailing-bytes", "parameters"),
     ("header-past-eof", "truncated"),
     ("one-double-short", "parameters"),
+    ("non-json-header", "malformed checkpoint header"),
+    ("list-header", "malformed checkpoint header"),
+    ("empty-header", "malformed checkpoint header"),
 ])
 def test_checkpoint_rejects_a_payload_off_its_header(tmp_path, case, match):
-    # every size is compared with the file's before the parameters are read
+    # every size is compared with the file's before the parameters are read,
+    # and so is a header that is not an object holding the architecture
     model = VelocityModel.init((1, 3, 3), seed=0, hidden_width=8)
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
@@ -625,8 +629,13 @@ def test_checkpoint_rejects_a_payload_off_its_header(tmp_path, case, match):
         raw += bytes(8)
     elif case == "header-past-eof":
         raw = raw[:4] + struct.pack("<I", len(raw)) + raw[8:]
-    else:
+    elif case == "one-double-short":
         raw = raw[:-8]
+    else:
+        header = {"non-json-header": b"{not json", "list-header": b"[1]",
+                  "empty-header": b"{}"}[case]
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        raw = raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + hlen:]
     path.write_bytes(raw)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
