@@ -36,6 +36,17 @@ from .trainer import grad_at_timestep  # noqa: F401
 PROBE_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 PROBE_N_NOISE = 16
 
+# Longest t_grid gradient_probe accepts: it derives one noise seed per
+# sample and timestep (a Python int each, about 40 MB at 1024 samples) and
+# returns a float64 per sample, degradation and timestep (64 MiB at 1024
+# samples and MAX_PROBE_DEGRADATIONS). The longest grid in use has 9 points.
+MAX_PROBE_TIMESTEPS = 1024
+# Most degradations gradient_probe accepts: every sample's degraded copies
+# are held at once, 512 KiB each at synth.MAX_CLIP_PIXELS, and each copy adds
+# 2 n_noise hidden_width float64s per timestep to gradient_distances'
+# blocks. The most in use is 5.
+MAX_PROBE_DEGRADATIONS = 8
+
 # fewest timestep draws timestep_histogram accepts for stable statistics
 MIN_HISTOGRAM_DRAWS = 1000
 
@@ -109,8 +120,14 @@ def gradient_probe(
         raise DataError("gradient probe needs at least one sample")
     if not degradations:
         raise DataError("gradient probe needs at least one degradation")
+    if len(degradations) > MAX_PROBE_DEGRADATIONS:
+        raise DataError(f"gradient probe takes at most {MAX_PROBE_DEGRADATIONS} "
+                        f"degradations, got {len(degradations)}")
     if not t_grid:
         raise DataError("t_grid must hold at least one timestep")
+    if len(t_grid) > MAX_PROBE_TIMESTEPS:
+        raise DataError(f"t_grid must hold at most {MAX_PROBE_TIMESTEPS} timesteps, "
+                        f"got {len(t_grid)}")
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise DataError("t_grid must be strictly increasing")

@@ -103,7 +103,8 @@ _PROBE_SAMPLE_KEYS = {
 _DEGRADATION_KEYS = {"kind": (str, ...), "strength": (float, ...), "seed": (int, 0)}
 
 # Largest probe samples.n: every sample and its degraded copies are held at
-# once, 2.5 MiB per sample at synth.MAX_CLIP_PIXELS with four degradations.
+# once, 512 KiB per clip at synth.MAX_CLIP_PIXELS: 2.5 MiB per sample with
+# the four default degradations, 4.5 MiB at analysis.MAX_PROBE_DEGRADATIONS.
 # The largest n in use is 40.
 MAX_PROBE_SAMPLES = 1024
 

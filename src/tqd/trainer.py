@@ -42,8 +42,10 @@ FINAL_LOSS_WINDOW = 0.1
 MAX_HIDDEN_WIDTH = 4096
 
 # Largest n_noise the probe's gradients accept: gradient_distances holds
-# (copies, n_noise, n_noise) Gram blocks, 32 MiB each for four copies at
-# this value, and (n_noise, pixels) noise. The largest n_noise in use is 16.
+# (copies, n_noise, n_noise) Gram blocks, 8 MiB per copy at this value, and
+# the (n_noise, pixels) noise rows of each timestep in a block: 512 MiB for
+# one timestep at synth.MAX_CLIP_PIXELS, which then runs alone (see
+# _PROBE_BLOCK_BYTES). The largest n_noise in use is 16.
 MAX_N_NOISE = 1024
 
 # elements per adam_update chunk: two float64 scratch buffers of this
@@ -54,6 +56,15 @@ _ADAM_CHUNK = 16384
 # the probe's other products. One product over all H rows made BLAS touch
 # more of its work buffers, which showed as a higher peak RSS.
 _G3_ROWS = 16
+
+# Largest block of timesteps gradient_distances takes at once, in bytes of
+# n_noise (D + 2 (1+K) H) float64s per timestep: its noise rows, D pixels
+# wide, and its a1 and a2 rows for the video and K copies, H wide. The
+# probe's defaults (9 timesteps at 16 x 2048 pixels, width 128, four
+# copies: 3.7 MiB) and the crossing gate's 2-point grid fit one block; a
+# timestep over the cap, as at MAX_N_NOISE x synth.MAX_CLIP_PIXELS, runs
+# alone.
+_PROBE_BLOCK_BYTES = 4 << 20
 
 _LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
@@ -324,6 +335,15 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
     v . v' and ||feats||^2; v W1x and the v . v' products are taken once
     per video.
 
+    A video's timesteps run in blocks that fit _PROBE_BLOCK_BYTES. A
+    block's noise rows, for all its timesteps, sit in one buffer that
+    every block reuses, so each D-wide product with the noise (x1 W1x,
+    x1 v_k^T, x1 delta^T) is one product over all the block's rows. Once
+    a timestep's forward pass is done, its output rows b0 overwrite its
+    noise rows, and b0 W3^T and b0 delta^T are likewise one product each.
+    The x1 x1^T and b0 b0^T Grams are taken per timestep, so no stacked
+    copy of the buffer is made.
+
     The output layer is D wide, against H for the hidden ones, so only
     the video's own output rows b0 = c (a2_0 W3 + b3 - x1 + v_0),
     c = 2 / (n D), are formed. A copy's difference rows are
@@ -356,6 +376,10 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
     w1x, w1f, w3 = views["W1"][:d], views["W1"][d:], views["W3"]
     # G3 = W3 W3^T (H, H), in blocks of _G3_ROWS rows
     g3 = np.concatenate([w3[i:i + _G3_ROWS] @ w3.T for i in range(0, len(w3), _G3_ROWS)])
+    n_copies = len(copies[0]) if copies else 0
+    step_bytes = n_noise * (d + 2 * (1 + n_copies) * model.hidden_width) * 8
+    block = max(1, min(len(t_grid), _PROBE_BLOCK_BYTES // step_bytes))
+    noise = np.empty((block * n_noise, d))
 
     dists = []
     for video, clips, seeds in zip(videos, copies, noise_seeds):
@@ -372,56 +396,70 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
         vk_sq = np.einsum("kd,kd->k", vk, vk)
 
         sq = np.empty((len(clips), len(t_grid)))
-        for j, (t, seed) in enumerate(zip(t_grid, seeds)):
-            s = 1.0 - t
-            x1 = np.random.default_rng(seed).standard_normal((n_noise, d))
-            feats = time_features(t, model.n_freqs)
+        for j0 in range(0, len(t_grid), block):
+            ts = t_grid[j0:j0 + block]
+            rows = [slice(i * n_noise, (i + 1) * n_noise) for i in range(len(ts))]
+            x1 = noise[:len(ts) * n_noise]  # timestep i's noise in rows[i]
+            for r, seed in zip(rows, seeds[j0:j0 + block]):
+                np.random.default_rng(seed).standard_normal(out=x1[r])
+            x1_w1 = x1 @ w1x
+            cx = vk @ x1.T  # (K, rows): x1_r . v_k
+            dx = delta @ x1.T  # (K, rows): x1_r . delta
 
-            # forward for every video at once, (1+K, n, H) per layer
-            z1 = t * (x1 @ w1x) + (s * v_w1 + (feats @ w1f + views["b1"]))
-            _check_finite(z1, 1, "W1")
-            a1 = np.tanh(z1)
-            z2 = a1 @ views["W2"] + views["b2"]
-            _check_finite(z2, 2, "W2")
-            a2 = np.tanh(z2)
-            # the video's output gradient b0 = c (out - target), with
-            # target = x1 - v_0, in place
-            b0 = a2[0] @ w3
-            b0 += views["b3"]
-            _check_finite(b0, 3, "W3")
-            b0 -= x1
-            b0 += v[0]
-            b0 *= c
+            # forward for every video at once, (1+K, n, H) per layer; each
+            # timestep keeps its a1 and a2 for its backward pass
+            fwd = []
+            for t, r in zip(ts, rows):
+                feats = time_features(t, model.n_freqs)
+                z1 = t * x1_w1[r] + ((1.0 - t) * v_w1 + (feats @ w1f + views["b1"]))
+                _check_finite(z1, 1, "W1")
+                a1 = np.tanh(z1)
+                z2 = a1 @ views["W2"] + views["b2"]
+                _check_finite(z2, 2, "W2")
+                a2 = np.tanh(z2)
+                fwd.append((feats, a1, a2, _gram(x1[r], x1[r])))
+                # the video's output gradient b0 = c (out - target), with
+                # target = x1 - v_0, written over the noise rows
+                out = a2[0] @ w3
+                out += views["b3"]
+                _check_finite(out, 3, "W3")
+                b0_t = np.subtract(out, x1[r], out=x1[r])
+                b0_t += v[0]
+                b0_t *= c
+            b0 = x1  # every timestep's noise rows now hold its b0 rows
+            b0_w3 = b0 @ w3.T
+            db0 = delta @ b0.T  # (K, rows): b0_r . delta
 
-            # backward: every video's b W3^T from b0 W3^T and G3
-            da2 = a2[0] - a2[1:]  # (K, n, H)
-            da2_g3 = da2 @ g3
-            b0_w3 = b0 @ w3.T  # (n, H)
-            d_a2 = np.empty_like(a2)
-            d_a2[0] = b0_w3
-            d_a2[1:] = b0_w3 - c * (da2_g3 + delta_w3[:, None, :])
-            d_z2 = d_a2 * (1.0 - a2 * a2)
-            d_z1 = (d_z2 @ views["W2"].T) * (1.0 - a1 * a1)
+            for i, (t, r, (feats, a1, a2, x1_gram)) in enumerate(zip(ts, rows, fwd)):
+                s = 1.0 - t
+                # backward: every video's b W3^T from b0 W3^T and G3
+                da2 = a2[0] - a2[1:]  # (K, n, H)
+                da2_g3 = da2 @ g3
+                d_a2 = np.empty_like(a2)
+                d_a2[0] = b0_w3[r]
+                d_a2[1:] = b0_w3[r] - c * (da2_g3 + delta_w3[:, None, :])
+                d_z2 = d_a2 * (1.0 - a2 * a2)
+                d_z1 = (d_z2 @ views["W2"].T) * (1.0 - a1 * a1)
 
-            # first-layer input Gram blocks, from x_r = [t x1_r + s v; feats]
-            cx = vk @ x1.T  # (K, n): x1_r . v_k
-            gram_dd = (s * s * delta_sq)[:, None, None]
-            gram_dk = s * (t * (delta @ x1.T)[:, None, :] + s * delta_vk[:, None, None])
-            gram_kk = (t * t * _gram(x1, x1)
-                       + t * s * (cx[:, :, None] + cx[:, None, :])
-                       + (s * s * vk_sq + feats @ feats)[:, None, None])
-            sq_t = _stacked_sq_dists(gram_dd, gram_dk, gram_kk, d_z1)
-            da1 = a1[0] - a1[1:]
-            sq_t += _stacked_sq_dists(_gram(da1, da1), _gram(da1, a1[1:]),
-                                      _gram(a1[1:], a1[1:]), d_z2)
-            # output layer: b0 . db and db . db without the D-wide db rows
-            u = (da2 @ delta_w3[:, :, None])[..., 0]  # (K, n): da_r W3 delta^T
-            b0d = c * (_gram(b0_w3, da2) + (delta @ b0.T)[:, :, None])
-            bdd = c * c * (_gram(da2_g3, da2) + u[:, :, None] + u[:, None, :]
-                           + delta_sq[:, None, None])
-            sq_t += _layer_sq_dists(_gram(da2, da2), _gram(da2, a2[1:]),
-                                    _gram(a2[1:], a2[1:]), _gram(b0, b0), b0d, bdd)
-            sq[:, j] = sq_t
+                # first-layer input Gram blocks, from x_r = [t x1_r + s v; feats]
+                gram_dd = (s * s * delta_sq)[:, None, None]
+                gram_dk = s * (t * dx[:, None, r] + s * delta_vk[:, None, None])
+                gram_kk = (t * t * x1_gram
+                           + t * s * (cx[:, r, None] + cx[:, None, r])
+                           + (s * s * vk_sq + feats @ feats)[:, None, None])
+                sq_t = _stacked_sq_dists(gram_dd, gram_dk, gram_kk, d_z1)
+                da1 = a1[0] - a1[1:]
+                sq_t += _stacked_sq_dists(_gram(da1, da1), _gram(da1, a1[1:]),
+                                          _gram(a1[1:], a1[1:]), d_z2)
+                # output layer: b0 . db and db . db without the D-wide db rows
+                u = (da2 @ delta_w3[:, :, None])[..., 0]  # (K, n): da_r W3 delta^T
+                b0d = c * (_gram(b0_w3[r], da2) + db0[:, r, None])
+                bdd = c * c * (_gram(da2_g3, da2) + u[:, :, None] + u[:, None, :]
+                               + delta_sq[:, None, None])
+                sq_t += _layer_sq_dists(_gram(da2, da2), _gram(da2, a2[1:]),
+                                        _gram(a2[1:], a2[1:]), _gram(b0[r], b0[r]), b0d,
+                                        bdd)
+                sq[:, j0 + i] = sq_t
         if not np.all(np.isfinite(sq)):
             raise NumericError("non-finite gradient distance")
         dists.append(np.sqrt(np.maximum(sq, 0.0)))

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.special import betainc
 
-from tqd import analysis
+from tqd import analysis, trainer
 from tqd.analysis import (
     _KS_BLOCK,
     _KS_STRIDE,
@@ -107,14 +107,34 @@ _EQUIV_SPECS = [DegradationSpec("blur", 2.0, seed=0), DegradationSpec("compressi
                 DegradationSpec("blur", 0.0, seed=0)]
 
 
-@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
-def test_probe_matches_per_copy_gradients(trained):
+def _cap_blocks(monkeypatch, model, per_block):
+    """Cap gradient_distances' timestep blocks at per_block timesteps of
+    PROBE_N_NOISE rows, for a video with len(_EQUIV_SPECS) copies; None
+    keeps the default cap, which fits a 3-point grid in one block at both
+    test shapes."""
+    step_bytes = PROBE_N_NOISE * 8 * (model.data_dim
+                                      + 2 * (1 + len(_EQUIV_SPECS)) * model.hidden_width)
+    if per_block is None:
+        assert trainer._PROBE_BLOCK_BYTES >= 3 * step_bytes
+    else:
+        monkeypatch.setattr(trainer, "_PROBE_BLOCK_BYTES", per_block * step_bytes)
+
+
+_BLOCKINGS = pytest.mark.parametrize("trained, per_block", [
+    pytest.param(trained, per_block,
+                 id=name + ("" if per_block is None else f"-{per_block}-per-block"))
+    for per_block in (None, 1, 2) for trained, name in ((False, "untrained"), (True, "trained"))])
+
+
+@_BLOCKINGS
+def test_probe_matches_per_copy_gradients(trained, per_block, monkeypatch):
     samples = [_video(seed=s, speed=2.0 + 0.5 * s, tex=0.02, frames=8, height=16, width=16)
                for s in range(2)]
     if trained:
         model = _trained_model(samples)
     else:
         model = VelocityModel.init((8, 16, 16), seed=5, hidden_width=16, zero_final=False)
+    _cap_blocks(monkeypatch, model, per_block)
     t_grid = [0.1, 0.5, 0.9]
     curves = gradient_probe(model, samples, _EQUIV_SPECS, t_grid=t_grid,
                             n_noise=PROBE_N_NOISE, noise_seed=3)
@@ -125,8 +145,8 @@ def test_probe_matches_per_copy_gradients(trained):
     assert np.all(got[-1] == 0.0) and np.all(got[:-1] > 0.0)
 
 
-@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
-def test_probe_matches_per_copy_gradients_with_narrow_output(trained):
+@_BLOCKINGS
+def test_probe_matches_per_copy_gradients_with_narrow_output(trained, per_block, monkeypatch):
     # D = 32 pixels under a width-64 hidden layer: W3 W3^T is 64 x 64 of
     # rank at most 32, the opposite of the probe's default shape
     samples = [_video(seed=s, speed=1.0 + 0.5 * s, tex=0.02, frames=2, height=4, width=4)
@@ -135,6 +155,7 @@ def test_probe_matches_per_copy_gradients_with_narrow_output(trained):
         model = _trained_model(samples, hidden_width=64)
     else:
         model = VelocityModel.init((2, 4, 4), seed=5, hidden_width=64, zero_final=False)
+    _cap_blocks(monkeypatch, model, per_block)
     t_grid = [0.1, 0.5, 0.9]
     curves = gradient_probe(model, samples, _EQUIV_SPECS, t_grid=t_grid,
                             n_noise=PROBE_N_NOISE, noise_seed=3)

@@ -15,7 +15,7 @@ from scipy import stats as scipy_stats
 from scipy.special import betainc
 
 from tqd import analysis
-from tqd.analysis import MAX_HISTOGRAM_DRAWS
+from tqd.analysis import MAX_HISTOGRAM_DRAWS, MAX_PROBE_DEGRADATIONS, MAX_PROBE_TIMESTEPS
 from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
 from tqd.quality import normalize_scores, read_manifest, synth_population
@@ -800,6 +800,10 @@ def test_probe_requires_model(tmp_path, capsys):
     ("probe", {"n_noise": 10**18}, None),
     ("probe", {"n_noise": MAX_N_NOISE + 1}, None),
     ("probe", {"samples": {"n": MAX_PROBE_SAMPLES + 1}}, None),
+    ("probe", {"t_grid": [(j + 1) / (MAX_PROBE_TIMESTEPS + 2)
+                          for j in range(MAX_PROBE_TIMESTEPS + 1)]}, None),
+    ("probe", {"degradations": [{"kind": "blur", "strength": 1.0}]
+               * (MAX_PROBE_DEGRADATIONS + 1)}, None),
     ("sample-stats", {"seed": -1}, None),
     ("sample-stats", {"batch_size": 16}, None),
     ("sample-stats", {"n_draws": 10**12}, None),
@@ -820,7 +824,8 @@ def test_probe_requires_model(tmp_path, capsys):
         "over-long-int", "huge-blur-radius", "huge-kappa-max", "huge-batch-size",
         "huge-hidden-width", "huge-payload-clip", "payload-clip-over-limit",
         "huge-probe-clip", "probe-clip-over-limit", "huge-n-noise", "n-noise-over-limit",
-        "probe-samples-over-limit", "negative-stats-seed", "stats-batch-size",
+        "probe-samples-over-limit", "t-grid-over-limit", "degradations-over-limit",
+        "negative-stats-seed", "stats-batch-size",
         "huge-draws", "draws-over-limit", "nan-payload-start", "overflowing-probe-path",
         "infinite-speed-range", "huge-probe-width"])
 def test_bad_config_or_manifest_is_one_line_data_error(
@@ -854,11 +859,29 @@ def test_bad_config_or_manifest_is_one_line_data_error(
     assert not out.exists()
 
 
-def _cli(args, out):
+def _cli(args, out, env=None):
     """Run the CLI in a subprocess, so that numpy's RuntimeWarnings
     would reach the captured stderr."""
     return subprocess.run([sys.executable, "-m", "tqd.cli", *args, "--out", str(out)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
+
+
+def test_probe_defaults_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the README's promise: every product the probe makes rounds alike
+    # however OpenBLAS splits it, at the default shape where D > H
+    model = VelocityModel.init((8, 16, 16), seed=1, hidden_width=128, zero_final=False)
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(model, ckpt)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        res = _cli(["probe", "--model", str(ckpt)], out,
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        (run_dir,) = _run_dirs(out)
+        written.append({p.name: p.read_bytes() for p in run_dir.glob("probe_*.csv")})
+    assert len(written[0]) == 4
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("case", ["diverging-train", "overflowing-W2", "overflowing-W3",

@@ -10,9 +10,10 @@ import pytest
 
 from tqd.errors import CheckpointError, DataError, NumericError
 from tqd.sampler import SamplerConfig
-from tqd.synth import MAX_CLIP_PIXELS, ToyVideo, generate_moving_shape
+from tqd.synth import MAX_CLIP_PIXELS, DegradationSpec, ToyVideo, degrade, generate_moving_shape
 from tqd.trainer import (
     _ADAM_CHUNK,
+    _PROBE_BLOCK_BYTES,
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
@@ -650,6 +651,25 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_gradient_distances_holds_one_block_of_timesteps():
+    # At the probe's default shape a timestep's noise and activations take
+    # 416 KiB, so a 64-point grid held at once would take 27 MB. In blocks
+    # the peak stays within the cap plus a 2 MiB slack for one timestep's
+    # temporaries (its D-wide output rows, the backward's (1+K, n, H) arrays)
+    # and the block's H-wide products.
+    model = VelocityModel.init((8, 16, 16), seed=0, hidden_width=128, zero_final=False)
+    videos = [_video(seed=s, frames=8, height=16, width=16, speed=2.0) for s in range(2)]
+    copies = [[degrade(video, DegradationSpec(kind, strength, seed=1))
+               for kind, strength in (("blur", 2.0), ("compression", 8.0), ("noise", 0.1),
+                                      ("shuffle", 1.0))]
+              for video in videos]
+    t_grid = [(j + 1) / 65 for j in range(64)]
+    seeds = [[64 * i + j for j in range(64)] for i in range(2)]
+    peak = _traced_peak(lambda: gradient_distances(model, videos, copies, t_grid, seeds,
+                                                   n_noise=16))
+    assert peak <= _PROBE_BLOCK_BYTES + 2 * 2**20
 
 
 def test_save_checkpoint_copies_no_parameters(tmp_path):
