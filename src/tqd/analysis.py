@@ -47,6 +47,9 @@ MAX_PROBE_TIMESTEPS = 1024
 # blocks. The most in use is 5.
 MAX_PROBE_DEGRADATIONS = 8
 
+# equal-width bins of (0, 1) that timestep_histogram counts draws in
+HISTOGRAM_BINS = 50
+
 # fewest timestep draws timestep_histogram accepts for stable statistics
 MIN_HISTOGRAM_DRAWS = 1000
 
@@ -319,14 +322,10 @@ def _ks_statistic(t: np.ndarray, alpha, beta, weights) -> float:
     return float(best)
 
 
-def timestep_histogram(
-    sampler: TqdSampler,
-    n_draws: int,
-    n_bins: int = 50,
-    seed: int = 0,
-) -> HistogramReport:
+def timestep_histogram(sampler: TqdSampler, n_draws: int, seed: int = 0) -> HistogramReport:
     """Draw timesteps through the sampler's batch-preparation path and
-    compare against the analytic mixture of its law table.
+    compare against the analytic mixture of its law table, over
+    HISTOGRAM_BINS bins.
 
     The draws use `seed` (>= 0) and the batch size of `sampler.config`.
     The mixture weights each record's timestep law by its retention
@@ -341,8 +340,6 @@ def timestep_histogram(
                         f"statistics, got {n_draws}")
     if n_draws > MAX_HISTOGRAM_DRAWS:
         raise DataError(f"n_draws must be <= {MAX_HISTOGRAM_DRAWS}, got {n_draws}")
-    if n_bins < 2:
-        raise DataError(f"need at least 2 bins, got {n_bins}")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -353,7 +350,7 @@ def timestep_histogram(
         n_drawn += draws[-1].size
     t = np.concatenate(draws)[:n_draws]
 
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     observed = np.histogram(t, bins=edges)[0]
 
     weights = sampler.retention / sampler.retention.sum()
@@ -406,13 +403,14 @@ def robustness_sweep(
     noise_levels: list[float],
     sampler_config: SamplerConfig,
     trainer_config: TrainerConfig,
-    noise_seed: int = 0,
 ) -> list[SweepRow]:
     """Score-noise robustness: retrain at each noise level, same seeds.
 
     dataset pairs QualityRecords (raw scores) with their videos; each
     level normalizes its own noisy scores. Every level perturbs the same
-    underlying noise draw scaled up (common random numbers). The mean
+    underlying noise draw, seeded by trainer_config.seed as `tqd train
+    --noise-level` seeds it, scaled up (common random numbers), so the
+    row at level L is the final loss of that command at L. The mean
     |delta mu| is checked to be non-decreasing in the level before any
     training: min-max renormalization can break that order, and a
     violation raises NumericError rather than returning a silently
@@ -430,7 +428,7 @@ def robustness_sweep(
     clean_mu = centers(*normalize_scores(records))
     levels = []
     for level in noise_levels:
-        mq, vq = normalize_scores(inject_score_noise(records, level, noise_seed))
+        mq, vq = normalize_scores(inject_score_noise(records, level, trainer_config.seed))
         shift = float(np.mean(np.abs(centers(mq, vq) - clean_mu)))
         levels.append((float(level), mq, vq, shift))
 

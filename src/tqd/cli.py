@@ -96,9 +96,10 @@ _PROBE_KEYS = {
     ]),
     "samples": (dict, {}),
 }
-_PROBE_SAMPLE_KEYS = {
+_PROBE_SAMPLE_KEYS = {  # a None clip size is the checkpoint's
     "n": (int, 40), "speed_min": (float, 1.5), "speed_max": (float, 3.0),
-    "texture_noise": (float, 0.02), "frames": (int, 8), "height": (int, 16), "width": (int, 16),
+    "texture_noise": (float, 0.02), "frames": (int, None), "height": (int, None),
+    "width": (int, None),
 }
 _DEGRADATION_KEYS = {"kind": (str, ...), "strength": (float, ...), "seed": (int, 0)}
 
@@ -450,6 +451,10 @@ def cmd_probe(args) -> int:
     params["samples"] = _resolve(params["samples"], _PROBE_SAMPLE_KEYS, "samples.")
 
     model, header = load_checkpoint(model_path)
+    # echo the clip size used, a None one being the checkpoint's
+    for key, dim in zip(("frames", "height", "width"), model.data_shape):
+        if params["samples"][key] is None:
+            params["samples"][key] = dim
     videos = _probe_samples(params["samples"], seed)
     shape = videos[0].frames.shape
     if shape != model.data_shape:

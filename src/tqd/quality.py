@@ -26,6 +26,10 @@ from .errors import DataError, regular_file_size
 
 QUADRANTS = ("HMHV", "HMLV", "LMHV", "LMLV")
 
+# raw-score ranges synth_population maps its MQ and VQ draws into
+SYNTH_MQ_RANGE = (1.0, 4.0)
+SYNTH_VQ_RANGE = (1.4, 4.0)
+
 
 @dataclass(frozen=True)
 class QualityRecord:
@@ -130,19 +134,13 @@ def pearson_correlation(records: list[QualityRecord]) -> PopulationStats:
     return PopulationStats(r, p)
 
 
-def synth_population(
-    n: int,
-    target_r: float,
-    seed: int,
-    mq_range: tuple[float, float] = (1.0, 4.0),
-    vq_range: tuple[float, float] = (1.4, 4.0),
-) -> list[QualityRecord]:
+def synth_population(n: int, target_r: float, seed: int) -> list[QualityRecord]:
     """Draw n (mq, vq) raw-score pairs with a prescribed correlation.
 
     Pairs come from a bivariate standard normal with correlation
     `target_r`, then each coordinate is affinely mapped into its raw
-    range (center at the midpoint, scale = range/6, so the range spans
-    about +-3 sigma). Affine maps leave the correlation untouched, so the
+    range, SYNTH_MQ_RANGE or SYNTH_VQ_RANGE (center at the midpoint,
+    scale = range/6, so the range spans about +-3 sigma). Affine maps leave the correlation untouched, so the
     sample correlation converges to target_r as n grows.
     """
     if not abs(target_r) < 1.0:
@@ -152,8 +150,9 @@ def synth_population(
     rng = np.random.default_rng(seed)
     z1 = rng.standard_normal(n)
     z2 = target_r * z1 + math.sqrt(1.0 - target_r**2) * rng.standard_normal(n)
-    mq = 0.5 * (mq_range[0] + mq_range[1]) + z1 * (mq_range[1] - mq_range[0]) / 6.0
-    vq = 0.5 * (vq_range[0] + vq_range[1]) + z2 * (vq_range[1] - vq_range[0]) / 6.0
+    (mq_lo, mq_hi), (vq_lo, vq_hi) = SYNTH_MQ_RANGE, SYNTH_VQ_RANGE
+    mq = 0.5 * (mq_lo + mq_hi) + z1 * (mq_hi - mq_lo) / 6.0
+    vq = 0.5 * (vq_lo + vq_hi) + z2 * (vq_hi - vq_lo) / 6.0
     return [
         QualityRecord(id=f"synth-{i:06d}", mq_raw=float(mq[i]), vq_raw=float(vq[i]))
         for i in range(n)

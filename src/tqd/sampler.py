@@ -55,7 +55,7 @@ MAX_BATCH_SIZE = 65536
 
 # Largest kappa_max SamplerConfig accepts. A Beta law this concentrated has
 # a standard deviation of at most 1/(2 sqrt(MAX_KAPPA)) = 5e-4, a fortieth
-# of timestep_histogram's default bin; at 1e100 its KS statistic is no
+# of a timestep_histogram bin; at 1e100 its KS statistic is no
 # longer finite.
 MAX_KAPPA = 1e6
 

@@ -34,6 +34,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# sinusoidal frequencies of the timestep features; a checkpoint header
+# states it and load_checkpoint accepts no other value
+N_FREQS = 8
+
 # share of trailing steps that final_loss averages over
 FINAL_LOSS_WINDOW = 0.1
 
@@ -51,11 +55,6 @@ MAX_N_NOISE = 1024
 # elements per adam_update chunk: two float64 scratch buffers of this
 # length (256 KiB together) stay in cache while a chunk is updated
 _ADAM_CHUNK = 16384
-
-# rows per block when gradient_distances forms W3 W3^T: the row count of
-# the probe's other products. One product over all H rows made BLAS touch
-# more of its work buffers, which showed as a higher peak RSS.
-_G3_ROWS = 16
 
 # Largest block of timesteps gradient_distances takes at once, in bytes of
 # n_noise (D + 2 (1+K) H) float64s per timestep: its noise rows, D pixels
@@ -85,16 +84,16 @@ def _param_layout(in_dim: int, hidden: int, out_dim: int):
     return layout, offset
 
 
-def param_count(data_dim: int, hidden_width: int, n_freqs: int) -> int:
-    in_dim = data_dim + 2 * n_freqs
-    _, total = _param_layout(in_dim, hidden_width, data_dim)
+def param_count(data_dim: int, hidden_width: int) -> int:
+    _, total = _param_layout(data_dim + 2 * N_FREQS, hidden_width, data_dim)
     return total
 
 
-def time_features(t, n_freqs: int = 8) -> np.ndarray:
-    """Sinusoidal features [sin(w_k t), cos(w_k t)] with w_k = 2*pi*2^k."""
+def time_features(t) -> np.ndarray:
+    """Sinusoidal features [sin(w_k t), cos(w_k t)] with w_k = 2*pi*2^k,
+    k < N_FREQS."""
     t = np.asarray(t, dtype=np.float64)
-    freqs = 2.0 * np.pi * (2.0 ** np.arange(n_freqs, dtype=np.float64))
+    freqs = 2.0 * np.pi * (2.0 ** np.arange(N_FREQS, dtype=np.float64))
     angles = t[..., None] * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
@@ -110,7 +109,6 @@ class VelocityModel:
 
     data_shape: tuple[int, int, int]
     hidden_width: int
-    n_freqs: int
     theta: np.ndarray
 
     @property
@@ -119,7 +117,7 @@ class VelocityModel:
 
     @property
     def input_dim(self) -> int:
-        return self.data_dim + 2 * self.n_freqs
+        return self.data_dim + 2 * N_FREQS
 
     @property
     def param_count(self) -> int:
@@ -138,25 +136,23 @@ class VelocityModel:
         return {name: flat[sl].reshape(shape) for name, (shape, sl) in layout.items()}
 
     @classmethod
-    def init(cls, data_shape, seed, hidden_width: int = 128, n_freqs: int = 8,
+    def init(cls, data_shape, seed, hidden_width: int = 128,
              zero_final: bool = True) -> "VelocityModel":
-        """Random init scaled by 1/sqrt(fan-in); biases start at zero.
+        """Random init scaled by 1/sqrt(fan-in); biases start at zero. The
+        input is the flat pixels and N_FREQS pairs of time features.
 
         zero_final zeroes the output layer so the untrained model is the
         zero velocity field. Gradient-exactness checks want zero_final
         False so every layer sits on a live gradient path.
         """
         data_shape = tuple(int(d) for d in data_shape)
-        _check_architecture(data_shape, hidden_width, n_freqs)
-        data_dim = math.prod(data_shape)
-        in_dim = data_dim + 2 * n_freqs
-        layout, total = _param_layout(in_dim, hidden_width, data_dim)
-        rng = np.random.default_rng(seed)
-        theta = np.zeros(total, dtype=np.float64)
+        _check_architecture(data_shape, hidden_width)
         model = cls(data_shape=data_shape, hidden_width=hidden_width,
-                    n_freqs=n_freqs, theta=theta)
+                    theta=np.zeros(param_count(math.prod(data_shape), hidden_width)))
+        rng = np.random.default_rng(seed)
         views = model.views()
-        views["W1"][...] = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=views["W1"].shape)
+        views["W1"][...] = rng.normal(0.0, 1.0 / np.sqrt(model.input_dim),
+                                      size=views["W1"].shape)
         views["W2"][...] = rng.normal(0.0, 1.0 / np.sqrt(hidden_width), size=views["W2"].shape)
         if not zero_final:
             views["W3"][...] = rng.normal(0.0, 1.0 / np.sqrt(hidden_width),
@@ -164,15 +160,14 @@ class VelocityModel:
         return model
 
 
-def _check_architecture(data_shape: tuple, hidden_width: int, n_freqs: int) -> None:
+def _check_architecture(data_shape: tuple, hidden_width: int) -> None:
     """DataError unless data_shape is three positive dims of at most
     MAX_CLIP_PIXELS pixels in all (counted in Python integers, which do
-    not wrap), n_freqs >= 1 and hidden_width is in [1, MAX_HIDDEN_WIDTH]."""
+    not wrap) and hidden_width is in [1, MAX_HIDDEN_WIDTH]."""
     if len(data_shape) != 3 or any(d < 1 for d in data_shape):
         raise DataError(f"data_shape must be three positive dims, got {data_shape}")
-    if hidden_width < 1 or n_freqs < 1:
-        raise DataError(f"hidden_width and n_freqs must be >= 1, got {hidden_width} "
-                        f"and {n_freqs}")
+    if hidden_width < 1:
+        raise DataError(f"hidden_width must be >= 1, got {hidden_width}")
     if math.prod(data_shape) > MAX_CLIP_PIXELS:
         raise DataError(f"data_shape {list(data_shape)} has more than "
                         f"{MAX_CLIP_PIXELS} pixels")
@@ -189,7 +184,7 @@ def _check_finite(arr: np.ndarray, layer: int, name: str) -> None:
 def _forward_batch(model: VelocityModel, xt_flat: np.ndarray, t: np.ndarray):
     """Batched forward pass; returns output plus the backward cache."""
     views = model.views()
-    feats = time_features(t, model.n_freqs)
+    feats = time_features(t)
     x = np.concatenate([xt_flat, feats], axis=1)
     z1 = x @ views["W1"] + views["b1"]
     _check_finite(z1, 1, "W1")
@@ -374,8 +369,7 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
     c = 2.0 / (n_noise * d)
     views = model.views()
     w1x, w1f, w3 = views["W1"][:d], views["W1"][d:], views["W3"]
-    # G3 = W3 W3^T (H, H), in blocks of _G3_ROWS rows
-    g3 = np.concatenate([w3[i:i + _G3_ROWS] @ w3.T for i in range(0, len(w3), _G3_ROWS)])
+    g3 = w3 @ w3.T
     n_copies = len(copies[0]) if copies else 0
     step_bytes = n_noise * (d + 2 * (1 + n_copies) * model.hidden_width) * 8
     block = max(1, min(len(t_grid), _PROBE_BLOCK_BYTES // step_bytes))
@@ -410,7 +404,7 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
             # timestep keeps its a1 and a2 for its backward pass
             fwd = []
             for t, r in zip(ts, rows):
-                feats = time_features(t, model.n_freqs)
+                feats = time_features(t)
                 z1 = t * x1_w1[r] + ((1.0 - t) * v_w1 + (feats @ w1f + views["b1"]))
                 _check_finite(z1, 1, "W1")
                 a1 = np.tanh(z1)
@@ -473,9 +467,9 @@ class TrainerConfig:
     """Training-loop settings. seed covers model init and every loop draw;
     hidden_width is at most MAX_HIDDEN_WIDTH.
 
-    The Adam constants (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) are fixed, and
-    the model takes VelocityModel.init's defaults for its time features
-    (n_freqs 8) and its zeroed output layer.
+    The Adam constants (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) and the model's
+    N_FREQS timestep frequencies are fixed, and the model takes
+    VelocityModel.init's zeroed output layer.
     """
 
     steps: int = 500
@@ -678,7 +672,7 @@ def save_checkpoint(model: VelocityModel, path, step: int = 0, seed=None) -> Non
     header = {
         "data_shape": list(model.data_shape),
         "hidden_width": model.hidden_width,
-        "n_freqs": model.n_freqs,
+        "n_freqs": N_FREQS,
         "param_count": model.param_count,
         "step": step,
         "seed": seed,
@@ -698,10 +692,10 @@ def load_checkpoint(path) -> tuple:
     Raises CheckpointError on a path that is not a regular file, bad
     magic, a malformed header, a header data_shape, hidden_width, n_freqs
     or param_count that is not a JSON integer (a bool is not), an
-    architecture with a data dim, hidden_width or n_freqs below 1, a
-    data_shape of more than MAX_CLIP_PIXELS pixels, a hidden_width over
-    MAX_HIDDEN_WIDTH, or a parameter payload that disagrees with the
-    header's architecture. Every size is checked against the file's
+    architecture with a data dim or hidden_width below 1, a data_shape of
+    more than MAX_CLIP_PIXELS pixels, a hidden_width over MAX_HIDDEN_WIDTH,
+    an n_freqs other than N_FREQS, or a parameter payload that disagrees
+    with the header's architecture. Every size is checked against the file's
     before the parameters are read, straight into theta.
     """
     path = Path(path)
@@ -736,10 +730,13 @@ def _read_checkpoint(fh, size: int, path: Path) -> tuple:
                                   f"got {header[key]!r}")
     data_shape = tuple(dims)
     try:
-        _check_architecture(data_shape, hidden_width, n_freqs)
+        _check_architecture(data_shape, hidden_width)
     except DataError as exc:
         raise CheckpointError(f"checkpoint {path} header: {exc}") from exc
-    expected = param_count(math.prod(data_shape), hidden_width, n_freqs)
+    if n_freqs != N_FREQS:
+        raise CheckpointError(f"checkpoint {path} header n_freqs must be {N_FREQS}, "
+                              f"got {n_freqs}")
+    expected = param_count(math.prod(data_shape), hidden_width)
     body = size - 8 - hlen
     if body != 8 * expected:
         raise CheckpointError(
@@ -749,7 +746,7 @@ def _read_checkpoint(fh, size: int, path: Path) -> tuple:
     if fh.readinto(theta) != body:  # the file shrank after os.stat
         raise CheckpointError(f"checkpoint {path} ended inside its parameters")
     model = VelocityModel(data_shape=data_shape, hidden_width=hidden_width,
-                          n_freqs=n_freqs, theta=theta.astype(np.float64, copy=False))
+                          theta=theta.astype(np.float64, copy=False))
     if header.get("param_count", expected) != expected:
         raise CheckpointError(
             f"checkpoint {path} header param_count {header.get('param_count')} "

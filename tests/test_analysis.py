@@ -12,6 +12,7 @@ from tqd.analysis import (
     _KS_STRIDE,
     _derived_seed,
     _ks_statistic,
+    HISTOGRAM_BINS,
     MAX_HISTOGRAM_DRAWS,
     PROBE_N_NOISE,
     GradientProbeCurve,
@@ -53,7 +54,7 @@ def _video(seed=0, speed=1.0, tex=0.05, frames=2, height=5, width=5):
 
 
 def _probe_model(seed=3):
-    return VelocityModel.init((2, 5, 5), seed=seed, hidden_width=8, n_freqs=2,
+    return VelocityModel.init((2, 5, 5), seed=seed, hidden_width=8,
                               zero_final=False)
 
 
@@ -247,13 +248,13 @@ def test_uniform_degenerate_histogram_passes_both_tests():
     # statistic
     half = np.full(4, 0.5)
     report = timestep_histogram(TqdSampler(half, half, SamplerConfig()), n_draws=5000,
-                                n_bins=20, seed=0)
+                                seed=0)
     assert report.n_draws == 5000
     assert report.chi_square_pvalue > 0.001
     assert report.ks_stat < 0.05
     assert sum(obs for _, _, obs, _ in report.bins) == 5000
     for _, _, _, exp in report.bins:
-        np.testing.assert_allclose(exp, 5000 / 20, rtol=1e-9)
+        np.testing.assert_allclose(exp, 5000 / HISTOGRAM_BINS, rtol=1e-9)
 
 
 @pytest.mark.parametrize("kappa_base", [0.5, 2.0, 4.0])
@@ -265,7 +266,7 @@ def test_baseline_arm_histogram_passes_both_tests(kappa_base):
     config = SamplerConfig(kappa_base=kappa_base, batch_size=1000)
     report = timestep_histogram(TqdSampler(ones, ones, config), 20000, seed=0)
     s = kappa_base / 2.0
-    expected = 20000 * np.diff(betainc(s, s, np.linspace(0.0, 1.0, 51)))
+    expected = 20000 * np.diff(betainc(s, s, np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)))
     np.testing.assert_allclose([exp for *_, exp in report.bins], expected, rtol=1e-9)
     assert report.chi_square_pvalue > 0.01
     assert report.ks_stat < 1.6276 / np.sqrt(20000)
@@ -275,7 +276,7 @@ def test_high_motion_record_concentrates_mass_high():
     # observed draw mass above one half against the analytic Beta tail,
     # reached through a different code path than the sampler itself
     cfg = SamplerConfig()
-    report = timestep_histogram(TqdSampler([1.0], [0.2], cfg), n_draws=5000, n_bins=20, seed=1)
+    report = timestep_histogram(TqdSampler([1.0], [0.2], cfg), n_draws=5000, seed=1)
     observed_hi = sum(obs for lo, _, obs, _ in report.bins if lo >= 0.5) / 5000
     _, _, alpha, beta = law_table([1.0], [0.2], cfg)
     analytic_hi = 1.0 - betainc(alpha[0], beta[0], 0.5)
@@ -291,7 +292,7 @@ def test_low_motion_record_mirrors_high_motion():
     _, _, alpha, beta = law_table([1.0, 0.2], [0.2, 1.0], cfg)
     np.testing.assert_allclose(alpha[0], beta[1], rtol=1e-12)
     np.testing.assert_allclose(beta[0], alpha[1], rtol=1e-12)
-    report = timestep_histogram(TqdSampler([0.2], [1.0], cfg), n_draws=5000, n_bins=20, seed=2)
+    report = timestep_histogram(TqdSampler([0.2], [1.0], cfg), n_draws=5000, seed=2)
     observed_lo = sum(obs for _, hi, obs, _ in report.bins if hi <= 0.5) / 5000
     assert observed_lo > 0.9
 
@@ -301,7 +302,7 @@ def test_clamped_extreme_law_keeps_censored_ks_small():
     # mass beyond float resolution near 1, which the censored reference
     # absorbs into a boundary atom
     report = timestep_histogram(TqdSampler([1.0], [0.0], SamplerConfig()), n_draws=5000,
-                                n_bins=20, seed=3)
+                                seed=3)
     assert report.ks_stat < 0.05
 
 
@@ -533,9 +534,9 @@ def test_mixture_cdf_sums_laws_in_record_order(monkeypatch, n_points, block):
         assert np.array_equal(analysis._mixture_cdf(alpha, beta, weights, x), expected)
 
 
-@pytest.mark.parametrize("n_records, n_bins", [(1, 20), (40, 20), (40, 50), (300, 100)])
-def test_histogram_pvalue_matches_scipy_chi2(n_records, n_bins):
-    report = timestep_histogram(_population_sampler(n_records), 5000, n_bins, seed=n_bins)
+@pytest.mark.parametrize("n_records, seed", [(1, 20), (40, 20), (40, 50), (300, 100)])
+def test_histogram_pvalue_matches_scipy_chi2(n_records, seed):
+    report = timestep_histogram(_population_sampler(n_records), 5000, seed=seed)
     expected = float(scipy_stats.chi2.sf(report.chi_square, report.dof))
     assert report.chi_square_pvalue == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -545,10 +546,10 @@ def test_histogram_cuts_concatenated_batches_to_n_draws():
     # its first timestep is used
     sampler = TqdSampler([0.5, 0.9], [0.5, 0.3], SamplerConfig(batch_size=MAX_BATCH_SIZE))
     n_draws = MAX_BATCH_SIZE + 1
-    report = timestep_histogram(sampler, n_draws, n_bins=20, seed=7)
+    report = timestep_histogram(sampler, n_draws, seed=7)
     rng = np.random.default_rng(7)
     t = np.concatenate([sampler.prepare_batch(rng).timesteps for _ in range(2)])[:n_draws]
-    observed = np.histogram(t, np.linspace(0.0, 1.0, 21))[0]
+    observed = np.histogram(t, np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1))[0]
     assert [obs for _, _, obs, _ in report.bins] == observed.tolist()
     weights = sampler.retention / sampler.retention.sum()
     assert report.ks_stat == _ks_statistic(t, sampler.alpha, sampler.beta, weights)
@@ -560,8 +561,6 @@ def test_histogram_validates_arguments():
         timestep_histogram(sampler, n_draws=10)
     with pytest.raises(DataError, match=f"n_draws must be <= {MAX_HISTOGRAM_DRAWS}"):
         timestep_histogram(sampler, n_draws=MAX_HISTOGRAM_DRAWS + 1)
-    with pytest.raises(DataError, match="2 bins"):
-        timestep_histogram(sampler, n_draws=2000, n_bins=1)
     with pytest.raises(DataError, match="seed must be >= 0, got -1"):
         timestep_histogram(sampler, n_draws=2000, seed=-1)
 
@@ -613,7 +612,7 @@ def test_sweep_checks_the_mu_shift_order_before_training(monkeypatch):
     monkeypatch.setattr(analysis, "train", no_training)
     with pytest.raises(NumericError, match="between noise levels 0.1 and 0.2"):
         robustness_sweep(dataset, [0.0, 0.1, 0.2], SamplerConfig(batch_size=4),
-                         TrainerConfig(steps=4, hidden_width=16, seed=0), noise_seed=0)
+                         TrainerConfig(steps=4, hidden_width=16, seed=0))
 
 
 def test_sweep_rejects_negative_levels():

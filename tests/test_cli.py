@@ -15,7 +15,12 @@ from scipy import stats as scipy_stats
 from scipy.special import betainc
 
 from tqd import analysis
-from tqd.analysis import MAX_HISTOGRAM_DRAWS, MAX_PROBE_DEGRADATIONS, MAX_PROBE_TIMESTEPS
+from tqd.analysis import (
+    MAX_HISTOGRAM_DRAWS,
+    MAX_PROBE_DEGRADATIONS,
+    MAX_PROBE_TIMESTEPS,
+    robustness_sweep,
+)
 from tqd.cli import MAX_PROBE_SAMPLES, main
 from tqd.errors import DataError
 from tqd.quality import normalize_scores, read_manifest, synth_population
@@ -24,7 +29,11 @@ from tqd.synth import ToyVideo, generate_moving_shape, resolve_payload
 from tqd.trainer import (
     MAX_HIDDEN_WIDTH,
     MAX_N_NOISE,
+    N_FREQS,
+    TrainerConfig,
+    TrainState,
     VelocityModel,
+    final_loss,
     load_checkpoint,
     param_count,
     save_checkpoint,
@@ -549,6 +558,28 @@ def test_bad_payload_video_fails_before_the_run_directory(tmp_path, capsys, case
     assert not out.exists()
 
 
+def test_noisy_train_is_the_robustness_sweep_row(tmp_path):
+    # the sweep seeds its scorer noise as `train --noise-level` does, by
+    # the trainer seed, so its row at a level is that command's final loss
+    manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 20, "hidden_width": 16, "batch_size": 4}))
+    out = tmp_path / "out"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config),
+                 "--noise-level", "0.1", "--seed", "3", "--out", str(out)]) == 0
+    (run_dir,) = _run_dirs(out)
+    rows = (run_dir / "training_log.csv").read_text().strip().split("\n")[1:]
+    logged = TrainState(model=None, step=len(rows),
+                        loss_history=[float(row.split(",")[1]) for row in rows])
+
+    records = read_manifest(manifest)
+    dataset = [(rec, resolve_payload(rec.payload_ref)) for rec in records]
+    sweep = robustness_sweep(dataset, [0.0, 0.1], SamplerConfig(batch_size=4),
+                             TrainerConfig(steps=20, hidden_width=16, seed=3))
+    assert sweep[1].noise_level == 0.1
+    assert sweep[1].final_loss == final_loss(logged)
+
+
 def test_train_rejects_negative_flags(tmp_path, capsys):
     manifest = _quadrant_manifest(tmp_path / "scores.jsonl")
     assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
@@ -591,7 +622,7 @@ def test_train_resolves_file_payload_against_manifest_dir(tmp_path, capsys, writ
 
 
 def _tiny_probe_setup(tmp_path, strength=0.0, kinds=("blur",)):
-    model = VelocityModel.init((2, 5, 5), seed=2, hidden_width=8, n_freqs=2,
+    model = VelocityModel.init((2, 5, 5), seed=2, hidden_width=8,
                                zero_final=False)
     ckpt = tmp_path / "model.bin"
     save_checkpoint(model, ckpt, step=42)
@@ -650,6 +681,29 @@ def test_probe_shape_mismatch_is_artifact_error(tmp_path, capsys):
     assert "data shape" in capsys.readouterr().err
 
 
+def test_probe_defaults_take_the_checkpoint_clip_size(tmp_path, capsys):
+    # a probe at its defaults runs on a checkpoint of any clip size, here
+    # the training-win ladder's 2x10x10, and echoes the size it used
+    model = VelocityModel.init((2, 10, 10), seed=2, hidden_width=16, zero_final=False)
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(model, ckpt)
+    out1 = tmp_path / "out1"
+    assert main(["probe", "--model", str(ckpt), "--out", str(out1)]) == 0
+    (run1,) = _run_dirs(out1)
+    echo = json.loads((run1 / "resolved_config.json").read_text())
+    samples = echo["params"]["samples"]
+    assert (samples["frames"], samples["height"], samples["width"]) == (2, 10, 10)
+
+    out2 = tmp_path / "out2"
+    assert main(["probe", "--config", str(run1 / "resolved_config.json"),
+                 "--out", str(out2)]) == 0
+    (run2,) = _run_dirs(out2)
+    assert run1.name == run2.name
+    written = {p.name: p.read_bytes() for p in run1.iterdir()}
+    assert len(written) == 5
+    assert written == {p.name: p.read_bytes() for p in run2.iterdir()}
+
+
 def test_probe_corrupt_checkpoint_is_artifact_error(tmp_path, capsys):
     ckpt = tmp_path / "junk.bin"
     ckpt.write_bytes(b"JUNKJUNKJUNK")
@@ -701,42 +755,43 @@ def test_input_that_is_not_a_regular_file_is_one_line(tmp_path, capsys, kind, re
     assert not out.exists()
 
 
-def _write_raw_checkpoint(path, data_shape, hidden_width, n_freqs, stated=None):
+def _write_raw_checkpoint(path, data_shape, hidden_width, stated=None):
     """A checkpoint whose header states any architecture, with as many
     zero parameters as that architecture counts; stated replaces header
     values after the count."""
-    n_params = param_count(int(np.prod(data_shape)), hidden_width, n_freqs)
+    n_params = param_count(int(np.prod(data_shape)), hidden_width)
     header = json.dumps({"data_shape": data_shape, "hidden_width": hidden_width,
-                         "n_freqs": n_freqs, "param_count": n_params, "step": 0,
+                         "n_freqs": N_FREQS, "param_count": n_params, "step": 0,
                          "seed": None, **(stated or {})}, sort_keys=True).encode()
     path.write_bytes(b"TQDC" + struct.pack("<I", len(header)) + header
                      + np.zeros(max(n_params, 0)).tobytes())
 
 
-@pytest.mark.parametrize("data_shape, hidden_width, n_freqs, stated", [
-    ([2, 5, 5], 0, 2, None), ([2, 5, 5], 8, 0, None), ([2, 0, 5], 8, 2, None),
-    ([2, 5, 5], -1, 2, None), ([10, 5], 8, 2, None),
+@pytest.mark.parametrize("data_shape, hidden_width, stated", [
+    ([2, 5, 5], 0, None), ([2, 5, 5], 8, {"n_freqs": 0}), ([2, 5, 5], 8, {"n_freqs": 16}),
+    ([2, 0, 5], 8, None),
+    ([2, 5, 5], -1, None), ([10, 5], 8, None),
     # the parameters fit the architecture that the stated value would be
     # rounded to, so only the value's JSON type is wrong
-    ([2, 5, 5], 8, 2, {"param_count": "abc"}), ([2, 5, 5], 8, 2, {"param_count": None}),
-    ([2, 5, 5], 8, 2, {"param_count": [1]}), ([2, 5, 5], 8, 2, {"data_shape": [2.7, 5, 5]}),
-    ([2, 5, 5], 8, 2, {"data_shape": "255"}), ([2, 5, 5], 1, 2, {"hidden_width": True}),
-    ([2, 5, 5], 8, 2, {"n_freqs": 2.0}),
+    ([2, 5, 5], 8, {"param_count": "abc"}), ([2, 5, 5], 8, {"param_count": None}),
+    ([2, 5, 5], 8, {"param_count": [1]}), ([2, 5, 5], 8, {"data_shape": [2.7, 5, 5]}),
+    ([2, 5, 5], 8, {"data_shape": "255"}), ([2, 5, 5], 1, {"hidden_width": True}),
+    ([2, 5, 5], 8, {"n_freqs": float(N_FREQS)}),
     # sizes the parameters cannot match: a pixel count that wraps to 0 in
     # int64, and a width over the limit
-    ([2, 5, 5], 8, 2, {"data_shape": [2**32, 2**32, 1]}),
-    ([2, 5, 5], 8, 2, {"hidden_width": MAX_HIDDEN_WIDTH + 1}),
+    ([2, 5, 5], 8, {"data_shape": [2**32, 2**32, 1]}),
+    ([2, 5, 5], 8, {"hidden_width": MAX_HIDDEN_WIDTH + 1}),
     # an integer count that the parameters and the architecture disagree with
-    ([2, 5, 5], 8, 2, {"param_count": 1}),
-], ids=["zero-width", "zero-freqs", "zero-height", "negative-width", "two-dims",
+    ([2, 5, 5], 8, {"param_count": 1}),
+], ids=["zero-width", "zero-freqs", "wrong-freqs", "zero-height", "negative-width", "two-dims",
         "string-count", "null-count", "list-count", "float-dim", "string-shape",
         "bool-width", "float-freqs", "wrapping-pixel-count", "width-over-limit",
         "wrong-count"])
 def test_probe_checkpoint_without_valid_architecture_is_artifact_error(
-        tmp_path, capsys, data_shape, hidden_width, n_freqs, stated):
+        tmp_path, capsys, data_shape, hidden_width, stated):
     _, config = _tiny_probe_setup(tmp_path)
     ckpt = tmp_path / "bad.bin"
-    _write_raw_checkpoint(ckpt, data_shape, hidden_width, n_freqs, stated)
+    _write_raw_checkpoint(ckpt, data_shape, hidden_width, stated)
     out = tmp_path / "out"
     code = main(["probe", "--model", str(ckpt), "--config", str(config), "--out", str(out)])
     assert code == 5

@@ -196,10 +196,14 @@ class TestPearsonCorrelation:
     @pytest.mark.parametrize("n", [3, 4, 40, 300, 5000])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_matches_scipy_pearsonr(self, n, scale):
-        recs = synth_population(n, -0.22, seed=n, mq_range=(-scale, 3 * scale),
-                                vq_range=(scale, 2 * scale))
-        mq = np.array([r.mq_raw for r in recs])
-        vq = np.array([r.vq_raw for r in recs])
+        # synth_population's draws at r = -0.22, mapped into the raw ranges
+        # (-scale, 3 scale) and (scale, 2 scale)
+        rng = np.random.default_rng(n)
+        z1 = rng.standard_normal(n)
+        z2 = -0.22 * z1 + math.sqrt(1.0 - 0.22**2) * rng.standard_normal(n)
+        mq = 0.5 * (-scale + 3 * scale) + z1 * (3 * scale + scale) / 6.0
+        vq = 0.5 * (scale + 2 * scale) + z2 * (2 * scale - scale) / 6.0
+        recs = _records(zip(mq, vq))
         stats = pearson_correlation(recs)
         ref = scipy_stats.pearsonr(mq, vq)
         assert stats.pearson_r == pytest.approx(float(ref.statistic), rel=1e-15, abs=0)
@@ -221,7 +225,7 @@ class TestSynthPopulation:
         assert recs[0].id != recs[1].id
 
     def test_ranges_center_scores(self):
-        recs = synth_population(50_000, 0.0, seed=4, mq_range=(1.0, 4.0))
+        recs = synth_population(50_000, 0.0, seed=4)
         mq = np.array([r.mq_raw for r in recs])
         assert abs(mq.mean() - 2.5) < 0.02
         # range/6 sigma puts the +-3 sigma band at the range edges

@@ -18,6 +18,7 @@ from tqd.trainer import (
     ADAM_BETA2,
     ADAM_EPS,
     MAX_HIDDEN_WIDTH,
+    N_FREQS,
     TrainerConfig,
     VelocityModel,
     adam_update,
@@ -44,26 +45,26 @@ def _video(seed=4, frames=2, height=5, width=5, speed=1.0, tex=0.05):
 
 def test_time_features_match_direct_trig():
     t = np.array([0.0, 0.25, 0.7])
-    feats = time_features(t, n_freqs=3)
-    assert feats.shape == (3, 6)
-    freqs = 2.0 * np.pi * 2.0 ** np.arange(3)
-    np.testing.assert_allclose(feats[:, :3], np.sin(t[:, None] * freqs), atol=1e-15)
-    np.testing.assert_allclose(feats[:, 3:], np.cos(t[:, None] * freqs), atol=1e-15)
+    feats = time_features(t)
+    assert feats.shape == (3, 2 * N_FREQS)
+    freqs = 2.0 * np.pi * 2.0 ** np.arange(N_FREQS)
+    np.testing.assert_allclose(feats[:, :N_FREQS], np.sin(t[:, None] * freqs), atol=1e-15)
+    np.testing.assert_allclose(feats[:, N_FREQS:], np.cos(t[:, None] * freqs), atol=1e-15)
 
 
 def test_time_features_scalar_input():
-    feats = time_features(0.0, n_freqs=2)
-    np.testing.assert_allclose(feats, [0.0, 0.0, 1.0, 1.0], atol=1e-15)
+    feats = time_features(0.0)
+    np.testing.assert_allclose(feats, [0.0] * N_FREQS + [1.0] * N_FREQS, atol=1e-15)
 
 
 # --- model init and views ---------------------------------------------------
 
 
 def test_param_count_matches_layer_arithmetic():
-    d, h, k = 12, 16, 4
-    in_dim = d + 2 * k
+    d, h = 12, 16
+    in_dim = d + 2 * N_FREQS
     expected = in_dim * h + h + h * h + h + h * d + d
-    assert param_count(d, h, k) == expected
+    assert param_count(d, h) == expected
 
 
 def test_init_zero_final_gives_zero_velocity_field():
@@ -91,8 +92,7 @@ def test_views_alias_the_flat_vector():
 
 def test_views_reject_wrong_sized_theta():
     model = VelocityModel.init((1, 2, 2), seed=0, hidden_width=4)
-    bad = VelocityModel(data_shape=(1, 2, 2), hidden_width=4, n_freqs=8,
-                        theta=model.theta[:-1].copy())
+    bad = VelocityModel(data_shape=(1, 2, 2), hidden_width=4, theta=model.theta[:-1].copy())
     with pytest.raises(DataError, match="layout"):
         bad.views()
 
@@ -158,8 +158,7 @@ def test_zero_output_layer_confines_gradient_to_final_layer():
 def test_gradient_matches_central_finite_differences():
     # the load-bearing check: every coordinate of the hand-written
     # backward pass against an independent numeric derivative
-    model = VelocityModel.init((1, 3, 3), seed=5, hidden_width=8, n_freqs=2,
-                               zero_final=False)
+    model = VelocityModel.init((1, 3, 3), seed=5, hidden_width=8, zero_final=False)
     rng = np.random.default_rng(7)
     x0 = rng.normal(size=(4, model.data_dim))
     x1 = rng.normal(size=(4, model.data_dim))
@@ -218,7 +217,7 @@ def test_gradient_equals_concatenated_layer_products_bit_for_bit():
 
     w = model.views()
     xt = t[:, None] * x1 + (1.0 - t[:, None]) * x0
-    x = np.concatenate([xt, time_features(t, model.n_freqs)], axis=1)
+    x = np.concatenate([xt, time_features(t)], axis=1)
     a1 = np.tanh(x @ w["W1"] + w["b1"])
     a2 = np.tanh(a1 @ w["W2"] + w["b2"])
     d_out = (2.0 / x0.size) * (a2 @ w["W3"] + w["b3"] - (x1 - x0))
@@ -693,7 +692,7 @@ def test_train_holds_one_gradient_per_step():
     # loss_and_grad would make 5
     videos = [_video(seed=i, frames=2, height=10, width=10) for i in range(20)]
     mq, vq = [0.05 * i for i in range(20)], [1.0 - 0.05 * i for i in range(20)]
-    size = 8 * param_count(200, 512, 8)
+    size = 8 * param_count(200, 512)
     peak = _traced_peak(lambda: train(videos, mq, vq, SamplerConfig(batch_size=16),
                                       TrainerConfig(steps=3, hidden_width=512)))
     assert peak < 4.5 * size
