@@ -12,6 +12,8 @@ relative quality.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +38,16 @@ from .trainer import grad_at_timestep  # noqa: F401
 PROBE_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 PROBE_N_NOISE = 16
 
-# Longest t_grid gradient_probe accepts: it derives one noise seed per
-# sample and timestep (a Python int each, about 40 MB at 1024 samples) and
-# returns a float64 per sample, degradation and timestep (64 MiB at 1024
-# samples and MAX_PROBE_DEGRADATIONS). The longest grid in use has 9 points.
+# Longest t_grid gradient_probe accepts: it holds one sample's noise seeds
+# at a time (a Python int per timestep, about 40 KB at this length) and
+# returns a float64 per sample, degradation and timestep: 64 MiB at
+# cli.MAX_PROBE_SAMPLES samples and MAX_PROBE_DEGRADATIONS, twice that while
+# gradient_distances stacks its rows. The longest grid in use has 9 points.
 MAX_PROBE_TIMESTEPS = 1024
-# Most degradations gradient_probe accepts: every sample's degraded copies
-# are held at once, 512 KiB each at synth.MAX_CLIP_PIXELS, and each copy adds
-# 2 n_noise hidden_width float64s per timestep to gradient_distances'
-# blocks. The most in use is 5.
+# Most degradations gradient_probe accepts: it holds one sample's degraded
+# copies at a time, 512 KiB each at synth.MAX_CLIP_PIXELS (4 MiB at this
+# limit), and each copy adds 2 n_noise hidden_width float64s per timestep
+# to gradient_distances' blocks. The most in use is 5.
 MAX_PROBE_DEGRADATIONS = 8
 
 # equal-width bins of (0, 1) that timestep_histogram counts draws in
@@ -101,7 +104,7 @@ class GradientProbeCurve:
 
 def gradient_probe(
     model: VelocityModel,
-    samples: list[ToyVideo],
+    samples: Iterable[ToyVideo],
     degradations: list[DegradationSpec],
     t_grid=PROBE_T_GRID,
     n_noise: int = PROBE_N_NOISE,
@@ -118,9 +121,14 @@ def gradient_probe(
     formed. Per-sample degradation randomness is derived from the spec
     seed and the sample index, so two samples never share a noise field
     or shuffle order. noise_seed must be >= 0.
+
+    samples may be any iterable, read once. The probe streams it: it
+    degrades a sample and derives its len(t_grid) noise seeds only when
+    gradient_distances reaches that sample, so a generator of samples is
+    held one sample, its copies and its seeds at a time. What grows with
+    the number of samples is 8 bytes per distance entry, one per sample,
+    degradation and timestep.
     """
-    if not samples:
-        raise DataError("gradient probe needs at least one sample")
     if not degradations:
         raise DataError("gradient probe needs at least one degradation")
     if len(degradations) > MAX_PROBE_DEGRADATIONS:
@@ -137,26 +145,40 @@ def gradient_probe(
     if noise_seed < 0:
         raise DataError(f"noise_seed must be >= 0, got {noise_seed}")
 
-    degraded = [
-        [degrade(video, DegradationSpec(spec.kind, spec.strength,
-                                        seed=_derived_seed(spec.seed, i)))
-         for spec in degradations]
-        for i, video in enumerate(samples)
-    ]
+    # gradient_distances takes each sample before its copies and seeds, so
+    # the copies are made from the one sample it has just taken
+    taken = []
 
-    seeds = [[_derived_seed(noise_seed, i, j) for j in range(len(t_grid))]
-             for i in range(len(samples))]
+    def originals():
+        for video in samples:
+            taken.append(video)
+            yield video
+
+    def degraded():
+        for i in itertools.count():
+            video = taken.pop()
+            yield [degrade(video, DegradationSpec(spec.kind, spec.strength,
+                                                  seed=_derived_seed(spec.seed, i)))
+                   for spec in degradations]
+
+    seeds = ([_derived_seed(noise_seed, i, j) for j in range(len(t_grid))]
+             for i in itertools.count())
     # a non-finite value is reported by gradient_distances' NumericError
     # alone, not also by numpy's overflow warnings
     with np.errstate(all="ignore"):
-        dists = gradient_distances(model, samples, degraded, t_grid, seeds, n_noise)
-    means = dists.sum(axis=0) / len(samples)
+        dists = gradient_distances(model, originals(), degraded(), t_grid, seeds, n_noise)
+    if not len(dists):
+        raise DataError("gradient probe needs at least one sample")
+    # numpy sums the (samples, K, T) stack over samples row by row, except
+    # at K T = 1, where it sums the one column pairwise: summing the stack,
+    # not a running total, keeps the means' floats in both cases
+    means = dists.sum(axis=0) / len(dists)
     return [
         GradientProbeCurve(
             kind=spec.kind,
             strength=spec.strength,
             points=[(t_grid[j], float(means[k, j])) for j in range(len(t_grid))],
-            n_samples=len(samples),
+            n_samples=len(dists),
         )
         for k, spec in enumerate(degradations)
     ]

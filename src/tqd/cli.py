@@ -103,10 +103,11 @@ _PROBE_SAMPLE_KEYS = {  # a None clip size is the checkpoint's
 }
 _DEGRADATION_KEYS = {"kind": (str, ...), "strength": (float, ...), "seed": (int, 0)}
 
-# Largest probe samples.n: every sample and its degraded copies are held at
-# once, 512 KiB per clip at synth.MAX_CLIP_PIXELS: 2.5 MiB per sample with
-# the four default degradations, 4.5 MiB at analysis.MAX_PROBE_DEGRADATIONS.
-# The largest n in use is 40.
+# Largest probe samples.n: the probe renders, degrades and measures one
+# sample at a time (512 KiB per clip at synth.MAX_CLIP_PIXELS, 4.5 MiB with
+# the copies at analysis.MAX_PROBE_DEGRADATIONS), so n sets no clip memory.
+# It sets the run time and the 8 bytes per sample, degradation and timestep
+# of the returned distances. The largest n in use is 40.
 MAX_PROBE_SAMPLES = 1024
 
 
@@ -405,7 +406,15 @@ def cmd_train(args) -> int:
 # --- probe --------------------------------------------------------------------
 
 def _probe_samples(spec: dict, seed: int):
-    """Render the probe's clean samples from its resolved samples block."""
+    """The probe's clean samples from its resolved samples block, as a
+    generator that renders each clip only when it is asked for.
+
+    The block is checked whole before the generator is returned: beside
+    the limits, every clip's path and the texture noise, which the
+    renderer would check again clip by clip. So a bad block is a data
+    error before any clip is drawn. The draws keep one order: the speeds
+    and starts as arrays here, then each clip's seed as it is rendered.
+    """
     n = spec["n"]
     if not 1 <= n <= MAX_PROBE_SAMPLES:
         raise DataError(f"samples.n must be in [1, {MAX_PROBE_SAMPLES}], got {n}")
@@ -420,21 +429,31 @@ def _probe_samples(spec: dict, seed: int):
     if not 1 <= pixels <= MAX_CLIP_PIXELS:
         raise DataError(f"a {spec['frames']}x{spec['height']}x{spec['width']} probe clip "
                         f"must have 1 to {MAX_CLIP_PIXELS} pixels")
+    if not (math.isfinite(spec["texture_noise"]) and spec["texture_noise"] >= 0):
+        raise DataError(f"samples.texture_noise must be finite and >= 0, "
+                        f"got {spec['texture_noise']}")
     rng = np.random.default_rng([seed, 101])
     speeds = rng.uniform(spec["speed_min"], spec["speed_max"], n)
     starts = rng.uniform(0.0, spec["width"], n)
-    return [
+    # a path's positions lie between its start and its last frame's
+    with np.errstate(over="ignore"):
+        ends = starts + (spec["frames"] - 1) * speeds
+    if not np.isfinite(ends).all():
+        i = int(np.flatnonzero(~np.isfinite(ends))[0])
+        raise DataError(f"probe clip {i}'s path from start {starts[i]} at speed {speeds[i]} "
+                        f"is not finite over {spec['frames']} frames")
+    return (
         generate_moving_shape(
-            motion_speed=float(speeds[i]),
+            motion_speed=float(speed),
             texture_noise=spec["texture_noise"],
             seed=int(rng.integers(0, 2**31)),
             frames=spec["frames"],
             height=spec["height"],
             width=spec["width"],
-            start_x=float(starts[i]),
+            start_x=float(start),
         )
-        for i in range(n)
-    ]
+        for speed, start in zip(speeds, starts)
+    )
 
 
 def cmd_probe(args) -> int:
@@ -456,7 +475,7 @@ def cmd_probe(args) -> int:
         if params["samples"][key] is None:
             params["samples"][key] = dim
     videos = _probe_samples(params["samples"], seed)
-    shape = videos[0].frames.shape
+    shape = tuple(params["samples"][key] for key in ("frames", "height", "width"))
     if shape != model.data_shape:
         raise CheckpointError(
             f"checkpoint {model_path} expects data shape {model.data_shape}, "
@@ -469,7 +488,7 @@ def cmd_probe(args) -> int:
         out_path = run_dir / f"probe_{i:02d}_{curve.kind}.csv"
         out_path.write_text(probe_curves_csv([curve]), encoding="utf-8")
 
-    print(f"run {run_id}: probed {len(videos)} samples x {len(t_grid)} timesteps "
+    print(f"run {run_id}: probed {curves[0].n_samples} samples x {len(t_grid)} timesteps "
           f"(model step {header.get('step')})")
     for curve in curves:
         first_t, first_d = curve.points[0]

@@ -197,6 +197,36 @@ def inject_score_noise(
 
 # --- manifest I/O -----------------------------------------------------------
 
+def _manifest_record(line: str, lineno: int) -> QualityRecord | None:
+    """The record on one manifest line, None on a blank one."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+        rec_id, mq, vq = obj["id"], obj["mq"], obj["vq"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
+    if type(rec_id) is not str:
+        raise DataError(f"id must be a JSON string, got {rec_id!r} (line {lineno})")
+    for key, value in (("mq", mq), ("vq", vq)):
+        # bool is an int subclass, so the types are compared exactly
+        if type(value) not in (int, float):
+            raise DataError(f"{key} of record {rec_id!r} must be a JSON number, "
+                            f"got {value!r} (line {lineno})")
+    try:
+        rec = QualityRecord(id=rec_id, mq_raw=float(mq), vq_raw=float(vq),
+                            payload_ref=obj.get("payload"))
+    except OverflowError as exc:
+        raise DataError(f"non-finite score on record {rec_id!r} (line {lineno})") from exc
+    if not isinstance(rec.payload_ref, (str, type(None))):
+        raise DataError(f"payload of record {rec.id!r} must be a string or null, "
+                        f"got {rec.payload_ref!r} (line {lineno})")
+    if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
+        raise DataError(f"non-finite score on record {rec.id!r} (line {lineno})")
+    return rec
+
+
 def read_manifest(path: str | Path) -> list[QualityRecord]:
     """Read a JSON-lines score manifest.
 
@@ -211,43 +241,21 @@ def read_manifest(path: str | Path) -> list[QualityRecord]:
     OSError, raised before it is opened.
     """
     regular_file_size(path, "manifest")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"manifest {path} is not UTF-8 text: {exc}") from exc
     records = []
     seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            rec_id, mq, vq = obj["id"], obj["mq"], obj["vq"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
-        if type(rec_id) is not str:
-            raise DataError(f"id must be a JSON string, got {rec_id!r} (line {lineno})")
-        for key, value in (("mq", mq), ("vq", vq)):
-            # bool is an int subclass, so the types are compared exactly
-            if type(value) not in (int, float):
-                raise DataError(f"{key} of record {rec_id!r} must be a JSON number, "
-                                f"got {value!r} (line {lineno})")
-        try:
-            rec = QualityRecord(id=rec_id, mq_raw=float(mq), vq_raw=float(vq),
-                                payload_ref=obj.get("payload"))
-        except OverflowError as exc:
-            raise DataError(f"non-finite score on record {rec_id!r} (line {lineno})") from exc
-        if not isinstance(rec.payload_ref, (str, type(None))):
-            raise DataError(f"payload of record {rec.id!r} must be a string or null, "
-                            f"got {rec.payload_ref!r} (line {lineno})")
-        if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
-            raise DataError(f"non-finite score on record {rec.id!r} (line {lineno})")
-        if rec.id in seen:
-            raise DataError(f"duplicate record id {rec.id!r} (line {lineno})")
-        seen.add(rec.id)
-        records.append(rec)
+    # the file is read line by line, so only the records are held
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                rec = _manifest_record(line, lineno)
+                if rec is None:
+                    continue
+                if rec.id in seen:
+                    raise DataError(f"duplicate record id {rec.id!r} (line {lineno})")
+                seen.add(rec.id)
+                records.append(rec)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not UTF-8 text: {exc}") from exc
     if not records:
         raise DataError(f"empty manifest: {path}")
     return records

@@ -14,6 +14,7 @@ only has to be differentiable and shape-faithful.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -310,7 +311,16 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
 
     copies[i] lists the K copies of videos[i], the same K for every
     video, and noise_seeds[i][j] is the noise seed of videos[i] at
-    t_grid[j]. Returns an array (len(videos), K, len(t_grid)).
+    t_grid[j]. Returns an array (len(videos), K, len(t_grid)); no videos
+    give an empty one.
+
+    videos, copies and noise_seeds may be any iterables, read in step
+    and once: video i is taken before its copies and its seeds, and
+    checked, with its copies, only when it is reached. K is read from
+    the first video's copies. So a caller that makes each item only when
+    it is asked for holds one video, its copies and its seeds at a time,
+    beside the blocks below and 8 bytes per returned distance (twice that
+    while the per-video rows are stacked at the end).
 
     Every layer's weight and bias gradient is sum_r [a_r; 1] b_r^T over
     the batch rows r, with a_r the layer's input row and b_r the loss
@@ -361,22 +371,31 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
             raise DataError(f"t must be in the open interval (0, 1), got {t}")
     if not 1 <= n_noise <= MAX_N_NOISE:
         raise DataError(f"n_noise must be in [1, {MAX_N_NOISE}], got {n_noise}")
-    for clip in (*videos, *(clip for clips in copies for clip in clips)):
-        if clip.frames.shape != model.data_shape:
-            raise DataError(f"video shape {clip.frames.shape} does not match model "
-                            f"data shape {model.data_shape}")
+    items = zip(videos, copies, noise_seeds)
+    first = next(items, None)
+    if first is None:
+        return np.empty((0, 0, len(t_grid)))
+    n_copies = len(first[1])
+    items = itertools.chain([first], items)
+    del first  # only the chain holds the first video, until it is measured
     d = model.data_dim
     c = 2.0 / (n_noise * d)
     views = model.views()
     w1x, w1f, w3 = views["W1"][:d], views["W1"][d:], views["W3"]
     g3 = w3 @ w3.T
-    n_copies = len(copies[0]) if copies else 0
     step_bytes = n_noise * (d + 2 * (1 + n_copies) * model.hidden_width) * 8
     block = max(1, min(len(t_grid), _PROBE_BLOCK_BYTES // step_bytes))
     noise = np.empty((block * n_noise, d))
 
     dists = []
-    for video, clips, seeds in zip(videos, copies, noise_seeds):
+    for video, clips, seeds in items:
+        if len(clips) != n_copies:
+            raise DataError(f"video {len(dists)} has {len(clips)} copies, "
+                            f"the first has {n_copies}")
+        for clip in (video, *clips):
+            if clip.frames.shape != model.data_shape:
+                raise DataError(f"video shape {clip.frames.shape} does not match model "
+                                f"data shape {model.data_shape}")
         v = np.stack([video.flat()] + [clip.flat() for clip in clips])  # (1+K, D)
         vk = v[1:]
         delta = v[0] - vk  # (K, D)

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,3 +20,20 @@ def _write_tvid(video, path):
 def write_tvid():
     """The test-local toy-video writer; the package only reads the format."""
     return _write_tvid
+
+
+def _traced_peak(fn) -> int:
+    """Bytes that fn allocates at its peak, above what it found allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """The peak-allocation meter the memory tests share."""
+    return _traced_peak

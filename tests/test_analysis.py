@@ -224,6 +224,21 @@ def test_probe_validates_inputs():
         gradient_probe(model, [_video()], [])
 
 
+def test_probe_reads_samples_from_a_generator():
+    # the CLI hands the probe a generator; it gives the list's curves bit
+    # for bit, and an empty one is the empty list's error
+    model = _probe_model()
+    specs = [DegradationSpec("blur", 1.0, seed=1), DegradationSpec("shuffle", 1.0, seed=2)]
+    samples = [_video(seed=s, speed=1.0 + 0.5 * s) for s in range(3)]
+    listed = gradient_probe(model, samples, specs, t_grid=[0.2, 0.6], n_noise=4)
+    streamed = gradient_probe(model, (video for video in samples), specs, t_grid=[0.2, 0.6],
+                              n_noise=4)
+    assert listed == streamed
+    assert streamed[0].n_samples == 3
+    with pytest.raises(DataError, match="needs at least one sample"):
+        gradient_probe(model, (video for video in []), specs)
+
+
 def test_probe_rejects_a_negative_noise_seed():
     # numpy's SeedSequence would raise its own ValueError at the first seed
     with pytest.raises(DataError, match="noise_seed must be >= 0, got -1"):

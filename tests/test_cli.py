@@ -14,7 +14,7 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.special import betainc
 
-from tqd import analysis
+from tqd import analysis, cli
 from tqd.analysis import (
     MAX_HISTOGRAM_DRAWS,
     MAX_PROBE_DEGRADATIONS,
@@ -665,7 +665,7 @@ def test_probe_writes_one_csv_per_degradation(tmp_path, capsys):
     assert names == ["probe_00_blur.csv", "probe_01_noise.csv", "probe_02_shuffle.csv"]
 
 
-def test_probe_shape_mismatch_is_artifact_error(tmp_path, capsys):
+def test_probe_shape_mismatch_is_artifact_error(tmp_path, capsys, monkeypatch):
     model = VelocityModel.init((2, 4, 4), seed=2, hidden_width=8)
     ckpt = tmp_path / "model.bin"
     save_checkpoint(model, ckpt)
@@ -675,10 +675,17 @@ def test_probe_shape_mismatch_is_artifact_error(tmp_path, capsys):
                     "speed_min": 1.0, "speed_max": 2.0, "texture_noise": 0.0},
         "n_noise": 2,
     }))
-    code = main(["probe", "--model", str(ckpt), "--config", str(config),
-                 "--out", str(tmp_path / "out")])
+    # the samples block's clip size is checked before any clip is drawn
+    rendered = []
+    monkeypatch.setattr(cli, "generate_moving_shape",
+                        lambda **kwargs: rendered.append(kwargs))
+    out = tmp_path / "out"
+    code = main(["probe", "--model", str(ckpt), "--config", str(config), "--out", str(out)])
     assert code == 5
-    assert "data shape" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data shape" in err and err.count("\n") == 1
+    assert not out.exists()
+    assert rendered == []
 
 
 def test_probe_defaults_take_the_checkpoint_clip_size(tmp_path, capsys):
@@ -702,6 +709,48 @@ def test_probe_defaults_take_the_checkpoint_clip_size(tmp_path, capsys):
     written = {p.name: p.read_bytes() for p in run1.iterdir()}
     assert len(written) == 5
     assert written == {p.name: p.read_bytes() for p in run2.iterdir()}
+
+
+def test_probe_samples_block_is_bad_data_before_a_checkpoint_mismatch(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a texture noise the renderer would refuse, on a clip size the
+    # checkpoint does not take: the block's own check comes first, and
+    # neither draws a clip
+    ckpt, config = _tiny_probe_setup(tmp_path)
+    base = json.loads(config.read_text())
+    config.write_text(json.dumps({**base, "samples": {**base["samples"], "frames": 3,
+                                                      "texture_noise": -0.1}}))
+    rendered = []
+    monkeypatch.setattr(cli, "generate_moving_shape",
+                        lambda **kwargs: rendered.append(kwargs))
+    out = tmp_path / "out"
+    code = main(["probe", "--model", str(ckpt), "--config", str(config), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "data error: samples.texture_noise must be finite and >= 0, got -0.1\n"
+    assert not out.exists() and rendered == []
+
+
+def test_probe_memory_does_not_grow_with_the_sample_count(tmp_path, capsys, traced_peak):
+    # the probe renders, degrades and measures one sample at a time, so 32
+    # samples peak within one sample's clips of 4 samples; the slack covers
+    # the 8 bytes per distance that do grow and the allocator's noise
+    # (about 12 KiB between runs). Held at once, the 28 extra samples'
+    # clips would take 2.2 MiB.
+    model = VelocityModel.init((8, 16, 16), seed=1, hidden_width=16, zero_final=False)
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(model, ckpt)
+
+    def probe(n, name):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"samples": {"n": n}, "t_grid": [0.5], "n_noise": 4}))
+        assert main(["probe", "--model", str(ckpt), "--config", str(config),
+                     "--out", str(tmp_path / name)]) == 0
+
+    probe(4, "warm-up")  # imports and first-call caches, outside the traced runs
+    peaks = {n: traced_peak(lambda: probe(n, f"n{n}")) for n in (4, 32)}
+    sample_clips = (1 + 4) * model.data_dim * 8  # the sample and 4 default copies
+    assert abs(peaks[32] - peaks[4]) < sample_clips + 64 * 2**10
 
 
 def test_probe_corrupt_checkpoint_is_artifact_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,6 +312,16 @@ class TestManifestIO:
         path = tmp_path / "scores.jsonl"
         path.write_bytes(b'{"id": "a\xff", "mq": 1, "vq": 2}\n')
         with pytest.raises(DataError, match="not UTF-8"):
+            read_manifest(path)
+
+    def test_non_utf8_byte_past_the_first_read_chunk_names_the_manifest(self, tmp_path):
+        # the file is decoded 8 KiB at a time as its lines are read, so the
+        # bad byte is met after hundreds of good records have been parsed
+        path = tmp_path / "scores.jsonl"
+        good = b"".join(b'{"id": "r%d", "mq": 1, "vq": 2}\n' % i for i in range(1000))
+        assert len(good) > 8192
+        path.write_bytes(good + b'{"id": "a\xff", "mq": 1, "vq": 2}\n')
+        with pytest.raises(DataError, match=f"^manifest {re.escape(str(path))} is not UTF-8"):
             read_manifest(path)
 
     def test_missing_key_names_line_number(self, tmp_path):

@@ -83,6 +83,15 @@ class TestMakeLaw:
         law = _law(1.0, 0.0, SamplerConfig(kappa_base=2.0, kappa_max=20.0))
         assert law == (1.0, 20.0, 20.0, 0.05)
 
+    def test_corner_records_get_the_documented_shares(self):
+        # the README and law_table's docstring: at the defaults the (1, 0)
+        # record puts 84.3% of its mass above 0.999 and 29.8% on the top
+        # clip atom; the (0, 1) record mirrors it
+        top = _law(1.0, 0.0, SamplerConfig())[2:]
+        assert _law(0.0, 1.0, SamplerConfig())[2:] == top[::-1]
+        for x, share in ((0.999, 0.843), (1.0 - T_CLIP, 0.298)):
+            assert 1.0 - special.betainc(*top, x) == pytest.approx(share, abs=5e-4)
+
     def test_direct_shape_evaluation(self):
         mu, kappa, alpha, beta = _law(0.9, 0.4, SamplerConfig(kappa_base=4.0, kappa_max=30.0))
         assert mu == pytest.approx(0.75)

@@ -3,7 +3,6 @@
 import json
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +292,30 @@ def test_grad_at_timestep_validates_arguments():
     with pytest.raises(DataError, match="does not match"):
         gradient_distances(model, [ToyVideo(np.zeros((2, 2, 2)))], [[x0]], [0.5], [[0]],
                            n_noise=4)
+
+
+def test_gradient_distances_checks_each_video_when_it_reaches_it():
+    # the inputs stream: the second video's bad copy is found when that
+    # video is taken, and the third video is never asked for
+    model = VelocityModel.init((1, 2, 2), seed=0, hidden_width=4)
+    x0, bad = ToyVideo(np.zeros((1, 2, 2))), ToyVideo(np.zeros((2, 2, 2)))
+    taken = []
+
+    def videos():
+        for i in range(3):
+            taken.append(i)
+            yield x0
+
+    with pytest.raises(DataError, match="does not match"):
+        gradient_distances(model, videos(), iter([[x0], [bad], [x0]]), [0.5],
+                           iter([[0], [1], [2]]), n_noise=4)
+    assert taken == [0, 1]
+    # K is read from the first video's copies
+    with pytest.raises(DataError, match="video 1 has 2 copies, the first has 1"):
+        gradient_distances(model, [x0, x0], [[x0], [x0, x0]], [0.5], [[0], [1]], n_noise=4)
+    # no videos give an empty result
+    assert gradient_distances(model, iter([]), iter([]), [0.5], iter([]),
+                              n_noise=4).shape == (0, 0, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -641,18 +664,7 @@ def test_checkpoint_rejects_a_payload_off_its_header(tmp_path, case, match):
         load_checkpoint(path)
 
 
-def _traced_peak(fn) -> int:
-    """Bytes that fn allocates at its peak, above what it found allocated."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
-def test_gradient_distances_holds_one_block_of_timesteps():
+def test_gradient_distances_holds_one_block_of_timesteps(traced_peak):
     # At the probe's default shape a timestep's noise and activations take
     # 416 KiB, so a 64-point grid held at once would take 27 MB. In blocks
     # the peak stays within the cap plus a 2 MiB slack for one timestep's
@@ -666,34 +678,34 @@ def test_gradient_distances_holds_one_block_of_timesteps():
               for video in videos]
     t_grid = [(j + 1) / 65 for j in range(64)]
     seeds = [[64 * i + j for j in range(64)] for i in range(2)]
-    peak = _traced_peak(lambda: gradient_distances(model, videos, copies, t_grid, seeds,
+    peak = traced_peak(lambda: gradient_distances(model, videos, copies, t_grid, seeds,
                                                    n_noise=16))
     assert peak <= _PROBE_BLOCK_BYTES + 2 * 2**20
 
 
-def test_save_checkpoint_copies_no_parameters(tmp_path):
+def test_save_checkpoint_copies_no_parameters(tmp_path, traced_peak):
     # save writes theta's own buffer
     model = VelocityModel.init((2, 10, 10), seed=0, hidden_width=512)
-    peak = _traced_peak(lambda: save_checkpoint(model, tmp_path / "model.bin"))
+    peak = traced_peak(lambda: save_checkpoint(model, tmp_path / "model.bin"))
     assert peak < 0.01 * model.theta.nbytes
 
 
-def test_load_checkpoint_holds_theta_once(tmp_path):
+def test_load_checkpoint_holds_theta_once(tmp_path, traced_peak):
     # load reads straight into the one array it returns
     model = VelocityModel.init((2, 10, 10), seed=0, hidden_width=512)
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
-    assert _traced_peak(lambda: load_checkpoint(path)) < 1.05 * model.theta.nbytes
+    assert traced_peak(lambda: load_checkpoint(path)) < 1.05 * model.theta.nbytes
 
 
-def test_train_holds_one_gradient_per_step():
+def test_train_holds_one_gradient_per_step(traced_peak):
     # theta, the two Adam moments and one gradient make 4 parameter-sized
     # arrays; the last step's gradient kept alive through the next
     # loss_and_grad would make 5
     videos = [_video(seed=i, frames=2, height=10, width=10) for i in range(20)]
     mq, vq = [0.05 * i for i in range(20)], [1.0 - 0.05 * i for i in range(20)]
     size = 8 * param_count(200, 512)
-    peak = _traced_peak(lambda: train(videos, mq, vq, SamplerConfig(batch_size=16),
+    peak = traced_peak(lambda: train(videos, mq, vq, SamplerConfig(batch_size=16),
                                       TrainerConfig(steps=3, hidden_width=512)))
     assert peak < 4.5 * size
 
