@@ -12,7 +12,6 @@ relative quality.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -122,12 +121,13 @@ def gradient_probe(
     seed and the sample index, so two samples never share a noise field
     or shuffle order. noise_seed must be >= 0.
 
-    samples may be any iterable, read once. The probe streams it: it
-    degrades a sample and derives its len(t_grid) noise seeds only when
-    gradient_distances reaches that sample, so a generator of samples is
-    held one sample, its copies and its seeds at a time. What grows with
-    the number of samples is 8 bytes per distance entry, one per sample,
-    degradation and timestep.
+    samples may be any iterable, read once. The probe streams it as one
+    generator of (sample, copies, seeds) items: a sample is degraded and
+    its len(t_grid) noise seeds derived only when gradient_distances asks
+    for its item, so a generator of samples is held one sample, its
+    copies and its seeds at a time. What grows with the number of samples
+    is 8 bytes per distance entry, one per sample, degradation and
+    timestep.
     """
     if not degradations:
         raise DataError("gradient probe needs at least one degradation")
@@ -145,28 +145,17 @@ def gradient_probe(
     if noise_seed < 0:
         raise DataError(f"noise_seed must be >= 0, got {noise_seed}")
 
-    # gradient_distances takes each sample before its copies and seeds, so
-    # the copies are made from the one sample it has just taken
-    taken = []
-
-    def originals():
-        for video in samples:
-            taken.append(video)
-            yield video
-
-    def degraded():
-        for i in itertools.count():
-            video = taken.pop()
-            yield [degrade(video, DegradationSpec(spec.kind, spec.strength,
-                                                  seed=_derived_seed(spec.seed, i)))
-                   for spec in degradations]
-
-    seeds = ([_derived_seed(noise_seed, i, j) for j in range(len(t_grid))]
-             for i in itertools.count())
+    # one (sample, copies, seeds) item at a time, made when it is asked for
+    items = ((video,
+              [degrade(video, DegradationSpec(spec.kind, spec.strength,
+                                              seed=_derived_seed(spec.seed, i)))
+               for spec in degradations],
+              [_derived_seed(noise_seed, i, j) for j in range(len(t_grid))])
+             for i, video in enumerate(samples))
     # a non-finite value is reported by gradient_distances' NumericError
     # alone, not also by numpy's overflow warnings
     with np.errstate(all="ignore"):
-        dists = gradient_distances(model, originals(), degraded(), t_grid, seeds, n_noise)
+        dists = gradient_distances(model, items, t_grid, n_noise)
     if not len(dists):
         raise DataError("gradient probe needs at least one sample")
     # numpy sums the (samples, K, T) stack over samples row by row, except

@@ -425,8 +425,11 @@ def _probe_samples(spec: dict, seed: int):
     if not math.isfinite(spec["speed_max"] - spec["speed_min"]):
         raise DataError(f"samples.speed_min ({spec['speed_min']}) and samples.speed_max "
                         f"({spec['speed_max']}) must span a finite range")
-    pixels = spec["frames"] * spec["height"] * spec["width"]
-    if not 1 <= pixels <= MAX_CLIP_PIXELS:
+    # each dimension on its own: two negative ones make a positive product
+    for key in ("frames", "height", "width"):
+        if spec[key] < 1:
+            raise DataError(f"samples.{key} must be >= 1, got {spec[key]}")
+    if spec["frames"] * spec["height"] * spec["width"] > MAX_CLIP_PIXELS:
         raise DataError(f"a {spec['frames']}x{spec['height']}x{spec['width']} probe clip "
                         f"must have 1 to {MAX_CLIP_PIXELS} pixels")
     if not (math.isfinite(spec["texture_noise"]) and spec["texture_noise"] >= 0):

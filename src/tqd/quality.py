@@ -63,8 +63,13 @@ def normalize_scores(records: list[QualityRecord]) -> tuple[np.ndarray, np.ndarr
     for rec in records:
         if not (math.isfinite(rec.mq_raw) and math.isfinite(rec.vq_raw)):
             raise DataError(f"non-finite score on record {rec.id!r}")
-    return (_minmax("mq", np.array([r.mq_raw for r in records])),
-            _minmax("vq", np.array([r.vq_raw for r in records])))
+    mq, vq = _raw_scores(records)
+    return _minmax("mq", mq), _minmax("vq", vq)
+
+
+def _raw_scores(records: list[QualityRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (mq, vq) scores as arrays, entry i for records[i]."""
+    return np.array([r.mq_raw for r in records]), np.array([r.vq_raw for r in records])
 
 
 def _minmax(name: str, x: np.ndarray) -> np.ndarray:
@@ -91,8 +96,7 @@ def quadrants(records: list[QualityRecord], mq_threshold: float | None = None,
     """
     if not records:
         raise DataError("no records to split into quadrants (empty after filtering?)")
-    mq = np.array([r.mq_raw for r in records])
-    vq = np.array([r.vq_raw for r in records])
+    mq, vq = _raw_scores(records)
     mq_threshold = float(np.median(mq)) if mq_threshold is None else mq_threshold
     vq_threshold = float(np.median(vq)) if vq_threshold is None else vq_threshold
     # QUADRANTS runs HMHV, HMLV, LMHV, LMLV: the index is 2 x low MQ + low VQ
@@ -113,8 +117,7 @@ def pearson_correlation(records: list[QualityRecord]) -> PopulationStats:
     n = len(records)
     if n < 3:
         raise DataError(f"need at least 3 records to correlate, got {n}")
-    mq = np.array([r.mq_raw for r in records])
-    vq = np.array([r.vq_raw for r in records])
+    mq, vq = _raw_scores(records)
     if mq.min() == mq.max() or vq.min() == vq.max():
         raise DataError("constant score sequence")
     unit = {}
@@ -180,8 +183,7 @@ def inject_score_noise(
     rng = np.random.default_rng(seed)
     noisy = []
     with np.errstate(all="ignore"):
-        for name, raw in (("mq", np.array([r.mq_raw for r in records])),
-                          ("vq", np.array([r.vq_raw for r in records]))):
+        for name, raw in zip(("mq", "vq"), _raw_scores(records)):
             _check_range(name, raw.min(), raw.max())
             scores = raw + rng.standard_normal(len(records)) * noise_level * np.ptp(raw)
             if not np.all(np.isfinite(scores)):

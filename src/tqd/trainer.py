@@ -14,7 +14,6 @@ only has to be differentiable and shape-faithful.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -303,24 +302,22 @@ def _stacked_sq_dists(gram_dd, gram_dk, gram_kk, b: np.ndarray) -> np.ndarray:
                            _gram(db, db))
 
 
-def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds,
-                       n_noise: int) -> np.ndarray:
+def gradient_distances(model: VelocityModel, items, t_grid, n_noise: int) -> np.ndarray:
     """||g(video) - g(copy)|| for every video, copy and timestep, where g
     is grad_at_timestep at (t, seed, n_noise), without forming any
     gradient.
 
-    copies[i] lists the K copies of videos[i], the same K for every
-    video, and noise_seeds[i][j] is the noise seed of videos[i] at
-    t_grid[j]. Returns an array (len(videos), K, len(t_grid)); no videos
-    give an empty one.
-
-    videos, copies and noise_seeds may be any iterables, read in step
-    and once: video i is taken before its copies and its seeds, and
-    checked, with its copies, only when it is reached. K is read from
-    the first video's copies. So a caller that makes each item only when
-    it is asked for holds one video, its copies and its seeds at a time,
-    beside the blocks below and 8 bytes per returned distance (twice that
-    while the per-video rows are stacked at the end).
+    items is any iterable of (video, copies, seeds) tuples, read once:
+    copies lists the video's K copies, the same K for every item, and
+    seeds[j] is the video's noise seed at t_grid[j]. Returns an array
+    (number of items, K, len(t_grid)); no items give an empty
+    (0, 0, len(t_grid)) one. K and the noise block buffer are set by the
+    first item, and each item is checked only when it is reached. So a
+    caller that makes each item only when it is asked for holds one
+    video, its copies and its seeds at a time, beside the blocks below
+    and 8 bytes per returned distance (twice that while the per-video
+    rows are stacked at the end). A new per-video input is one more
+    field of the item.
 
     Every layer's weight and bias gradient is sum_r [a_r; 1] b_r^T over
     the batch rows r, with a_r the layer's input row and b_r the loss
@@ -337,7 +334,7 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
     all its copies, under the one noise draw x1. Every row shares t, so
     the first layer's pre-activation is t (x1 W1x) + (1-t) (v W1x) +
     feats W1f + b1 and its input Gram follows from x1 x1^T, x1 v^T,
-    v . v' and ||feats||^2; v W1x and the v . v' products are taken once
+    v . v' and ||feats||^2; v W1x and the v . v' products are formed once
     per video.
 
     A video's timesteps run in blocks that fit _PROBE_BLOCK_BYTES. A
@@ -346,7 +343,7 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
     x1 v_k^T, x1 delta^T) is one product over all the block's rows. Once
     a timestep's forward pass is done, its output rows b0 overwrite its
     noise rows, and b0 W3^T and b0 delta^T are likewise one product each.
-    The x1 x1^T and b0 b0^T Grams are taken per timestep, so no stacked
+    The x1 x1^T and b0 b0^T Grams are formed per timestep, so no stacked
     copy of the buffer is made.
 
     The output layer is D wide, against H for the hidden ones, so only
@@ -361,7 +358,7 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
         db . db   = c^2 (da G3 da^T + da W3 delta^T + (da W3 delta^T)^T
                          + delta . delta)
 
-    delta W3^T is taken once per video. An identical copy has da = 0 and
+    delta W3^T is formed once per video. An identical copy has da = 0 and
     delta = 0, so every difference term is exactly 0 and its rows equal
     the video's bit for bit.
     """
@@ -371,24 +368,19 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
             raise DataError(f"t must be in the open interval (0, 1), got {t}")
     if not 1 <= n_noise <= MAX_N_NOISE:
         raise DataError(f"n_noise must be in [1, {MAX_N_NOISE}], got {n_noise}")
-    items = zip(videos, copies, noise_seeds)
-    first = next(items, None)
-    if first is None:
-        return np.empty((0, 0, len(t_grid)))
-    n_copies = len(first[1])
-    items = itertools.chain([first], items)
-    del first  # only the chain holds the first video, until it is measured
     d = model.data_dim
     c = 2.0 / (n_noise * d)
     views = model.views()
     w1x, w1f, w3 = views["W1"][:d], views["W1"][d:], views["W3"]
     g3 = w3 @ w3.T
-    step_bytes = n_noise * (d + 2 * (1 + n_copies) * model.hidden_width) * 8
-    block = max(1, min(len(t_grid), _PROBE_BLOCK_BYTES // step_bytes))
-    noise = np.empty((block * n_noise, d))
 
     dists = []
     for video, clips, seeds in items:
+        if not dists:
+            n_copies = len(clips)
+            step_bytes = n_noise * (d + 2 * (1 + n_copies) * model.hidden_width) * 8
+            block = max(1, min(len(t_grid), _PROBE_BLOCK_BYTES // step_bytes))
+            noise = np.empty((block * n_noise, d))
         if len(clips) != n_copies:
             raise DataError(f"video {len(dists)} has {len(clips)} copies, "
                             f"the first has {n_copies}")
@@ -476,6 +468,8 @@ def gradient_distances(model: VelocityModel, videos, copies, t_grid, noise_seeds
         if not np.all(np.isfinite(sq)):
             raise NumericError("non-finite gradient distance")
         dists.append(np.sqrt(np.maximum(sq, 0.0)))
+    if not dists:
+        return np.empty((0, 0, len(t_grid)))
     return np.stack(dists)
 
 
@@ -533,7 +527,7 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
 
-    and the step is taken in the order their Section 2 suggests: with
+    and the step follows the order their Section 2 suggests: with
     ck = 1 - bk**step, three scalars are computed once per call,
 
         root_c2 = sqrt(c2);  step_size = lr*root_c2/c1;  eps_t = eps*root_c2

@@ -713,22 +713,29 @@ def test_probe_defaults_take_the_checkpoint_clip_size(tmp_path, capsys):
 
 def test_probe_samples_block_is_bad_data_before_a_checkpoint_mismatch(tmp_path, capsys,
                                                                       monkeypatch):
-    # a texture noise the renderer would refuse, on a clip size the
+    # a texture noise the renderer would refuse, or negative dimensions
+    # (two of them make a positive pixel count), on a clip size the
     # checkpoint does not take: the block's own check comes first, and
     # neither draws a clip
     ckpt, config = _tiny_probe_setup(tmp_path)
     base = json.loads(config.read_text())
-    config.write_text(json.dumps({**base, "samples": {**base["samples"], "frames": 3,
-                                                      "texture_noise": -0.1}}))
     rendered = []
     monkeypatch.setattr(cli, "generate_moving_shape",
                         lambda **kwargs: rendered.append(kwargs))
-    out = tmp_path / "out"
-    code = main(["probe", "--model", str(ckpt), "--config", str(config), "--out", str(out)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err == "data error: samples.texture_noise must be finite and >= 0, got -0.1\n"
-    assert not out.exists() and rendered == []
+    for name, bad, message in [
+            ("noise", {"frames": 3, "texture_noise": -0.1},
+             "samples.texture_noise must be finite and >= 0, got -0.1"),
+            ("frames", {"frames": -2, "height": -16, "width": 16},
+             "samples.frames must be >= 1, got -2"),
+            ("height", {"frames": 2, "height": -10, "width": -10},
+             "samples.height must be >= 1, got -10")]:
+        config.write_text(json.dumps({**base, "samples": {**base["samples"], **bad}}))
+        out = tmp_path / f"out-{name}"
+        code = main(["probe", "--model", str(ckpt), "--config", str(config),
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists() and rendered == []
 
 
 def test_probe_memory_does_not_grow_with_the_sample_count(tmp_path, capsys, traced_peak):

@@ -105,3 +105,29 @@ def test_every_defaulted_parameter_is_set_by_a_caller_outside_the_tests():
                 unset.append(f"{label}({arg.arg})")
     assert checked > 10
     assert unset == []
+
+
+def _unused_imports(path):
+    """module.name of every module-level import in path that binds a name
+    the module never uses; a line marked `# noqa: F401` is exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                yield f"{path.stem}.{name}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [name for path in modules for name in _unused_imports(path)] == []

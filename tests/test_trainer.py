@@ -281,41 +281,39 @@ def test_grad_at_timestep_validates_arguments():
         grad_at_timestep(model, ToyVideo(np.zeros((2, 2, 2))), 0.5, noise_seed=0, n_noise=4)
     # the probe's Gram path keeps the same checks, on the video and each copy
     with pytest.raises(DataError, match="open interval"):
-        gradient_distances(model, [x0], [[x0]], [0.0], [[0]], n_noise=4)
+        gradient_distances(model, [(x0, [x0], [0])], [0.0], n_noise=4)
     with pytest.raises(DataError, match="open interval"):
-        gradient_distances(model, [x0], [[x0]], [1.0], [[0]], n_noise=4)
+        gradient_distances(model, [(x0, [x0], [0])], [1.0], n_noise=4)
     with pytest.raises(DataError, match="n_noise"):
-        gradient_distances(model, [x0], [[x0]], [0.5], [[0]], n_noise=0)
+        gradient_distances(model, [(x0, [x0], [0])], [0.5], n_noise=0)
     with pytest.raises(DataError, match="does not match"):
-        gradient_distances(model, [x0], [[ToyVideo(np.zeros((2, 2, 2)))]], [0.5], [[0]],
+        gradient_distances(model, [(x0, [ToyVideo(np.zeros((2, 2, 2)))], [0])], [0.5],
                            n_noise=4)
     with pytest.raises(DataError, match="does not match"):
-        gradient_distances(model, [ToyVideo(np.zeros((2, 2, 2)))], [[x0]], [0.5], [[0]],
+        gradient_distances(model, [(ToyVideo(np.zeros((2, 2, 2))), [x0], [0])], [0.5],
                            n_noise=4)
 
 
 def test_gradient_distances_checks_each_video_when_it_reaches_it():
-    # the inputs stream: the second video's bad copy is found when that
-    # video is taken, and the third video is never asked for
+    # the items stream: the second video's bad copy is found when its item
+    # is taken, and the third item is never asked for
     model = VelocityModel.init((1, 2, 2), seed=0, hidden_width=4)
     x0, bad = ToyVideo(np.zeros((1, 2, 2))), ToyVideo(np.zeros((2, 2, 2)))
-    taken = []
+    asked = []
 
-    def videos():
-        for i in range(3):
-            taken.append(i)
-            yield x0
+    def items():
+        for i, clip in enumerate([x0, bad, x0]):
+            asked.append(i)
+            yield x0, [clip], [i]
 
     with pytest.raises(DataError, match="does not match"):
-        gradient_distances(model, videos(), iter([[x0], [bad], [x0]]), [0.5],
-                           iter([[0], [1], [2]]), n_noise=4)
-    assert taken == [0, 1]
-    # K is read from the first video's copies
+        gradient_distances(model, items(), [0.5], n_noise=4)
+    assert asked == [0, 1]
+    # K is read from the first item's copies
     with pytest.raises(DataError, match="video 1 has 2 copies, the first has 1"):
-        gradient_distances(model, [x0, x0], [[x0], [x0, x0]], [0.5], [[0], [1]], n_noise=4)
-    # no videos give an empty result
-    assert gradient_distances(model, iter([]), iter([]), [0.5], iter([]),
-                              n_noise=4).shape == (0, 0, 1)
+        gradient_distances(model, [(x0, [x0], [0]), (x0, [x0, x0], [1])], [0.5], n_noise=4)
+    # no items give an empty result
+    assert gradient_distances(model, iter([]), [0.5], n_noise=4).shape == (0, 0, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -327,7 +325,7 @@ def test_non_finite_layer_stops_both_gradient_paths(layer, name):
     with pytest.raises(NumericError, match=f"layer {layer}"):
         grad_at_timestep(model, x0, 0.5, noise_seed=0, n_noise=2)
     with pytest.raises(NumericError, match=f"layer {layer}"):
-        gradient_distances(model, [x0], [[x0]], [0.5], [[0]], n_noise=2)
+        gradient_distances(model, [(x0, [x0], [0])], [0.5], n_noise=2)
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -672,14 +670,14 @@ def test_gradient_distances_holds_one_block_of_timesteps(traced_peak):
     # and the block's H-wide products.
     model = VelocityModel.init((8, 16, 16), seed=0, hidden_width=128, zero_final=False)
     videos = [_video(seed=s, frames=8, height=16, width=16, speed=2.0) for s in range(2)]
-    copies = [[degrade(video, DegradationSpec(kind, strength, seed=1))
-               for kind, strength in (("blur", 2.0), ("compression", 8.0), ("noise", 0.1),
-                                      ("shuffle", 1.0))]
-              for video in videos]
     t_grid = [(j + 1) / 65 for j in range(64)]
-    seeds = [[64 * i + j for j in range(64)] for i in range(2)]
-    peak = traced_peak(lambda: gradient_distances(model, videos, copies, t_grid, seeds,
-                                                   n_noise=16))
+    items = [(video,
+              [degrade(video, DegradationSpec(kind, strength, seed=1))
+               for kind, strength in (("blur", 2.0), ("compression", 8.0), ("noise", 0.1),
+                                      ("shuffle", 1.0))],
+              [64 * i + j for j in range(64)])
+             for i, video in enumerate(videos)]
+    peak = traced_peak(lambda: gradient_distances(model, items, t_grid, n_noise=16))
     assert peak <= _PROBE_BLOCK_BYTES + 2 * 2**20
 
 
